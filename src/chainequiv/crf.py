@@ -19,15 +19,16 @@ from .tables import (
     LOG_ZERO,
     Alphabet,
     LabelSeq,
-    LengthMismatch,
-    ObsSeq,
     PosteriorMarginals,
     Table1,
     Table2,
     ValidationError,
-    as_index_sequence,
     chain_log_marginals,
     chain_log_totals,
+    chain_parts,
+    check_chain_shapes,
+    index_rows,
+    path_log_weight,
 )
 
 STRICT = "strict"
@@ -67,20 +68,8 @@ class CrfModel:
         object.__setattr__(self, "emit_potentials", tuple(self.emit_potentials))
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        n = len(self.emit_potentials)
-        if n < 1:
-            raise ValidationError("a CRF needs at least one emission table (length >= 1)")
-        if len(self.pair_potentials) != n - 1:
-            raise ValidationError(
-                f"expected {n - 1} pairwise tables for length {n}, got {len(self.pair_potentials)}"
-            )
-        k, l = self.hidden.size, self.obs.size
-        for i, t in enumerate(self.pair_potentials):
-            if t.shape != (k, k):
-                raise ValidationError(f"pair_potentials[{i}] has shape {t.shape}, expected {(k, k)}")
-        for i, t in enumerate(self.emit_potentials):
-            if t.shape != (k, l):
-                raise ValidationError(f"emit_potentials[{i}] has shape {t.shape}, expected {(k, l)}")
+        check_chain_shapes(self.pair_potentials, self.emit_potentials, self.hidden.size,
+                           self.obs.size, ("pair_potentials", "emit_potentials"))
         if self.mode == STRICT:
             for name, tabs in (("pair_potentials", self.pair_potentials),
                                ("emit_potentials", self.emit_potentials)):
@@ -137,60 +126,23 @@ def random_crf_model(length: int, hidden_size: int, obs_size: int, seed: int,
     return CrfModel(hidden, obs, pair, emit, mode=mode)
 
 
-def _check_obs(model: CrfModel, y) -> ObsSeq:
-    y = as_index_sequence(y, model.obs.size, "observation sequence")
-    if len(y) != model.length:
-        raise LengthMismatch(
-            f"observation sequence has length {len(y)}, model expects {model.length}"
-        )
-    return y
+def _factors(model: CrfModel):
+    """The CRF as ``chain_parts`` input: no start term, its pairwise and emission tables."""
+    return (0.0, [t.log_values for t in model.pair_potentials],
+            [t.log_values for t in model.emit_potentials])
 
 
-def _check_obs_batch(model: CrfModel, ys) -> np.ndarray:
-    arr = np.asarray(ys, dtype=np.intp)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValidationError("expected a nonempty (count, length) array of observation indices")
-    if arr.shape[1] != model.length:
-        raise LengthMismatch(
-            f"observation sequences have length {arr.shape[1]}, model expects {model.length}"
-        )
-    if arr.min() < 0 or arr.max() >= model.obs.size:
-        raise ValidationError(f"observation index out of range for alphabet of size {model.obs.size}")
-    return arr
-
-
-def _chain_parts(model: CrfModel, obs: np.ndarray):
-    """Fold the model into its observation-conditioned factor chain.
-
-    Each position's emission term joins the factor between that position and
-    the next, with the last position's term joining the final factor.  For
-    length 1 there are no factors and the single emission column is the
-    unary term.  ``obs`` is a (count, length) index array; each sequence
-    becomes one column of the chain.
-    """
-    emits = [t.log_values for t in model.emit_potentials]
-    if model.length == 1:
-        return emits[0][:, obs[:, 0]], []
-    steps = []
-    for k, pair in enumerate(model.pair_potentials):
-        right = emits[k + 1][:, obs[:, k + 1]] if k == model.length - 2 else None
-        steps.append((pair.log_values, emits[k][:, obs[:, k]], right))
-    first = np.zeros((model.hidden.size, obs.shape[0]))
-    return first, steps
+def _chain(model: CrfModel, ys):
+    """The factor chain of ``model``, one column per observation row of ``ys``."""
+    obs = index_rows(ys, model.length, model.obs.size, "observation")
+    return chain_parts(*_factors(model), obs)
 
 
 def crf_log_score(model: CrfModel, x, y) -> float:
     """Unnormalized log weight of the labeling ``x`` given observations ``y``."""
-    x = as_index_sequence(x, model.hidden.size, "label sequence")
-    y = _check_obs(model, y)
-    if len(x) != model.length:
-        raise LengthMismatch(f"label sequence has length {len(x)}, model expects {model.length}")
-    score = 0.0
-    for n in range(model.length - 1):
-        score += model.pair_potentials[n][x[n], x[n + 1]]
-    for n in range(model.length):
-        score += model.emit_potentials[n][x[n], y[n]]
-    return score
+    x = index_rows([x], model.length, model.hidden.size, "label")[0]
+    y = index_rows([y], model.length, model.obs.size, "observation")[0]
+    return path_log_weight(*_factors(model), x, y)
 
 
 def crf_log_normalizer(model: CrfModel, y) -> float:
@@ -201,8 +153,7 @@ def crf_log_normalizer(model: CrfModel, y) -> float:
     :class:`DegenerateModel` when every labeling has zero weight (possible
     only in generalized mode).
     """
-    y = _check_obs(model, y)
-    first, steps = _chain_parts(model, np.asarray([y], dtype=np.intp))
+    first, steps = _chain(model, [y])
     total = float(chain_log_totals(first, steps)[0])
     if total == LOG_ZERO:
         raise DegenerateModel("all label sequences have zero weight for these observations")
@@ -211,8 +162,7 @@ def crf_log_normalizer(model: CrfModel, y) -> float:
 
 def crf_posterior_marginals(model: CrfModel, y) -> PosteriorMarginals:
     """Posterior distribution of the label at each position given ``y``."""
-    y = _check_obs(model, y)
-    first, steps = _chain_parts(model, np.asarray([y], dtype=np.intp))
+    first, steps = _chain(model, [y])
     totals, rows = chain_log_marginals(first, steps)
     if totals[0] == LOG_ZERO:
         raise DegenerateModel("all label sequences have zero weight for these observations")
@@ -229,8 +179,7 @@ def crf_posterior_marginals_batch(model: CrfModel, ys) -> tuple[np.ndarray, np.n
     callers can filter.  Column ``i`` equals ``crf_posterior_marginals``
     on ``ys[i]``.
     """
-    obs = _check_obs_batch(model, ys)
-    first, steps = _chain_parts(model, obs)
+    first, steps = _chain(model, ys)
     totals, rows = chain_log_marginals(first, steps)
     return totals, np.stack(rows, axis=1).transpose(2, 1, 0)
 

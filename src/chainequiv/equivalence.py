@@ -135,7 +135,7 @@ def crf_to_hmc_generalized(model: CrfModel) -> tuple[HmcModel, ConstructionTrace
 
 
 def _construct(model: CrfModel) -> tuple[HmcModel, ConstructionTrace]:
-    n, k, l = model.length, model.hidden.size, model.obs.size
+    n, k = model.length, model.hidden.size
     psi = build_psi(model)
     phi = build_phi(model, psi)
     beta = build_beta(phi, num_states=k)
@@ -151,30 +151,23 @@ def _construct(model: CrfModel) -> tuple[HmcModel, ConstructionTrace]:
             raise DegenerateModel("no labeling carries positive weight")
         init = normalize_log(beta[0])
 
-    uniform_k = np.full(k, -math.log(k))
-    transitions = []
-    for step in range(n - 1):
-        b_here = beta[step].log_values
-        b_next = beta[step + 1].log_values
+    def rows(weights: np.ndarray, totals: np.ndarray, pos: int) -> Table2:
+        """``weights`` divided by their row ``totals``; zero-total rows become uniform placebos."""
         with np.errstate(invalid="ignore"):
-            t = phi[step].log_values + b_next[None, :] - b_here[:, None]
-        dead = np.isneginf(b_here)
+            out = weights - totals[:, None]
+        dead = np.isneginf(totals)
         if dead.any():
-            t[dead, :] = uniform_k
-            unreachable[step].update(int(i) for i in np.flatnonzero(dead))
-        transitions.append(Table2(t))
-
-    uniform_l = np.full(l, -math.log(l))
-    emissions = []
-    for pos in range(n):
-        p = psi[pos].log_values
-        with np.errstate(invalid="ignore"):
-            e = model.emit_potentials[pos].log_values - p[:, None]
-        dead = np.isneginf(p)
-        if dead.any():
-            e[dead, :] = uniform_l
+            out[dead, :] = -math.log(out.shape[1])
             unreachable[pos].update(int(i) for i in np.flatnonzero(dead))
-        emissions.append(Table2(e))
+        return Table2(out)
+
+    transitions = [
+        rows(phi[s].log_values + beta[s + 1].log_values[None, :], beta[s].log_values, s)
+        for s in range(n - 1)
+    ]
+    emissions = [
+        rows(model.emit_potentials[s].log_values, psi[s].log_values, s) for s in range(n)
+    ]
 
     hmc = HmcModel(model.hidden, model.obs, init, tuple(transitions), tuple(emissions))
     trace = ConstructionTrace(psi, phi, beta, tuple(frozenset(u) for u in unreachable))

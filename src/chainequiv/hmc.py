@@ -18,16 +18,17 @@ from .tables import (
     LOG_ZERO,
     Alphabet,
     LabelSeq,
-    LengthMismatch,
-    ObsSeq,
     PosteriorMarginals,
     Table1,
     Table2,
     ValidationError,
-    as_index_sequence,
     chain_log_marginals,
     chain_log_totals,
+    chain_parts,
+    check_chain_shapes,
+    index_rows,
     log_sum_exp,
+    path_log_weight,
 )
 
 ROW_SUM_TOL = 1e-9
@@ -50,10 +51,10 @@ def _check_stochastic(log_rows: np.ndarray, what: str):
 def _renormalized(table):
     """Shift each log row so it sums to exactly one after exponentiation."""
     a = table.log_values
+    # The 1-D init row takes the flat sum (math.log), which can round the last
+    # bit apart from numpy's vectorized log; convert's init output follows it.
     totals = log_sum_exp(a, axis=-1) if a.ndim == 2 else log_sum_exp(a)
-    if a.ndim == 2:
-        return Table2(a - np.asarray(totals)[:, None])
-    return Table1(a - totals)
+    return type(table)(a - np.expand_dims(totals, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,22 +86,10 @@ class HmcModel:
     def __post_init__(self):
         object.__setattr__(self, "transitions", tuple(self.transitions))
         object.__setattr__(self, "emissions", tuple(self.emissions))
-        n = len(self.emissions)
-        if n < 1:
-            raise ValidationError("an HMC needs at least one emission table (length >= 1)")
-        if len(self.transitions) != n - 1:
-            raise ValidationError(
-                f"expected {n - 1} transition tables for length {n}, got {len(self.transitions)}"
-            )
-        k, l = self.hidden.size, self.obs.size
-        if self.init.size != k:
-            raise ValidationError(f"init has size {self.init.size}, expected {k}")
-        for i, t in enumerate(self.transitions):
-            if t.shape != (k, k):
-                raise ValidationError(f"transitions[{i}] has shape {t.shape}, expected {(k, k)}")
-        for i, t in enumerate(self.emissions):
-            if t.shape != (k, l):
-                raise ValidationError(f"emissions[{i}] has shape {t.shape}, expected {(k, l)}")
+        check_chain_shapes(self.transitions, self.emissions, self.hidden.size, self.obs.size,
+                           ("transitions", "emissions"))
+        if self.init.size != self.hidden.size:
+            raise ValidationError(f"init has size {self.init.size}, expected {self.hidden.size}")
 
         _check_stochastic(self.init.log_values, "init")
         for i, t in enumerate(self.transitions):
@@ -137,37 +126,16 @@ class HmcModel:
         return cls(hidden, obs, init, (trans,) * (length - 1), (emit,) * length)
 
 
-def _check_obs(model: HmcModel, y) -> ObsSeq:
-    y = as_index_sequence(y, model.obs.size, "observation sequence")
-    if len(y) != model.length:
-        raise LengthMismatch(
-            f"observation sequence has length {len(y)}, model expects {model.length}"
-        )
-    return y
+def _factors(model: HmcModel):
+    """The HMC as ``chain_parts`` input: ``log init`` as start term, then its tables."""
+    return (model.init.log_values, [t.log_values for t in model.transitions],
+            [t.log_values for t in model.emissions])
 
 
-def _check_obs_batch(model: HmcModel, ys) -> np.ndarray:
-    arr = np.asarray(ys, dtype=np.intp)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValidationError("expected a nonempty (count, length) array of observation indices")
-    if arr.shape[1] != model.length:
-        raise LengthMismatch(
-            f"observation sequences have length {arr.shape[1]}, model expects {model.length}"
-        )
-    if arr.min() < 0 or arr.max() >= model.obs.size:
-        raise ValidationError(f"observation index out of range for alphabet of size {model.obs.size}")
-    return arr
-
-
-def _chain_parts(model: HmcModel, obs: np.ndarray):
-    """Fold init and emissions into the observation-conditioned factor chain."""
-    emits = [t.log_values for t in model.emissions]
-    first = model.init.log_values[:, None] + emits[0][:, obs[:, 0]]
-    steps = [
-        (model.transitions[k].log_values, None, emits[k + 1][:, obs[:, k + 1]])
-        for k in range(model.length - 1)
-    ]
-    return first, steps
+def _chain(model: HmcModel, ys):
+    """The factor chain of ``model``, one column per observation row of ``ys``."""
+    obs = index_rows(ys, model.length, model.obs.size, "observation")
+    return chain_parts(*_factors(model), obs)
 
 
 def hmc_log_joint(model: HmcModel, x, y) -> float:
@@ -175,21 +143,14 @@ def hmc_log_joint(model: HmcModel, x, y) -> float:
 
     ``-inf`` whenever any factor in the chain is zero.
     """
-    x = as_index_sequence(x, model.hidden.size, "label sequence")
-    y = _check_obs(model, y)
-    if len(x) != model.length:
-        raise LengthMismatch(f"label sequence has length {len(x)}, model expects {model.length}")
-    logp = model.init[x[0]] + model.emissions[0][x[0], y[0]]
-    for n in range(1, model.length):
-        logp += model.transitions[n - 1][x[n - 1], x[n]]
-        logp += model.emissions[n][x[n], y[n]]
-    return logp
+    x = index_rows([x], model.length, model.hidden.size, "label")[0]
+    y = index_rows([y], model.length, model.obs.size, "observation")[0]
+    return path_log_weight(*_factors(model), x, y)
 
 
 def hmc_log_evidence(model: HmcModel, y) -> float:
     """Log marginal probability of the observations (``-inf`` is allowed)."""
-    y = _check_obs(model, y)
-    first, steps = _chain_parts(model, np.asarray([y], dtype=np.intp))
+    first, steps = _chain(model, [y])
     return float(chain_log_totals(first, steps)[0])
 
 
@@ -199,8 +160,7 @@ def hmc_posterior_marginals(model: HmcModel, y) -> PosteriorMarginals:
     Raises :class:`ImpossibleObservation` when the observations have
     probability zero (conditioning on them would be undefined).
     """
-    y = _check_obs(model, y)
-    first, steps = _chain_parts(model, np.asarray([y], dtype=np.intp))
+    first, steps = _chain(model, [y])
     totals, rows = chain_log_marginals(first, steps)
     if totals[0] == LOG_ZERO:
         raise ImpossibleObservation("observation sequence has probability zero under the model")
@@ -216,8 +176,7 @@ def hmc_posterior_marginals_batch(model: HmcModel, ys) -> tuple[np.ndarray, np.n
     ``-inf`` / NaN instead of raising, so callers can filter.  Column ``i``
     equals ``hmc_posterior_marginals`` on ``ys[i]``.
     """
-    obs = _check_obs_batch(model, ys)
-    first, steps = _chain_parts(model, obs)
+    first, steps = _chain(model, ys)
     totals, rows = chain_log_marginals(first, steps)
     return totals, np.stack(rows, axis=1).transpose(2, 1, 0)
 

@@ -13,8 +13,10 @@ from functools import lru_cache
 import numpy as np
 
 from .crf import CrfModel, DegenerateModel
+from .crf import _factors as _crf_factors
 from .hmc import HmcModel
-from .tables import LabelSeq, LengthMismatch, as_index_sequence
+from .hmc import _factors as _hmc_factors
+from .tables import LabelSeq, index_rows
 
 DEFAULT_BUDGET = 10**6
 
@@ -86,12 +88,8 @@ class EnumeratedPosterior:
         return tuple(int(v) for v in _paths(self.hidden_size, self.length)[i])
 
     def probability(self, labels) -> float:
-        labels = as_index_sequence(labels, self.hidden_size, "label sequence")
-        if len(labels) != self.length:
-            raise LengthMismatch(f"label sequence has length {len(labels)}, expected {self.length}")
-        flat = 0
-        for v in labels:
-            flat = flat * self.hidden_size + v
+        labels = index_rows([labels], self.length, self.hidden_size, "label")[0]
+        flat = np.ravel_multi_index(labels, (self.hidden_size,) * self.length)
         return float(self.probabilities[flat])
 
     def marginals(self) -> np.ndarray:
@@ -108,12 +106,10 @@ def all_sequences(size: int, length: int) -> np.ndarray:
     return _paths(size, length)
 
 
-def _check_enum_args(model, y, budget):
-    y = as_index_sequence(y, model.obs.size, "observation sequence")
-    if len(y) != model.length:
-        raise LengthMismatch(f"observation sequence has length {len(y)}, model expects {model.length}")
+def _check_enum_args(model, ys, budget) -> np.ndarray:
+    obs = index_rows(ys, model.length, model.obs.size, "observation")
     _check_budget(model.hidden.size, model.length, budget)
-    return y
+    return obs
 
 
 def _table_shape(size: int, length: int, pos: int, width: int):
@@ -126,32 +122,22 @@ def _table_shape(size: int, length: int, pos: int, width: int):
     return (1,) * (pos + 1) + (size,) * width + (1,) * (length - pos - width)
 
 
-def _crf_score_matrix(model: CrfModel, obs: np.ndarray) -> np.ndarray:
-    """(num_sequences, num_labelings) log score of every labeling of each row.
+def _score_matrix(first, pairs, emits, obs: np.ndarray) -> np.ndarray:
+    """(num_sequences, num_labelings) log weight of every labeling of each row.
 
-    Scores every labeling by summing its table entries; the sum is organized
-    as broadcast adds over the (sequences, label, label, ...) tensor, with
-    labelings flattened in lexicographic order.
+    Takes a model in the ``chain_parts`` form (start term, pairwise tables,
+    emission tables) and scores every labeling by summing its table
+    entries; the sum is organized as broadcast adds over the (sequences,
+    label, label, ...) tensor, with labelings flattened in lexicographic
+    order.
     """
-    k, n, c = model.hidden.size, model.length, len(obs)
-    scores = np.zeros((c,) + (k,) * n)
-    for step, t in enumerate(model.pair_potentials):
-        scores += t.log_values.reshape(_table_shape(k, n, step, 2))
-    for pos, t in enumerate(model.emit_potentials):
-        picked = t.log_values[:, obs[:, pos]].T  # (sequences, labels)
-        scores += picked.reshape((c,) + _table_shape(k, n, pos, 1)[1:])
-    return scores.reshape(c, k**n)
-
-
-def _hmc_score_matrix(model: HmcModel, obs: np.ndarray) -> np.ndarray:
-    """(num_sequences, num_labelings) log joint of every labeling of each row."""
-    k, n, c = model.hidden.size, model.length, len(obs)
-    scores = np.zeros((c,) + (k,) * n)
-    scores += model.init.log_values.reshape(_table_shape(k, n, 0, 1))
-    for step, t in enumerate(model.transitions):
-        scores += t.log_values.reshape(_table_shape(k, n, step, 2))
-    for pos, t in enumerate(model.emissions):
-        picked = t.log_values[:, obs[:, pos]].T
+    k, n, c = len(emits[0]), len(emits), len(obs)
+    scores = np.empty((c,) + (k,) * n)
+    scores[...] = np.broadcast_to(first, (k,)).reshape(_table_shape(k, n, 0, 1))
+    for step, t in enumerate(pairs):
+        scores += t.reshape(_table_shape(k, n, step, 2))
+    for pos, t in enumerate(emits):
+        picked = t[:, obs[:, pos]].T  # (sequences, labels)
         scores += picked.reshape((c,) + _table_shape(k, n, pos, 1)[1:])
     return scores.reshape(c, k**n)
 
@@ -187,16 +173,16 @@ def _normalize_score_matrix(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def enumerate_crf_posterior(model: CrfModel, y, budget: int = DEFAULT_BUDGET) -> EnumeratedPosterior:
     """Exact CRF posterior by scoring every labeling directly."""
-    y = _check_enum_args(model, y, budget)
-    obs = np.asarray([y], dtype=np.intp)
-    return _normalize_scores(_crf_score_matrix(model, obs)[0], model.hidden.size, model.length)
+    obs = _check_enum_args(model, [y], budget)
+    scores = _score_matrix(*_crf_factors(model), obs)[0]
+    return _normalize_scores(scores, model.hidden.size, model.length)
 
 
 def enumerate_hmc_posterior(model: HmcModel, y, budget: int = DEFAULT_BUDGET) -> EnumeratedPosterior:
     """Exact HMC posterior: every joint probability, normalized by the evidence."""
-    y = _check_enum_args(model, y, budget)
-    obs = np.asarray([y], dtype=np.intp)
-    return _normalize_scores(_hmc_score_matrix(model, obs)[0], model.hidden.size, model.length)
+    obs = _check_enum_args(model, [y], budget)
+    scores = _score_matrix(*_hmc_factors(model), obs)[0]
+    return _normalize_scores(scores, model.hidden.size, model.length)
 
 
 def enumerate_crf_posterior_batch(model: CrfModel, ys,
@@ -210,17 +196,15 @@ def enumerate_crf_posterior_batch(model: CrfModel, ys,
     Normalization uses pairwise summation; row ``i`` matches
     :func:`enumerate_crf_posterior` on ``ys[i]`` to well below 1e-12.
     """
-    obs = np.asarray(ys, dtype=np.intp)
-    _check_budget(model.hidden.size, model.length, budget)
-    return _normalize_score_matrix(_crf_score_matrix(model, obs))
+    obs = _check_enum_args(model, ys, budget)
+    return _normalize_score_matrix(_score_matrix(*_crf_factors(model), obs))
 
 
 def enumerate_hmc_posterior_batch(model: HmcModel, ys,
                                   budget: int = DEFAULT_BUDGET) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise exact HMC posteriors; see :func:`enumerate_crf_posterior_batch`."""
-    obs = np.asarray(ys, dtype=np.intp)
-    _check_budget(model.hidden.size, model.length, budget)
-    return _normalize_score_matrix(_hmc_score_matrix(model, obs))
+    obs = _check_enum_args(model, ys, budget)
+    return _normalize_score_matrix(_score_matrix(*_hmc_factors(model), obs))
 
 
 def posterior_matrix_marginals(posteriors: np.ndarray, size: int, length: int) -> np.ndarray:

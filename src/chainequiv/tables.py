@@ -152,15 +152,53 @@ LabelSeq = tuple[int, ...]
 ObsSeq = tuple[int, ...]
 
 
-def as_index_sequence(seq, alphabet_size: int, what: str = "sequence") -> tuple[int, ...]:
-    """Coerce to a tuple of ints and check every index against the alphabet."""
-    out = tuple(int(i) for i in seq)
-    if not out:
-        raise ValidationError(f"{what} must have length >= 1")
-    for i in out:
-        if not 0 <= i < alphabet_size:
-            raise ValidationError(f"{what} index {i} out of range for alphabet of size {alphabet_size}")
-    return out
+def index_rows(rows, length: int, size: int, what: str) -> np.ndarray:
+    """Check index sequences and return them as a (count, length) intp array.
+
+    ``rows`` is a nonempty (count, length) array-like of indices into an
+    alphabet of ``size`` symbols; integer, bool and whole-valued float
+    entries are accepted.  Rows of another length, ragged rows included,
+    raise :class:`LengthMismatch`; anything else malformed (non-numeric,
+    fractional or out-of-range entries, or a wrong number of dimensions)
+    raises :class:`ValidationError`.  ``what`` names the symbols in messages.
+    """
+    try:
+        a = np.asarray(rows)
+    except ValueError:
+        raise LengthMismatch(f"{what} sequences differ in length, model expects {length}") from None
+    if a.dtype.kind not in "biuf":
+        raise ValidationError(f"{what} indices must be integers, got {a.dtype} entries")
+    if a.ndim != 2 or a.shape[0] == 0:
+        raise ValidationError(f"expected a nonempty (count, length) array of {what} indices")
+    if a.shape[1] != length:
+        raise LengthMismatch(f"{what} sequence has length {a.shape[1]}, model expects {length}")
+    if a.dtype.kind == "f" and (a != np.trunc(a)).any():
+        raise ValidationError(f"{what} indices must be whole numbers")
+    if a.min() < 0 or a.max() >= size:
+        bad = a[(a < 0) | (a >= size)][0]
+        raise ValidationError(f"{what} index {bad} out of range for alphabet of size {size}")
+    return a.astype(np.intp, copy=False)
+
+
+def check_chain_shapes(pairs, emits, num_states: int, num_obs: int, names: tuple[str, str]):
+    """Check the table counts and shapes of a chain model.
+
+    A model of length ``n >= 1`` has ``n - 1`` (num_states, num_states)
+    pairwise tables and ``n`` (num_states, num_obs) emission tables;
+    ``names`` are the model's field names for the two, used in messages.
+    """
+    n = len(emits)
+    if n < 1:
+        raise ValidationError(f"{names[1]} needs at least one table (length >= 1)")
+    if len(pairs) != n - 1:
+        raise ValidationError(
+            f"expected {n - 1} {names[0]} tables for length {n}, got {len(pairs)}"
+        )
+    k = num_states
+    for name, group, shape in ((names[0], pairs, (k, k)), (names[1], emits, (k, num_obs))):
+        for i, t in enumerate(group):
+            if t.shape != shape:
+                raise ValidationError(f"{name}[{i}] has shape {t.shape}, expected {shape}")
 
 
 def log_sum_exp(values, axis: int | None = None):
@@ -190,9 +228,9 @@ def normalize_log(row: Table1) -> Table1:
 
     Raises :class:`AllZeroRow` when every entry is ``-inf``.  Being a pure
     translation, normalization preserves the argmax.  The shift is computed
-    as ``max + log1p(rest)`` with the leading term split out, which keeps
-    renormalizing an already normalized row from moving any entry by more
-    than a few ulps.
+    as ``max + log1p(rest)`` with the leading term split out.  A row whose
+    shift is within a few ulps of zero is already normalized and comes back
+    unchanged, so normalization is an exact fixed point on its own output.
     """
     v = row.log_values
     top = int(np.argmax(v))
@@ -202,7 +240,10 @@ def normalize_log(row: Table1) -> Table1:
     shifted = v - m  # the top entry lands on exactly zero
     rest = np.exp(shifted)
     rest[top] = 0.0
-    return Table1(shifted - math.log1p(float(rest.sum())))
+    tail = math.log1p(float(rest.sum()))
+    if abs(m + tail) <= 4 * np.finfo(float).eps:
+        return row
+    return Table1(shifted - tail)
 
 
 def hamming_loss(a, b) -> int:
@@ -241,24 +282,49 @@ class PosteriorMarginals:
 #
 # A chain over positions 0..n-1 assigns each path x, per column c, the weight
 #
-#     exp(first[x_0, c] + sum_k F_k(x_k, x_{k+1}, c))
+#     exp(first[x_0, c] + sum_k (pair_k[x_k, x_{k+1}] + unary_k[x_{k+1}, c]))
 #
-# with F_k(i, j, c) = pair_k[i, j] + left_k[i, c] + right_k[j, c].  The column
-# axis batches independent conditioning contexts (e.g. many observation
-# sequences); a single context is simply the one-column case.  All passes
-# renormalize their messages at every step, reaccumulating the dropped
-# constants, so they stay well-scaled for long chains and large potentials.
+# so each step is a (pair, unary) tuple: a (num_states, num_states) table
+# shared by all columns and a per-column log weight of the state it enters.
+# The column axis batches independent conditioning contexts (e.g. many
+# observation sequences); a single context is simply the one-column case.
+# ``chain_parts`` builds this form from a CRF (no start term) or an HMC
+# (``log init`` as start term).  All passes renormalize their messages at
+# every step, reaccumulating the dropped constants, so they stay well-scaled
+# for long chains and large potentials.
 # ---------------------------------------------------------------------------
+
+
+def chain_parts(first, pairs, emits, obs: np.ndarray):
+    """Fold a chain model and observation rows into ``(first, steps)`` input.
+
+    The model has a start log weight ``first`` per state (or ``0`` for none),
+    ``pairs[k]`` of shape (num_states, num_states) between positions k and
+    k + 1, and ``emits[k]`` of shape (num_states, num_obs) at position k.
+    ``obs`` is a (count, length) index array; each row becomes one column of
+    the chain.  Position 0's emission joins the start term; every later
+    emission is the unary term of the step entering its position.
+    """
+    unary = [e[:, obs[:, k]] for k, e in enumerate(emits)]
+    start = np.broadcast_to(first, unary[0].shape[:1])[:, None] + unary[0]
+    return start, list(zip(pairs, unary[1:]))
+
+
+def path_log_weight(first, pairs, emits, x, y) -> float:
+    """Log weight of the path ``x`` in the chain of ``chain_parts`` for ``y``."""
+    score = np.broadcast_to(first, emits[0].shape[:1])[x[0]]
+    for k, pair in enumerate(pairs):
+        score += pair[x[k], x[k + 1]]
+    for k, emit in enumerate(emits):
+        score += emit[x[k], y[k]]
+    return float(score)
 
 
 def _forward_messages(first, steps):
     msgs = [np.asarray(first, dtype=float)]
     shift = np.zeros(msgs[0].shape[1])
-    for pair, left, right in steps:
-        b = msgs[-1] if left is None else msgs[-1] + left
-        m = log_sum_exp(b[:, None, :] + pair[:, :, None], axis=0)
-        if right is not None:
-            m = m + right
+    for pair, unary in steps:
+        m = log_sum_exp(msgs[-1][:, None, :] + pair[:, :, None], axis=0) + unary
         c = m.max(axis=0)
         c = np.where(np.isfinite(c), c, 0.0)
         msgs.append(m - c)
@@ -270,10 +336,10 @@ def chain_log_totals(first: np.ndarray, steps) -> np.ndarray:
     """Per-column log total weight of a batched pairwise-factor chain.
 
     ``first`` has shape (num_states, num_columns); each step is a
-    ``(pair, left, right)`` triple where ``pair`` is (num_states, num_states)
-    shared across columns and ``left`` / ``right`` are optional per-column
-    addends on the source / destination state.  Columns whose every path has
-    zero weight come back as ``-inf``.
+    ``(pair, unary)`` tuple where ``pair`` is (num_states, num_states),
+    shared across columns, and ``unary`` is the (num_states, num_columns)
+    log weight of the destination state.  Columns whose every path has zero
+    weight come back as ``-inf``.
     """
     msgs, shift = _forward_messages(first, steps)
     return shift + log_sum_exp(msgs[-1], axis=0)
@@ -282,8 +348,9 @@ def chain_log_totals(first: np.ndarray, steps) -> np.ndarray:
 def chain_log_marginals(first: np.ndarray, steps) -> tuple[np.ndarray, list[np.ndarray]]:
     """Per-position, per-column chain marginals plus the per-column log totals.
 
-    Returns ``(totals, rows)`` where ``rows[k]`` is the (num_states,
-    num_columns) normalized log marginal at position ``k``.  Columns with
+    Takes the ``(first, steps)`` input of :func:`chain_log_totals`.  Returns
+    ``(totals, rows)`` where ``rows[k]`` is the (num_states, num_columns)
+    normalized log marginal at position ``k``.  Columns with
     zero total weight get a ``-inf`` total and NaN rows; callers decide how
     to surface that (the per-sequence operations raise).
     """
@@ -295,11 +362,8 @@ def chain_log_marginals(first: np.ndarray, steps) -> tuple[np.ndarray, list[np.n
     bwd = np.zeros_like(msgs[0])
     rows[n - 1] = msgs[n - 1] + bwd
     for k in range(len(steps) - 1, -1, -1):
-        pair, left, right = steps[k]
-        t = bwd if right is None else bwd + right
-        m = log_sum_exp(pair[:, :, None] + t[None, :, :], axis=1)
-        if left is not None:
-            m = m + left
+        pair, unary = steps[k]
+        m = log_sum_exp(pair[:, :, None] + (bwd + unary)[None, :, :], axis=1)
         c = m.max(axis=0)
         bwd = m - np.where(np.isfinite(c), c, 0.0)
         rows[k] = msgs[k] + bwd

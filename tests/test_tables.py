@@ -4,7 +4,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from chainequiv.tables import (
@@ -106,6 +106,8 @@ class TestNormalizeLog:
         assert int(np.argmax(row.log_values)) == 0
 
     @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=8))
+    @example(values=[0.0, 0.0, 0.0, 0.0523167482295352, 0.0523167482295352,
+                     -11.343629044070187, 0.0])
     def test_idempotent(self, values):
         once = normalize_log(Table1(values))
         twice = normalize_log(once)
