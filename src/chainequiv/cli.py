@@ -53,6 +53,22 @@ class ParseError(ValueError):
     """A model or sequence file was rejected; the message names the spot."""
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path`` (``"-"`` for stdin); failures raise ParseError."""
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read {path}: {e}") from None
+
+
+def _write_text(path: str, text: str):
+    """Write ``text`` to ``path`` (``"-"`` for stdout)."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+
+
 # ---------------------------------------------------------------------------
 # JSON model files
 # ---------------------------------------------------------------------------
@@ -69,28 +85,26 @@ def _parse_number(value, path: str) -> float:
     return v
 
 
-def _parse_row(value, cols: int, path: str, nonnegative: bool = False) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != cols:
-        raise ParseError(f"{path}: expected {cols} entries")
-    out = np.empty(cols)
+def _parse_array(value, shape: tuple[int, ...], path: str, nonnegative: bool = False) -> np.ndarray:
+    """A nested JSON list of the given ``shape`` as a float array.
+
+    Each level must be a list of exactly ``shape[0]`` items; cells are parsed
+    by :func:`_parse_number` and, with ``nonnegative``, must not be negative.
+    """
+    if not isinstance(value, list) or len(value) != shape[0]:
+        unit = ("entries", "rows", "tables")[len(shape) - 1]
+        raise ParseError(f"{path}: expected {shape[0]} {unit}")
+    if len(shape) > 1:
+        items = [_parse_array(v, shape[1:], f"{path}[{i}]", nonnegative)
+                 for i, v in enumerate(value)]
+        return np.array(items).reshape(shape)  # keeps the shape of an empty list
+    out = []
     for j, cell in enumerate(value):
-        out[j] = _parse_number(cell, f"{path}[{j}]")
-        if nonnegative and out[j] < 0:
+        v = _parse_number(cell, f"{path}[{j}]")
+        if nonnegative and v < 0:
             raise ParseError(f"{path}[{j}]: probabilities must be nonnegative")
-    return out
-
-
-def _parse_table(value, rows: int, cols: int, path: str, nonnegative: bool = False) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != rows:
-        raise ParseError(f"{path}: expected {rows} rows")
-    return np.stack([_parse_row(r, cols, f"{path}[{i}]", nonnegative) for i, r in enumerate(value)])
-
-
-def _parse_table_list(value, count: int, rows: int, cols: int, path: str,
-                      nonnegative: bool = False) -> list[np.ndarray]:
-    if not isinstance(value, list) or len(value) != count:
-        raise ParseError(f"{path}: expected {count} tables")
-    return [_parse_table(t, rows, cols, f"{path}[{i}]", nonnegative) for i, t in enumerate(value)]
+        out.append(v)
+    return np.array(out)
 
 
 def _jsonable(a: np.ndarray):
@@ -156,8 +170,8 @@ class ModelFile:
             for key in ("init", "trans", "emit"):
                 if key in doc:
                     raise ParseError(f"{key}: not a CRF file key")
-            v = _parse_table_list(doc.get("V"), n - 1, k, k, "V")
-            u = _parse_table_list(doc.get("U"), n, k, l, "U")
+            v = list(_parse_array(doc.get("V"), (n - 1, k, k), "V"))
+            u = list(_parse_array(doc.get("U"), (n, k, l), "U"))
             if mode == STRICT:
                 for name, tabs in (("V", v), ("U", u)):
                     for i, t in enumerate(tabs):
@@ -170,9 +184,9 @@ class ModelFile:
         for key in ("V", "U"):
             if key in doc:
                 raise ParseError(f"{key}: not an HMC file key")
-        init = _parse_row(doc.get("init"), k, "init", nonnegative=True)
-        trans = _parse_table_list(doc.get("trans"), n - 1, k, k, "trans", nonnegative=True)
-        emit = _parse_table_list(doc.get("emit"), n, k, l, "emit", nonnegative=True)
+        init = _parse_array(doc.get("init"), (k,), "init", nonnegative=True)
+        trans = list(_parse_array(doc.get("trans"), (n - 1, k, k), "trans", nonnegative=True))
+        emit = list(_parse_array(doc.get("emit"), (n, k, l), "emit", nonnegative=True))
         return cls(kind, hidden, obs, n, mode, init=init, trans=trans, emit=emit)
 
     def to_json(self) -> str:
@@ -194,18 +208,10 @@ class ModelFile:
 
     @classmethod
     def load(cls, path: str) -> "ModelFile":
-        try:
-            text = sys.stdin.read() if path == "-" else Path(path).read_text()
-        except OSError as e:
-            raise ParseError(f"cannot read {path}: {e}") from None
-        return cls.from_json(text)
+        return cls.from_json(_read_text(path))
 
     def dump(self, path: str):
-        text = self.to_json()
-        if path == "-":
-            sys.stdout.write(text)
-        else:
-            Path(path).write_text(text)
+        _write_text(path, self.to_json())
 
     @classmethod
     def from_crf(cls, model: CrfModel) -> "ModelFile":
@@ -243,12 +249,8 @@ class ModelFile:
 
 def read_sequences(path: str) -> list[tuple[int, list[str]]]:
     """(line number, symbol tokens) per nonblank line of a sequence file."""
-    try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from None
     out = []
-    for i, line in enumerate(text.splitlines(), start=1):
+    for i, line in enumerate(_read_text(path).splitlines(), start=1):
         tokens = line.split()
         if tokens:
             out.append((i, tokens))
@@ -274,22 +276,29 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
+def _load_crf(path: str, command: str) -> CrfModel:
+    """The CRF in the model file at ``path``; ``command`` names the caller in errors."""
+    mf = ModelFile.load(path)
+    if mf.kind != "crf":
+        raise ParseError(f'kind: {command} expects a "crf" model file')
+    return mf.to_model()
+
+
+def _to_hmc(model: CrfModel):
+    """``(hmc, trace)`` from the conversion entry point for the model's mode."""
+    return crf_to_hmc(model) if model.mode == STRICT else crf_to_hmc_generalized(model)
+
+
 def cmd_convert(args) -> int:
     try:
-        mf = ModelFile.load(args.model)
-        if mf.kind != "crf":
-            raise ParseError('kind: convert expects a "crf" model file')
-        model = mf.to_model()
+        model = _load_crf(args.model, "convert")
     except ParseError as e:
         return _fail(EXIT_PARSE, str(e))
     try:
-        if model.mode == STRICT:
-            hmc, trace = crf_to_hmc(model)
-        else:
-            hmc, trace = crf_to_hmc_generalized(model)
+        hmc, trace = _to_hmc(model)
     except DegenerateModel as e:
         return _fail(EXIT_DEGENERATE, str(e))
-    ModelFile.from_hmc(hmc, mode=mf.mode).dump(args.output)
+    ModelFile.from_hmc(hmc, mode=model.mode).dump(args.output)
     if args.trace is not None:
         doc = {
             "psi": [_jsonable(t.log_values) for t in trace.psi],
@@ -297,11 +306,7 @@ def cmd_convert(args) -> int:
             "beta": [_jsonable(t.log_values) for t in trace.beta],
             "unreachable": [sorted(u) for u in trace.unreachable],
         }
-        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-        if args.trace == "-":
-            sys.stdout.write(text)
-        else:
-            Path(args.trace).write_text(text)
+        _write_text(args.trace, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -317,14 +322,10 @@ def _tiled_model(model, length: int):
                 raise ValidationError(f"--tile requires identical {name} tables at every position")
     if length > 1 and not pairs:
         raise ValidationError("--tile cannot extend a length-1 model (no pairwise table to repeat)")
+    pairs, emits = pairs[:1] * (length - 1), emits[:1] * length
     if isinstance(model, CrfModel):
-        if length == 1:
-            return CrfModel(model.hidden, model.obs, (), (emits[0],), mode=model.mode)
-        return CrfModel.homogeneous(model.hidden, model.obs, length, pairs[0], emits[0],
-                                    mode=model.mode)
-    if length == 1:
-        return HmcModel(model.hidden, model.obs, model.init, (), (emits[0],))
-    return HmcModel.homogeneous(model.hidden, model.obs, length, model.init, pairs[0], emits[0])
+        return CrfModel(model.hidden, model.obs, pairs, emits, mode=model.mode)
+    return HmcModel(model.hidden, model.obs, model.init, pairs, emits)
 
 
 def cmd_decode(args) -> int:
@@ -381,10 +382,7 @@ def _sampled_sequences(obs_size: int, length: int, count: int, seed: int) -> np.
 
 def cmd_verify(args) -> int:
     try:
-        mf = ModelFile.load(args.model)
-        if mf.kind != "crf":
-            raise ParseError('kind: verify expects a "crf" model file')
-        model = mf.to_model()
+        model = _load_crf(args.model, "verify")
         against = None
         if args.against is not None:
             amf = ModelFile.load(args.against)
@@ -399,12 +397,7 @@ def cmd_verify(args) -> int:
         return _fail(EXIT_PARSE, str(e))
 
     try:
-        if against is not None:
-            hmc = against
-        elif model.mode == STRICT:
-            hmc, _ = crf_to_hmc(model)
-        else:
-            hmc, _ = crf_to_hmc_generalized(model)
+        hmc = against if against is not None else _to_hmc(model)[0]
     except DegenerateModel as e:
         return _fail(EXIT_DEGENERATE, str(e))
 
@@ -417,6 +410,8 @@ def cmd_verify(args) -> int:
     if exhaustive:
         ys = all_sequences(l, n)
     elif args.samples is not None:
+        if args.samples < 1:
+            return _fail(EXIT_PARSE, f"--samples must be at least 1, got {args.samples}")
         ys = _sampled_sequences(l, n, args.samples, args.seed)
     else:
         return _fail(EXIT_BUDGET,

@@ -27,7 +27,6 @@ from .tables import (
     chain_log_totals,
     chain_parts,
     check_chain_shapes,
-    index_rows,
     path_log_weight,
 )
 
@@ -127,21 +126,13 @@ def random_crf_model(length: int, hidden_size: int, obs_size: int, seed: int,
 
 
 def _factors(model: CrfModel):
-    """The CRF as ``chain_parts`` input: no start term, its pairwise and emission tables."""
-    return (0.0, [t.log_values for t in model.pair_potentials],
+    """The CRF's chain factors: its pairwise and emission log tables."""
+    return ([t.log_values for t in model.pair_potentials],
             [t.log_values for t in model.emit_potentials])
-
-
-def _chain(model: CrfModel, ys):
-    """The factor chain of ``model``, one column per observation row of ``ys``."""
-    obs = index_rows(ys, model.length, model.obs.size, "observation")
-    return chain_parts(*_factors(model), obs)
 
 
 def crf_log_score(model: CrfModel, x, y) -> float:
     """Unnormalized log weight of the labeling ``x`` given observations ``y``."""
-    x = index_rows([x], model.length, model.hidden.size, "label")[0]
-    y = index_rows([y], model.length, model.obs.size, "observation")[0]
     return path_log_weight(*_factors(model), x, y)
 
 
@@ -153,7 +144,7 @@ def crf_log_normalizer(model: CrfModel, y) -> float:
     :class:`DegenerateModel` when every labeling has zero weight (possible
     only in generalized mode).
     """
-    first, steps = _chain(model, [y])
+    first, steps = chain_parts(*_factors(model), [y])
     total = float(chain_log_totals(first, steps)[0])
     if total == LOG_ZERO:
         raise DegenerateModel("all label sequences have zero weight for these observations")
@@ -162,7 +153,7 @@ def crf_log_normalizer(model: CrfModel, y) -> float:
 
 def crf_posterior_marginals(model: CrfModel, y) -> PosteriorMarginals:
     """Posterior distribution of the label at each position given ``y``."""
-    first, steps = _chain(model, [y])
+    first, steps = chain_parts(*_factors(model), [y])
     totals, rows = chain_log_marginals(first, steps)
     if totals[0] == LOG_ZERO:
         raise DegenerateModel("all label sequences have zero weight for these observations")
@@ -179,7 +170,7 @@ def crf_posterior_marginals_batch(model: CrfModel, ys) -> tuple[np.ndarray, np.n
     callers can filter.  Column ``i`` equals ``crf_posterior_marginals``
     on ``ys[i]``.
     """
-    first, steps = _chain(model, ys)
+    first, steps = chain_parts(*_factors(model), ys)
     totals, rows = chain_log_marginals(first, steps)
     return totals, np.stack(rows, axis=1).transpose(2, 1, 0)
 

@@ -26,7 +26,6 @@ from .tables import (
     chain_log_totals,
     chain_parts,
     check_chain_shapes,
-    index_rows,
     log_sum_exp,
     path_log_weight,
 )
@@ -127,15 +126,14 @@ class HmcModel:
 
 
 def _factors(model: HmcModel):
-    """The HMC as ``chain_parts`` input: ``log init`` as start term, then its tables."""
-    return (model.init.log_values, [t.log_values for t in model.transitions],
-            [t.log_values for t in model.emissions])
+    """The HMC as CRF factors: its log transition and log emission tables.
 
-
-def _chain(model: HmcModel, ys):
-    """The factor chain of ``model``, one column per observation row of ``ys``."""
-    obs = index_rows(ys, model.length, model.obs.size, "observation")
-    return chain_parts(*_factors(model), obs)
+    ``log init`` is folded into emission 0, so this is the only code that
+    knows an HMC has a start term.
+    """
+    emits = [t.log_values for t in model.emissions]
+    emits[0] = model.init.log_values[:, None] + emits[0]
+    return [t.log_values for t in model.transitions], emits
 
 
 def hmc_log_joint(model: HmcModel, x, y) -> float:
@@ -143,14 +141,12 @@ def hmc_log_joint(model: HmcModel, x, y) -> float:
 
     ``-inf`` whenever any factor in the chain is zero.
     """
-    x = index_rows([x], model.length, model.hidden.size, "label")[0]
-    y = index_rows([y], model.length, model.obs.size, "observation")[0]
     return path_log_weight(*_factors(model), x, y)
 
 
 def hmc_log_evidence(model: HmcModel, y) -> float:
     """Log marginal probability of the observations (``-inf`` is allowed)."""
-    first, steps = _chain(model, [y])
+    first, steps = chain_parts(*_factors(model), [y])
     return float(chain_log_totals(first, steps)[0])
 
 
@@ -160,7 +156,7 @@ def hmc_posterior_marginals(model: HmcModel, y) -> PosteriorMarginals:
     Raises :class:`ImpossibleObservation` when the observations have
     probability zero (conditioning on them would be undefined).
     """
-    first, steps = _chain(model, [y])
+    first, steps = chain_parts(*_factors(model), [y])
     totals, rows = chain_log_marginals(first, steps)
     if totals[0] == LOG_ZERO:
         raise ImpossibleObservation("observation sequence has probability zero under the model")
@@ -176,7 +172,7 @@ def hmc_posterior_marginals_batch(model: HmcModel, ys) -> tuple[np.ndarray, np.n
     ``-inf`` / NaN instead of raising, so callers can filter.  Column ``i``
     equals ``hmc_posterior_marginals`` on ``ys[i]``.
     """
-    first, steps = _chain(model, ys)
+    first, steps = chain_parts(*_factors(model), ys)
     totals, rows = chain_log_marginals(first, steps)
     return totals, np.stack(rows, axis=1).transpose(2, 1, 0)
 

@@ -106,12 +106,6 @@ def all_sequences(size: int, length: int) -> np.ndarray:
     return _paths(size, length)
 
 
-def _check_enum_args(model, ys, budget) -> np.ndarray:
-    obs = index_rows(ys, model.length, model.obs.size, "observation")
-    _check_budget(model.hidden.size, model.length, budget)
-    return obs
-
-
 def _table_shape(size: int, length: int, pos: int, width: int):
     """Broadcast shape placing a table's axes at label position ``pos``.
 
@@ -122,24 +116,33 @@ def _table_shape(size: int, length: int, pos: int, width: int):
     return (1,) * (pos + 1) + (size,) * width + (1,) * (length - pos - width)
 
 
-def _score_matrix(first, pairs, emits, obs: np.ndarray) -> np.ndarray:
+def _score_matrix(pairs, emits, obs: np.ndarray) -> np.ndarray:
     """(num_sequences, num_labelings) log weight of every labeling of each row.
 
-    Takes a model in the ``chain_parts`` form (start term, pairwise tables,
-    emission tables) and scores every labeling by summing its table
-    entries; the sum is organized as broadcast adds over the (sequences,
-    label, label, ...) tensor, with labelings flattened in lexicographic
-    order.
+    Takes a model as CRF factors (pairwise tables, emission tables) and
+    scores every labeling by summing its table entries; the sum is organized
+    as broadcast adds over the (sequences, label, label, ...) tensor, with
+    labelings flattened in lexicographic order.
     """
     k, n, c = len(emits[0]), len(emits), len(obs)
-    scores = np.empty((c,) + (k,) * n)
-    scores[...] = np.broadcast_to(first, (k,)).reshape(_table_shape(k, n, 0, 1))
+    scores = np.zeros((c,) + (k,) * n)
     for step, t in enumerate(pairs):
         scores += t.reshape(_table_shape(k, n, step, 2))
     for pos, t in enumerate(emits):
         picked = t[:, obs[:, pos]].T  # (sequences, labels)
         scores += picked.reshape((c,) + _table_shape(k, n, pos, 1)[1:])
     return scores.reshape(c, k**n)
+
+
+def _enumerate(model, factors, ys, budget: int) -> np.ndarray:
+    """Score matrix of ``factors`` for the observation rows ``ys`` of ``model``.
+
+    Checks ``ys`` with :func:`index_rows`, then refuses with
+    :class:`BudgetExceeded` when the model has more labelings than ``budget``.
+    """
+    obs = index_rows(ys, model.length, model.obs.size, "observation")
+    _check_budget(model.hidden.size, model.length, budget)
+    return _score_matrix(*factors, obs)
 
 
 def _normalize_scores(scores: np.ndarray, size: int, length: int) -> EnumeratedPosterior:
@@ -173,15 +176,13 @@ def _normalize_score_matrix(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def enumerate_crf_posterior(model: CrfModel, y, budget: int = DEFAULT_BUDGET) -> EnumeratedPosterior:
     """Exact CRF posterior by scoring every labeling directly."""
-    obs = _check_enum_args(model, [y], budget)
-    scores = _score_matrix(*_crf_factors(model), obs)[0]
+    scores = _enumerate(model, _crf_factors(model), [y], budget)[0]
     return _normalize_scores(scores, model.hidden.size, model.length)
 
 
 def enumerate_hmc_posterior(model: HmcModel, y, budget: int = DEFAULT_BUDGET) -> EnumeratedPosterior:
     """Exact HMC posterior: every joint probability, normalized by the evidence."""
-    obs = _check_enum_args(model, [y], budget)
-    scores = _score_matrix(*_hmc_factors(model), obs)[0]
+    scores = _enumerate(model, _hmc_factors(model), [y], budget)[0]
     return _normalize_scores(scores, model.hidden.size, model.length)
 
 
@@ -196,15 +197,13 @@ def enumerate_crf_posterior_batch(model: CrfModel, ys,
     Normalization uses pairwise summation; row ``i`` matches
     :func:`enumerate_crf_posterior` on ``ys[i]`` to well below 1e-12.
     """
-    obs = _check_enum_args(model, ys, budget)
-    return _normalize_score_matrix(_score_matrix(*_crf_factors(model), obs))
+    return _normalize_score_matrix(_enumerate(model, _crf_factors(model), ys, budget))
 
 
 def enumerate_hmc_posterior_batch(model: HmcModel, ys,
                                   budget: int = DEFAULT_BUDGET) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise exact HMC posteriors; see :func:`enumerate_crf_posterior_batch`."""
-    obs = _check_enum_args(model, ys, budget)
-    return _normalize_score_matrix(_score_matrix(*_hmc_factors(model), obs))
+    return _normalize_score_matrix(_enumerate(model, _hmc_factors(model), ys, budget))
 
 
 def posterior_matrix_marginals(posteriors: np.ndarray, size: int, length: int) -> np.ndarray:

@@ -7,7 +7,9 @@ table construction so that every downstream operation is total.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,6 +63,8 @@ class Alphabet:
             raise ValidationError(f"symbol {symbol!r} is not in the alphabet") from None
 
     def symbol(self, index: int) -> str:
+        if isinstance(index, bool) or not isinstance(index, numbers.Integral):
+            raise ValidationError(f"alphabet index must be an integer, got {index!r}")
         if not 0 <= index < len(self.symbols):
             raise ValidationError(f"index {index} out of range for alphabet of size {self.size}")
         return self.symbols[index]
@@ -84,57 +88,50 @@ def _as_log_array(values, ndim: int, what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Table1:
-    """A dense vector of log-domain weights indexed by one alphabet."""
+class _Table:
+    """A dense, read-only array of log-domain weights with ``ndim`` axes."""
 
     log_values: np.ndarray
+    ndim: ClassVar[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "log_values", _as_log_array(self.log_values, 1, "Table1"))
+        what = type(self).__name__
+        object.__setattr__(self, "log_values", _as_log_array(self.log_values, self.ndim, what))
 
     @classmethod
-    def from_probabilities(cls, probs) -> "Table1":
-        return cls(_log_of_probs(probs, "Table1"))
+    def from_probabilities(cls, probs):
+        return cls(_log_of_probs(probs, cls.__name__))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.log_values.shape
+
+    def __getitem__(self, index) -> float:
+        ix = index if isinstance(index, tuple) else (index,)
+        if len(ix) != self.ndim or not all(0 <= i < s for i, s in zip(ix, self.shape)):
+            raise IndexError(
+                f"index {index} out of range for {type(self).__name__} of shape {self.shape}"
+            )
+        return float(self.log_values[ix])
+
+    def probabilities(self) -> np.ndarray:
+        return np.exp(self.log_values)
+
+
+class Table1(_Table):
+    """A dense vector of log-domain weights indexed by one alphabet."""
+
+    ndim = 1
 
     @property
     def size(self) -> int:
         return self.log_values.shape[0]
 
-    def __getitem__(self, i: int) -> float:
-        if not 0 <= i < self.size:
-            raise IndexError(f"index {i} out of range for Table1 of size {self.size}")
-        return float(self.log_values[i])
 
-    def probabilities(self) -> np.ndarray:
-        return np.exp(self.log_values)
-
-
-@dataclass(frozen=True, eq=False)
-class Table2:
+class Table2(_Table):
     """A dense row-major matrix of log-domain weights over two alphabets."""
 
-    log_values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "log_values", _as_log_array(self.log_values, 2, "Table2"))
-
-    @classmethod
-    def from_probabilities(cls, probs) -> "Table2":
-        return cls(_log_of_probs(probs, "Table2"))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.log_values.shape
-
-    def __getitem__(self, ij: tuple[int, int]) -> float:
-        i, j = ij
-        rows, cols = self.shape
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise IndexError(f"index ({i}, {j}) out of range for Table2 of shape {self.shape}")
-        return float(self.log_values[i, j])
-
-    def probabilities(self) -> np.ndarray:
-        return np.exp(self.log_values)
+    ndim = 2
 
 
 def _log_of_probs(probs, what: str) -> np.ndarray:
@@ -247,11 +244,18 @@ def normalize_log(row: Table1) -> Table1:
 
 
 def hamming_loss(a, b) -> int:
-    """Number of positions at which two label sequences disagree."""
+    """Number of positions at which two label sequences disagree.
+
+    Sequences of different lengths raise :class:`LengthMismatch`; a label
+    that is not a nonnegative whole number raises :class:`ValidationError`.
+    """
     a = tuple(a)
     b = tuple(b)
     if len(a) != len(b):
         raise LengthMismatch(f"sequences have different lengths ({len(a)} vs {len(b)})")
+    for v in a + b:
+        if not isinstance(v, numbers.Real) or v < 0 or not float(v).is_integer():
+            raise ValidationError(f"label {v!r} is not a nonnegative whole number")
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
@@ -288,31 +292,39 @@ class PosteriorMarginals:
 # shared by all columns and a per-column log weight of the state it enters.
 # The column axis batches independent conditioning contexts (e.g. many
 # observation sequences); a single context is simply the one-column case.
-# ``chain_parts`` builds this form from a CRF (no start term) or an HMC
-# (``log init`` as start term).  All passes renormalize their messages at
+# ``chain_parts`` builds this form from CRF factors, the pairwise and
+# emission tables.  An HMC enters as the CRF whose pairwise tables are its
+# log transitions and whose emissions are its log emissions, with ``log
+# init`` folded into emission 0.  All passes renormalize their messages at
 # every step, reaccumulating the dropped constants, so they stay well-scaled
 # for long chains and large potentials.
 # ---------------------------------------------------------------------------
 
 
-def chain_parts(first, pairs, emits, obs: np.ndarray):
-    """Fold a chain model and observation rows into ``(first, steps)`` input.
+def chain_parts(pairs, emits, ys):
+    """Fold CRF factors and observation rows into ``(first, steps)`` chain input.
 
-    The model has a start log weight ``first`` per state (or ``0`` for none),
-    ``pairs[k]`` of shape (num_states, num_states) between positions k and
-    k + 1, and ``emits[k]`` of shape (num_states, num_obs) at position k.
-    ``obs`` is a (count, length) index array; each row becomes one column of
-    the chain.  Position 0's emission joins the start term; every later
-    emission is the unary term of the step entering its position.
+    ``pairs[k]`` is the (num_states, num_states) log table between positions
+    k and k + 1 and ``emits[k]`` the (num_states, num_obs) log table at
+    position k.  ``ys`` is a (count, length) array-like of observation
+    indices, checked by :func:`index_rows` against the tables' length and
+    number of symbols; each row becomes one column of the chain.  Position
+    0's emission is the start term; every later emission is the unary term
+    of the step entering its position.
     """
+    obs = index_rows(ys, len(emits), emits[0].shape[1], "observation")
     unary = [e[:, obs[:, k]] for k, e in enumerate(emits)]
-    start = np.broadcast_to(first, unary[0].shape[:1])[:, None] + unary[0]
-    return start, list(zip(pairs, unary[1:]))
+    return unary[0], list(zip(pairs, unary[1:]))
 
 
-def path_log_weight(first, pairs, emits, x, y) -> float:
-    """Log weight of the path ``x`` in the chain of ``chain_parts`` for ``y``."""
-    score = np.broadcast_to(first, emits[0].shape[:1])[x[0]]
+def path_log_weight(pairs, emits, x, y) -> float:
+    """Log weight of the labeling ``x`` given observations ``y`` under CRF factors.
+
+    Both sequences are checked by :func:`index_rows` against the tables.
+    """
+    x = index_rows([x], len(emits), emits[0].shape[0], "label")[0]
+    y = index_rows([y], len(emits), emits[0].shape[1], "observation")[0]
+    score = 0.0
     for k, pair in enumerate(pairs):
         score += pair[x[k], x[k + 1]]
     for k, emit in enumerate(emits):

@@ -135,6 +135,17 @@ class TestParseErrors:
         assert main(["convert", path]) == EXIT_PARSE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["convert", "decode"])
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("caf\xe9 \xff\n".encode("latin-1"))
+        if command == "convert":
+            argv = ["convert", str(bad)]
+        else:
+            argv = ["decode", write(tmp_path / "h.json", pinning_hmc_json()), str(bad)]
+        assert main(argv) == EXIT_PARSE
+        assert f"error: cannot read {bad}: " in capsys.readouterr().err
+
 
 class TestRandom:
     def test_same_seed_byte_identical(self, tmp_path):
@@ -334,6 +345,15 @@ class TestVerify:
               "-o", str(tmp_path / "m.json")])
         assert main(["verify", str(tmp_path / "m.json"), "--budget", "100000",
                      "--samples", "20", "--seed", "1"]) == EXIT_OK
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_rejected(self, tmp_path, capsys, samples):
+        # 2^4 labelings fit the budget, 3^4 * 2^4 enumerations do not: sampling is needed
+        main(["random", "--n", "4", "--hidden", "2", "--obs", "3", "--seed", "0",
+              "-o", str(tmp_path / "m.json")])
+        assert main(["verify", str(tmp_path / "m.json"), "--budget", "100",
+                     "--samples", samples]) == EXIT_PARSE
+        assert "--samples" in capsys.readouterr().err
 
     def test_generalized_skips_zero_evidence(self, tmp_path, capsys):
         doc = json.loads(symmetric_crf_json())

@@ -128,6 +128,21 @@ class TestHammingLoss:
         with pytest.raises(LengthMismatch):
             hamming_loss([0, 1], [0, 1, 0])
 
+    @pytest.mark.parametrize("a, b", [
+        ((0.5, 1), (0, 1)),
+        ((0, 1), (0, -1)),
+        ("ab", "ac"),
+        ((None, 1), (0, 1)),
+        ((float("nan"), 1), (0, 1)),
+    ])
+    def test_malformed_labels_raise_validation_error(self, a, b):
+        with pytest.raises(ValidationError) as info:
+            hamming_loss(a, b)
+        assert not isinstance(info.value, LengthMismatch)
+
+    def test_whole_number_labels_of_any_numeric_type(self):
+        assert hamming_loss((np.int32(1), 2.0, True), (1, 2, 0)) == 1
+
     def test_is_a_metric_exhaustively(self):
         # identity, symmetry and triangle inequality over all pairs, N <= 3, 3 labels
         for n in (1, 2, 3):
@@ -161,6 +176,14 @@ class TestAlphabet:
             ab.symbol(1)
         with pytest.raises(ValidationError):
             ab.index("b")
+
+    def test_symbol_rejects_bool_and_non_integral_indices(self):
+        ab = Alphabet(("a", "b"))
+        for bad in (True, False, np.True_, 0.5, 1.0, "1", None):
+            with pytest.raises(ValidationError):
+                ab.symbol(bad)
+        assert ab.symbol(np.int64(1)) == "b"
+        assert ab.symbol(np.uint8(0)) == "a"
 
     @given(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=8, unique=True))
     def test_bijection(self, symbols):
