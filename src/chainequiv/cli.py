@@ -12,6 +12,7 @@ observation, 5 equivalence failure, 6 budget exceeded.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -20,16 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .crf import (
-    MODES,
-    STRICT,
-    CrfModel,
-    DegenerateModel,
-    crf_posterior_marginals,
-    random_crf_model,
-)
+from . import crf as _crf
+from . import hmc as _hmc
+from .crf import MODES, STRICT, ZERO_WEIGHT, CrfModel, DegenerateModel, random_crf_model
 from .equivalence import crf_to_hmc, crf_to_hmc_generalized
-from .hmc import HmcModel, ImpossibleObservation, hmc_posterior_marginals
+from .hmc import ZERO_EVIDENCE, HmcModel
 from .oracle import (
     DEFAULT_BUDGET,
     all_sequences,
@@ -37,7 +33,12 @@ from .oracle import (
     enumerate_hmc_posterior_batch,
     posterior_matrix_marginals,
 )
-from .tables import Alphabet, Table2, ValidationError
+from .tables import LOG_ZERO, Alphabet, Table2, ValidationError
+
+# Not called in this module: perfbench/tracing.py wraps the per-line
+# marginals under these names.
+from .crf import crf_posterior_marginals  # noqa: F401
+from .hmc import hmc_posterior_marginals  # noqa: F401
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -79,10 +80,40 @@ def _parse_number(value, path: str) -> float:
         return float("-inf")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f'{path}: expected a number or "{NEG_INF_TOKEN}", got {value!r}')
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        v = math.inf
     if math.isnan(v) or math.isinf(v):
         raise ParseError(f'{path}: non-finite values must be written as "{NEG_INF_TOKEN}"')
     return v
+
+
+def _plain_array(value, shape: tuple[int, ...], nonnegative: bool) -> np.ndarray | None:
+    """``value`` as a float array if it is a valid nested list of ``shape``, else None.
+
+    Checks every cell without a call per cell: one conversion of the whole
+    list, a census of the cell types, and vectorized finite and sign checks.
+    Cells may be ints, floats and ``"-inf"`` tokens; a non-finite number
+    (``1e999`` parses to inf) or a bool, any other string or a negative cell
+    under ``nonnegative`` makes the result None.
+    """
+    try:
+        a = np.array(value, dtype=float)  # numpy reads the "-inf" token as -inf
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if a.shape != shape:
+        return None
+    cells = value
+    for _ in shape[1:]:
+        cells = list(itertools.chain.from_iterable(cells))
+    types = list(map(type, cells))
+    tokens = cells.count(NEG_INF_TOKEN)
+    if not set(types) <= {int, float, str} or types.count(str) != tokens:
+        return None
+    if np.isfinite(a).sum() + tokens != a.size or (nonnegative and (a < 0).any()):
+        return None
+    return a
 
 
 def _parse_array(value, shape: tuple[int, ...], path: str, nonnegative: bool = False) -> np.ndarray:
@@ -90,7 +121,12 @@ def _parse_array(value, shape: tuple[int, ...], path: str, nonnegative: bool = F
 
     Each level must be a list of exactly ``shape[0]`` items; cells are parsed
     by :func:`_parse_number` and, with ``nonnegative``, must not be negative.
+    Valid input takes :func:`_plain_array`; otherwise the checks below run
+    level by level and cell by cell, and the first failing one names its spot.
     """
+    plain = _plain_array(value, shape, nonnegative)
+    if plain is not None:
+        return plain
     if not isinstance(value, list) or len(value) != shape[0]:
         unit = ("entries", "rows", "tables")[len(shape) - 1]
         raise ParseError(f"{path}: expected {shape[0]} {unit}")
@@ -328,7 +364,16 @@ def _tiled_model(model, length: int):
     return HmcModel(model.hidden, model.obs, model.init, pairs, emits)
 
 
+# ``decode`` works through its lines in blocks of at most DECODE_BLOCK_LINES,
+# fewer for wide label sets, so that the (k, k, lines) temporary of one chain
+# step stays under DECODE_BLOCK_CELLS cells.
+DECODE_BLOCK_LINES = 1024
+DECODE_BLOCK_CELLS = 2**20
+
+
 def cmd_decode(args) -> int:
+    if args.model == "-" and args.sequences == "-":
+        return _fail(EXIT_PARSE, "the model and the sequences cannot both come from stdin")
     try:
         mf = ModelFile.load(args.model)
         model = mf.to_model()
@@ -336,37 +381,54 @@ def cmd_decode(args) -> int:
     except ParseError as e:
         return _fail(EXIT_PARSE, str(e))
 
-    is_crf = isinstance(model, CrfModel)
-    marginal_fn = crf_posterior_marginals if is_crf else hmc_posterior_marginals
+    # Looked up through the modules, where perfbench/tracing.py wraps them.
+    if isinstance(model, CrfModel):
+        marginals_batch, zero_message = _crf.crf_posterior_marginals_batch, ZERO_WEIGHT
+    else:
+        marginals_batch, zero_message = _hmc.hmc_posterior_marginals_batch, ZERO_EVIDENCE
+    k = model.hidden.size
+    block = min(DECODE_BLOCK_LINES, max(1, DECODE_BLOCK_CELLS // k**2))
+    symbols = np.array(model.hidden.symbols, dtype=object)
     tiled = {model.length: model}
     parse_errors = impossible = 0
 
-    for line_no, tokens in lines:
-        try:
-            y = tuple(model.obs.index(t) for t in tokens)
-            if len(y) != model.length and not args.tile:
-                raise ValidationError(
-                    f"expected {model.length} symbols, got {len(y)} (use --tile for other lengths)"
-                )
-            if len(y) not in tiled:
-                tiled[len(y)] = _tiled_model(model, len(y))
-            line_model = tiled[len(y)]
-        except ValidationError as e:
-            parse_errors += 1
-            print(f"line {line_no}: {e}", file=sys.stderr)
-            continue
-        try:
-            marginals = marginal_fn(line_model, y)
-        except (DegenerateModel, ImpossibleObservation) as e:
-            impossible += 1
-            print(f"line {line_no}: {e}", file=sys.stderr)
-            continue
-        labels = marginals.mpm_labels()
-        fields = [" ".join(model.hidden.symbol(i) for i in labels)]
-        if args.marginals:
-            for row in marginals.probabilities():
-                fields.append(",".join(f"{p:.6f}" for p in row))
-        print("\t".join(fields))
+    for start in range(0, len(lines), block):
+        chunk = lines[start:start + block]
+        results = [None] * len(chunk)  # (stream, text) per line, written in input order
+        by_length = {}  # length -> [(position in chunk, line number, observation indices)]
+        for i, (line_no, tokens) in enumerate(chunk):
+            try:
+                y = [model.obs.index(t) for t in tokens]
+                if len(y) != model.length and not args.tile:
+                    raise ValidationError(
+                        f"expected {model.length} symbols, got {len(y)} (use --tile for other lengths)"
+                    )
+                if len(y) not in tiled:
+                    tiled[len(y)] = _tiled_model(model, len(y))
+            except ValidationError as e:
+                parse_errors += 1
+                results[i] = (sys.stderr, f"line {line_no}: {e}\n")
+                continue
+            by_length.setdefault(len(y), []).append((i, line_no, y))
+
+        for length, group in by_length.items():
+            totals, log_marginals = marginals_batch(tiled[length], [y for _, _, y in group])
+            labels = symbols[log_marginals.argmax(axis=2)]  # lowest index wins ties
+            probs = np.exp(log_marginals).reshape(len(group), -1)
+            template = " ".join(["%s"] * length)
+            if args.marginals:
+                template += ("\t" + ",".join(["%.6f"] * k)) * length
+            template += "\n"
+            for (i, line_no, _), total, row_labels, row_probs in zip(group, totals, labels, probs):
+                if total == LOG_ZERO:
+                    impossible += 1
+                    results[i] = (sys.stderr, f"line {line_no}: {zero_message}\n")
+                else:
+                    fields = (*row_labels, *row_probs.tolist()) if args.marginals else tuple(row_labels)
+                    results[i] = (sys.stdout, template % fields)
+
+        for stream, text in results:
+            stream.write(text)
 
     if parse_errors:
         return EXIT_PARSE

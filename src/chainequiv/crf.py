@@ -33,6 +33,7 @@ from .tables import (
 STRICT = "strict"
 GENERALIZED = "generalized"
 MODES = (STRICT, GENERALIZED)
+ZERO_WEIGHT = "all label sequences have zero weight for these observations"
 
 
 class DegenerateModel(ValueError):
@@ -147,7 +148,7 @@ def crf_log_normalizer(model: CrfModel, y) -> float:
     first, steps = chain_parts(*_factors(model), [y])
     total = float(chain_log_totals(first, steps)[0])
     if total == LOG_ZERO:
-        raise DegenerateModel("all label sequences have zero weight for these observations")
+        raise DegenerateModel(ZERO_WEIGHT)
     return total
 
 
@@ -156,7 +157,7 @@ def crf_posterior_marginals(model: CrfModel, y) -> PosteriorMarginals:
     first, steps = chain_parts(*_factors(model), [y])
     totals, rows = chain_log_marginals(first, steps)
     if totals[0] == LOG_ZERO:
-        raise DegenerateModel("all label sequences have zero weight for these observations")
+        raise DegenerateModel(ZERO_WEIGHT)
     return PosteriorMarginals(tuple(Table1(r[:, 0]) for r in rows))
 
 

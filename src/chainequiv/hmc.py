@@ -31,6 +31,7 @@ from .tables import (
 )
 
 ROW_SUM_TOL = 1e-9
+ZERO_EVIDENCE = "observation sequence has probability zero under the model"
 
 
 class ImpossibleObservation(ValueError):
@@ -159,7 +160,7 @@ def hmc_posterior_marginals(model: HmcModel, y) -> PosteriorMarginals:
     first, steps = chain_parts(*_factors(model), [y])
     totals, rows = chain_log_marginals(first, steps)
     if totals[0] == LOG_ZERO:
-        raise ImpossibleObservation("observation sequence has probability zero under the model")
+        raise ImpossibleObservation(ZERO_EVIDENCE)
     return PosteriorMarginals(tuple(Table1(r[:, 0]) for r in rows))
 
 

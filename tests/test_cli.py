@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -7,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chainequiv import CrfModel, Table2, crf_posterior_marginals, hmc_posterior_marginals
 from chainequiv.cli import (
+    DECODE_BLOCK_CELLS,
+    DECODE_BLOCK_LINES,
     EXIT_BUDGET,
     EXIT_DEGENERATE,
     EXIT_IMPOSSIBLE,
@@ -16,8 +20,13 @@ from chainequiv.cli import (
     EXIT_PARSE,
     ModelFile,
     ParseError,
+    _tiled_model,
     main,
+    read_sequences,
 )
+from chainequiv.crf import DegenerateModel, default_alphabets
+from chainequiv.hmc import ImpossibleObservation
+from chainequiv.tables import ValidationError
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -111,6 +120,20 @@ class TestParseErrors:
         doc = symmetric_crf_json().replace("0.0, 0.0], [0.0", "Infinity, 0.0], [0.0")
         with pytest.raises(ParseError, match="-inf"):
             ModelFile.from_json(doc)
+
+    @pytest.mark.parametrize("literal, message", [
+        ("1e999", 'U[1][0][0]: non-finite values must be written as "-inf"'),
+        ("-1e999", 'U[1][0][0]: non-finite values must be written as "-inf"'),
+        ("1" + "0" * 400, 'U[1][0][0]: non-finite values must be written as "-inf"'),
+        ("true", 'U[1][0][0]: expected a number or "-inf", got True'),
+        ('"1.5"', "U[1][0][0]: expected a number or \"-inf\", got '1.5'"),
+    ], ids=["1e999", "-1e999", "int-1e400", "true", "numeric-string"])
+    def test_bad_cell_message(self, literal, message):
+        doc = json.loads(symmetric_crf_json())
+        doc["U"][1][0][0] = "CELL"
+        with pytest.raises(ParseError) as e:
+            ModelFile.from_json(json.dumps(doc).replace('"CELL"', literal))
+        assert str(e.value) == message
 
     def test_strict_mode_rejects_neg_inf(self):
         doc = json.loads(symmetric_crf_json())
@@ -304,6 +327,101 @@ class TestDecode:
         model = write(tmp_path / "h.json", json.dumps(doc))
         seqs = write(tmp_path / "s.txt", "a b\n")
         assert main(["decode", model, seqs, "--tile"]) == EXIT_PARSE
+
+
+def per_line_decode(model, lines, tile: bool):
+    """``decode --marginals`` output as (stdout, stderr, exit code), one marginals call per line."""
+    marginal_fn = crf_posterior_marginals if isinstance(model, CrfModel) else hmc_posterior_marginals
+    tiled = {model.length: model}
+    out, err = [], []
+    parse_errors = impossible = 0
+    for line_no, tokens in lines:
+        try:
+            y = tuple(model.obs.index(t) for t in tokens)
+            if len(y) != model.length and not tile:
+                raise ValidationError(
+                    f"expected {model.length} symbols, got {len(y)} (use --tile for other lengths)"
+                )
+            if len(y) not in tiled:
+                tiled[len(y)] = _tiled_model(model, len(y))
+        except ValidationError as e:
+            parse_errors += 1
+            err.append(f"line {line_no}: {e}\n")
+            continue
+        try:
+            marginals = marginal_fn(tiled[len(y)], y)
+        except (DegenerateModel, ImpossibleObservation) as e:
+            impossible += 1
+            err.append(f"line {line_no}: {e}\n")
+            continue
+        fields = [" ".join(model.hidden.symbol(i) for i in marginals.mpm_labels())]
+        fields += [",".join(f"{p:.6f}" for p in row) for row in marginals.probabilities()]
+        out.append("\t".join(fields) + "\n")
+    code = EXIT_PARSE if parse_errors else EXIT_IMPOSSIBLE if impossible else EXIT_OK
+    return "".join(out), "".join(err), code
+
+
+class TestBatchedDecode:
+    """``decode`` batches lines by length; its bytes must match the per-line loop."""
+
+    K, L, N = 64, 4, 4
+
+    @pytest.fixture(scope="class")
+    def models(self, tmp_path_factory):
+        """Time-homogeneous strict and generalized CRFs and their converted HMCs."""
+        tmp = tmp_path_factory.mktemp("batched")
+        rng = np.random.default_rng(8)
+        hidden, obs = default_alphabets(self.K, self.L)
+        paths = {}
+        for mode in ("strict", "generalized"):
+            pair = rng.uniform(-5.0, 5.0, (self.K, self.K))
+            emit = rng.uniform(-5.0, 5.0, (self.K, self.L))
+            if mode == "generalized":
+                pair[rng.random(pair.shape) < 0.1] = -np.inf
+                emit[:, 3] = -np.inf  # any line with o3 is impossible
+            crf = CrfModel.homogeneous(hidden, obs, self.N, Table2(pair), Table2(emit), mode=mode)
+            paths[mode, "crf"] = str(tmp / f"{mode}-crf.json")
+            paths[mode, "hmc"] = str(tmp / f"{mode}-hmc.json")
+            ModelFile.from_crf(crf).dump(paths[mode, "crf"])
+            assert main(["convert", paths[mode, "crf"], "-o", paths[mode, "hmc"]]) == EXIT_OK
+        block = min(DECODE_BLOCK_LINES, DECODE_BLOCK_CELLS // self.K**2)
+        lines = []
+        for i in range(block + 60):
+            length = (self.N, 1, self.N + 2, self.N, self.N - 1)[i % 5]
+            tokens = [f"o{v}" for v in rng.integers(0, self.L, length)]
+            if i % 97 == 5:
+                tokens[-1] = "zz"
+            lines.append(" ".join(tokens))
+            if i % 150 == 7:
+                lines.append("")
+        seqs = write(tmp / "seqs.txt", "\n".join(lines) + "\n")
+        return paths, seqs
+
+    @pytest.mark.parametrize("tile", [True, False])
+    @pytest.mark.parametrize("kind", ["crf", "hmc"])
+    @pytest.mark.parametrize("mode", ["strict", "generalized"])
+    def test_matches_per_line_decode(self, models, capsys, mode, kind, tile):
+        paths, seqs = models
+        model = ModelFile.load(paths[mode, kind]).to_model()
+        expected = per_line_decode(model, read_sequences(seqs), tile)
+        code = main(["decode", paths[mode, kind], seqs, "--marginals"] + (["--tile"] if tile else []))
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == expected
+        if mode == "generalized":
+            assert "probability zero" in expected[1] or "zero weight" in expected[1]
+
+    def test_model_and_sequences_both_from_stdin_rejected(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(pinning_hmc_json()))
+        assert main(["decode", "-", "-"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "stdin" in captured.err
+
+    def test_model_from_stdin(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(pinning_hmc_json()))
+        seqs = write(tmp_path / "s.txt", "a b a\n")
+        assert main(["decode", "-", seqs]) == EXIT_OK
+        assert capsys.readouterr().out == "A B A\n"
 
 
 class TestVerify:

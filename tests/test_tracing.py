@@ -37,6 +37,7 @@ def test_tracer_patches_resolve_install_and_restore(tmp_path, capsys):
             assert current(owner, attr) is replacement
         assert cli.main(["random", "--n", "3", "--hidden", "2", "--obs", "2", "-o", crf]) == 0
         assert cli.main(["convert", crf, "-o", hmc]) == 0
+        assert cli.main(["decode", crf, seqs, "--marginals"]) == 0
         assert cli.main(["decode", hmc, seqs, "--marginals"]) == 0
         assert cli.main(["verify", crf, "--against", hmc]) == 0
 
@@ -44,7 +45,8 @@ def test_tracer_patches_resolve_install_and_restore(tmp_path, capsys):
         assert current(owner, attr) is original
     names = {span[0] for span in tracer.spans}
     assert names >= {"cli.main", "cli.parse", "cli.format", "cli.read_sequences",
-                     "crf.model_build", "hmc.model_build", "hmc.marginals", "tables.chain",
+                     "crf.model_build", "hmc.model_build", "crf.marginals", "hmc.marginals",
+                     "tables.chain",
                      "equivalence.convert", "equivalence.psi", "equivalence.phi",
                      "equivalence.beta", "oracle.enumerate", "oracle.marginals"}
     assert tracer.counts["tables.log_sum_exp_calls"] > 0
