@@ -4,7 +4,8 @@
 Enumeration is far out of reach here; instead we check the invariants that
 remain observable: marginal rows stay normalized and NaN-free, the
 constructed chain still validates, and the CRF and constructed-HMC forward-
-backward marginals agree with each other.
+backward marginals agree with each other.  Exits 1 when a row-sum error or a
+CRF/HMC marginal gap exceeds TOLERANCE (1e-9), or on a NaN.
 
     python scripts/long_chain_stress.py --length 500 --scale 50
 """
@@ -20,6 +21,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from chainequiv.crf import crf_posterior_marginals, random_crf_model
 from chainequiv.equivalence import crf_to_hmc
 from chainequiv.hmc import hmc_posterior_marginals
+
+# Largest row-sum error and CRF/HMC marginal gap that pass.
+TOLERANCE = 1e-9
 
 
 def main() -> int:
@@ -55,6 +59,10 @@ def main() -> int:
           f"{args.trials} trials")
     print(f"worst row-sum error: {worst_row_sum:.3e}")
     print(f"worst crf/hmc marginal gap: {worst_gap:.3e}")
+    if max(worst_row_sum, worst_gap) > TOLERANCE:
+        print(f"FAIL: above the tolerance {TOLERANCE:.1e}")
+        return 1
+    print("PASS")
     return 0
 
 

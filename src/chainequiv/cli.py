@@ -365,8 +365,9 @@ def _tiled_model(model, length: int):
 
 
 # ``decode`` works through its lines in blocks of at most DECODE_BLOCK_LINES,
-# fewer for wide label sets, so that the (k, k, lines) temporary of one chain
-# step stays under DECODE_BLOCK_CELLS cells.
+# and of at most DECODE_BLOCK_CELLS // k**2 lines for wide label sets: the
+# chain kernel's exact recompute of underflowed entries gathers up to
+# lines * k**2 cells in one step, and this keeps that gather bounded.
 DECODE_BLOCK_LINES = 1024
 DECODE_BLOCK_CELLS = 2**20
 

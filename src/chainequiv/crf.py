@@ -155,10 +155,10 @@ def crf_log_normalizer(model: CrfModel, y) -> float:
 def crf_posterior_marginals(model: CrfModel, y) -> PosteriorMarginals:
     """Posterior distribution of the label at each position given ``y``."""
     first, steps = chain_parts(*_factors(model), [y])
-    totals, rows = chain_log_marginals(first, steps)
+    totals, log_marginals = chain_log_marginals(first, steps)
     if totals[0] == LOG_ZERO:
         raise DegenerateModel(ZERO_WEIGHT)
-    return PosteriorMarginals(tuple(Table1(r[:, 0]) for r in rows))
+    return PosteriorMarginals(tuple(Table1(r) for r in log_marginals[0]))
 
 
 def crf_posterior_marginals_batch(model: CrfModel, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -172,8 +172,7 @@ def crf_posterior_marginals_batch(model: CrfModel, ys) -> tuple[np.ndarray, np.n
     on ``ys[i]``.
     """
     first, steps = chain_parts(*_factors(model), ys)
-    totals, rows = chain_log_marginals(first, steps)
-    return totals, np.stack(rows, axis=1).transpose(2, 1, 0)
+    return chain_log_marginals(first, steps)
 
 
 def crf_mpm_decode(model: CrfModel, y) -> LabelSeq:

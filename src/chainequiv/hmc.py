@@ -158,10 +158,10 @@ def hmc_posterior_marginals(model: HmcModel, y) -> PosteriorMarginals:
     probability zero (conditioning on them would be undefined).
     """
     first, steps = chain_parts(*_factors(model), [y])
-    totals, rows = chain_log_marginals(first, steps)
+    totals, log_marginals = chain_log_marginals(first, steps)
     if totals[0] == LOG_ZERO:
         raise ImpossibleObservation(ZERO_EVIDENCE)
-    return PosteriorMarginals(tuple(Table1(r[:, 0]) for r in rows))
+    return PosteriorMarginals(tuple(Table1(r) for r in log_marginals[0]))
 
 
 def hmc_posterior_marginals_batch(model: HmcModel, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -174,8 +174,7 @@ def hmc_posterior_marginals_batch(model: HmcModel, ys) -> tuple[np.ndarray, np.n
     equals ``hmc_posterior_marginals`` on ``ys[i]``.
     """
     first, steps = chain_parts(*_factors(model), ys)
-    totals, rows = chain_log_marginals(first, steps)
-    return totals, np.stack(rows, axis=1).transpose(2, 1, 0)
+    return chain_log_marginals(first, steps)
 
 
 def hmc_mpm_decode(model: HmcModel, y) -> LabelSeq:

@@ -295,10 +295,47 @@ class PosteriorMarginals:
 # ``chain_parts`` builds this form from CRF factors, the pairwise and
 # emission tables.  An HMC enters as the CRF whose pairwise tables are its
 # log transitions and whose emissions are its log emissions, with ``log
-# init`` folded into emission 0.  All passes renormalize their messages at
-# every step, reaccumulating the dropped constants, so they stay well-scaled
-# for long chains and large potentials.
+# init`` folded into emission 0.
+#
+# The passes hold their messages row-major, one (num_states,) log row per
+# column, and take every reduction over states along that last axis, so the
+# arithmetic of a column never depends on the other columns of its batch: a
+# batch row equals the single-column call bit for bit.  Each message row is
+# shifted to a maximum of 0 before it is used and the forward pass adds the
+# shifts up apart, so messages stay well-scaled on long chains and large
+# potentials.
+#
+# A step is the scaled product of Rabiner (1989, sec. V.A) on a matrix
+# multiply.  With the message row at a maximum of 0 and each table column
+# shifted by its maximum, both exponentiate into [0, 1]; their product runs
+# as a stack of (1, k) @ (k, k) products, one per row, because BLAS rounds
+# each of those alone, while a 2-D product blocks rows together and can round
+# a row differently depending on its neighbours.  The log of the product plus
+# the column shift is the step's log-sum-exp.
+#
+# Subnormal floats, many times slower to compute with, are kept out of the
+# product: both factors are clamped from below at exp(-_CLAMP), about
+# 2.6e-304, and the table factor is lifted by the power of two _LIFT, so any
+# product of two factor entries is a normal float.  Dividing by _LIFT
+# afterwards is exact for every entry above the floor below.
+#
+# Precision: the clamp raises each of the k terms of a product entry by at
+# most 2 exp(-_CLAMP), about 5e-304.  An entry of at least SCALED_FLOOR
+# (1e-280) is thus off by less than k * 5e-24 of itself beyond ordinary
+# rounding, as exact as a log-domain sum.  An entry below the floor is
+# recomputed exactly by ``log_sum_exp`` over its gathered terms, unless its
+# message row or its table column is all ``-inf``: then it is exactly
+# ``-inf``.
+#
+# Each pass prepares the exponentiated tables a block of steps at a time,
+# at most FACTOR_BLOCK_CELLS pair cells per block, so a long model with a
+# different table at each position needs no prepared copy of all of them.
 # ---------------------------------------------------------------------------
+
+SCALED_FLOOR = 1e-280
+FACTOR_BLOCK_CELLS = 2**16
+_CLAMP = 699.0
+_LIFT = 2.0**996
 
 
 def chain_parts(pairs, emits, ys):
@@ -310,10 +347,11 @@ def chain_parts(pairs, emits, ys):
     indices, checked by :func:`index_rows` against the tables' length and
     number of symbols; each row becomes one column of the chain.  Position
     0's emission is the start term; every later emission is the unary term
-    of the step entering its position.
+    of the step entering its position.  The unary arrays are transposed
+    views of row-major (count, num_states) arrays, the layout the passes use.
     """
     obs = index_rows(ys, len(emits), emits[0].shape[1], "observation")
-    unary = [e[:, obs[:, k]] for k, e in enumerate(emits)]
+    unary = [e.T[obs[:, k]].T for k, e in enumerate(emits)]
     return unary[0], list(zip(pairs, unary[1:]))
 
 
@@ -332,16 +370,100 @@ def path_log_weight(pairs, emits, x, y) -> float:
     return float(score)
 
 
+def _finite_or_zero(a: np.ndarray) -> np.ndarray:
+    return np.where(np.isfinite(a), a, 0.0)
+
+
+def _shifted_rows(m: np.ndarray):
+    """Move each row of the (count, k) ``m`` to a maximum of 0.
+
+    Returns ``(m - shift[:, None], row_max, shift)``; the shift of an all
+    ``-inf`` row is 0.
+    """
+    # A row-wise max over few states runs one short loop per row; the max of a
+    # state-major copy runs along the rows instead, and a max is exact either way.
+    row_max = np.ascontiguousarray(m.T).max(axis=0)
+    shift = _finite_or_zero(row_max)
+    return m - shift[:, None], row_max, shift
+
+
+def _step_factors(steps, backward: bool = False):
+    """Yield ``(k, factor)`` for every step ``k``, what :func:`_log_product` needs.
+
+    ``factor`` is ``(table, maxima, shifts, lifted)``: the step's pairwise
+    table, transposed with ``backward``, which also yields the steps last to
+    first; its column maxima; the same with 0 for an all ``-inf`` column;
+    and ``_LIFT * exp(max(table - shifts, -_CLAMP))``.  The tables are
+    prepared stacked, a block of steps of at most FACTOR_BLOCK_CELLS pair
+    cells at a time (one step when a table is larger); within a block a
+    repeated table object (a tiled model's) is prepared once.
+    """
+    order = range(len(steps) - 1, -1, -1) if backward else range(len(steps))
+    block = max(1, FACTOR_BLOCK_CELLS // np.size(steps[0][0]))
+    for start in range(0, len(order), block):
+        ks = order[start:start + block]
+        index = {}
+        positions = [index.setdefault(id(steps[k][0]), len(index)) for k in ks]
+        distinct = [None] * len(index)
+        for k, i in zip(ks, positions):
+            distinct[i] = steps[k][0]
+        lifted = np.array(distinct, dtype=float)
+        if backward:
+            lifted = lifted.transpose(0, 2, 1)
+        maxima = lifted.max(axis=1)
+        shifts = _finite_or_zero(maxima)
+        lifted -= shifts[:, None, :]
+        np.maximum(lifted, -_CLAMP, out=lifted)
+        np.exp(lifted, out=lifted)
+        lifted *= _LIFT
+        for k, i in zip(ks, positions):
+            table = np.asarray(steps[k][0], dtype=float)
+            yield k, (table.T if backward else table, maxima[i], shifts[i], lifted[i])
+
+
+def _log_product(rows, row_max, factor):
+    """``out[c, j] = log(sum_i exp(rows[c, i] + table[i, j]))`` by a scaled product.
+
+    ``rows`` is (count, k), each row shifted to a maximum of 0 (see
+    :func:`_shifted_rows`, which also gives ``row_max``); ``factor`` is the
+    table with what the product needs, from :func:`_step_factors`.  See the
+    comment above :func:`chain_parts` for the clamp, the floor and the exact
+    recompute.
+    Entries that underflow to 0 take a log of 0, so the passes call this
+    with divide warnings off.
+    """
+    table, maxima, shifts, lifted = factor
+    left = np.exp(np.maximum(rows, -_CLAMP))
+    scaled = np.matmul(left[:, None, :], lifted)[:, 0, :]
+    scaled /= _LIFT
+    out = np.log(scaled) + shifts
+    if scaled.min() < SCALED_FLOOR:
+        r, c = np.nonzero(scaled < SCALED_FLOOR)
+        out[r, c] = LOG_ZERO
+        live = np.isfinite(row_max[r]) & np.isfinite(maxima[c])
+        if live.any():
+            r, c = r[live], c[live]
+            out[r, c] = log_sum_exp(rows[r] + table.T[c], axis=1)
+    return out
+
+
 def _forward_messages(first, steps):
-    msgs = [np.asarray(first, dtype=float)]
-    shift = np.zeros(msgs[0].shape[1])
-    for pair, unary in steps:
-        m = log_sum_exp(msgs[-1][:, None, :] + pair[:, :, None], axis=0) + unary
-        c = m.max(axis=0)
-        c = np.where(np.isfinite(c), c, 0.0)
-        msgs.append(m - c)
-        shift += c
-    return msgs, shift
+    """Row-major forward messages, (count, n, k), and the per-column log totals.
+
+    Each stored row has a maximum of 0; the shifts are accumulated apart.
+    """
+    msg = np.ascontiguousarray(np.asarray(first, dtype=float).T)
+    fwd = np.empty((msg.shape[0], len(steps) + 1, msg.shape[1]))
+    total_shift = np.zeros(msg.shape[0])
+    if steps:
+        with np.errstate(divide="ignore"):
+            for k, factor in _step_factors(steps):
+                rows, row_max, shift = _shifted_rows(msg)
+                fwd[:, k] = rows
+                total_shift += shift
+                msg = _log_product(rows, row_max, factor) + steps[k][1].T
+    fwd[:, -1], _, shift = _shifted_rows(msg)
+    return fwd, total_shift + shift + log_sum_exp(fwd[:, -1], axis=1)
 
 
 def chain_log_totals(first: np.ndarray, steps) -> np.ndarray:
@@ -353,33 +475,33 @@ def chain_log_totals(first: np.ndarray, steps) -> np.ndarray:
     log weight of the destination state.  Columns whose every path has zero
     weight come back as ``-inf``.
     """
-    msgs, shift = _forward_messages(first, steps)
-    return shift + log_sum_exp(msgs[-1], axis=0)
+    return _forward_messages(first, steps)[1]
 
 
-def chain_log_marginals(first: np.ndarray, steps) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per-position, per-column chain marginals plus the per-column log totals.
+def chain_log_marginals(first: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column chain marginals plus the per-column log totals.
 
     Takes the ``(first, steps)`` input of :func:`chain_log_totals`.  Returns
-    ``(totals, rows)`` where ``rows[k]`` is the (num_states, num_columns)
-    normalized log marginal at position ``k``.  Columns with
-    zero total weight get a ``-inf`` total and NaN rows; callers decide how
-    to surface that (the per-sequence operations raise).
+    ``(totals, log_marginals)`` with shapes (num_columns,) and (num_columns,
+    n, num_states): ``log_marginals[c, k]`` is the normalized log marginal of
+    column ``c`` at position ``k``.  Columns with zero total weight get a
+    ``-inf`` total and NaN rows; callers decide how to surface that (the
+    per-sequence operations raise).
     """
-    msgs, shift = _forward_messages(first, steps)
-    totals = shift + log_sum_exp(msgs[-1], axis=0)
-
-    n = len(steps) + 1
-    rows = [None] * n
-    bwd = np.zeros_like(msgs[0])
-    rows[n - 1] = msgs[n - 1] + bwd
-    for k in range(len(steps) - 1, -1, -1):
-        pair, unary = steps[k]
-        m = log_sum_exp(pair[:, :, None] + (bwd + unary)[None, :, :], axis=1)
-        c = m.max(axis=0)
-        bwd = m - np.where(np.isfinite(c), c, 0.0)
-        rows[k] = msgs[k] + bwd
-
+    out, totals = _forward_messages(first, steps)
+    if steps:
+        bwd = np.zeros(out[:, 0].shape)
+        with np.errstate(divide="ignore"):
+            for k, factor in _step_factors(steps, backward=True):
+                rows, row_max, _ = _shifted_rows(bwd + steps[k][1].T)
+                bwd = _log_product(rows, row_max, factor)
+                out[:, k] += bwd
+    # Normalize each row: shift it to a maximum of 0 (an all -inf row turns
+    # NaN here), then subtract the log of its sum.  The clamp keeps exp off
+    # subnormals; clamped terms are below 1e-303 and the sum is at least 1.
     with np.errstate(invalid="ignore"):
-        rows = [r - log_sum_exp(r, axis=0) for r in rows]
-    return totals, rows
+        out -= out.max(axis=2, keepdims=True)
+    terms = np.maximum(out, -_CLAMP)
+    np.exp(terms, out=terms)
+    out -= np.log(terms.sum(axis=2, keepdims=True))
+    return totals, out

@@ -161,6 +161,17 @@ class TestPosteriorMarginals:
             assert np.array_equal(rows, lm[i])
             assert crf_log_normalizer(m, tuple(ys[i])) == totals[i]
 
+    @pytest.mark.parametrize("scale", [5.0, 500.0])
+    @pytest.mark.parametrize("k", [8, 33])
+    def test_batch_rows_equal_single_calls_wide_labels(self, k, scale):
+        m = random_crf_model(5, k, 3, seed=k, low=-scale, high=scale)
+        ys = np.random.default_rng(k).integers(0, 3, (50, 5))
+        totals, lm = crf_posterior_marginals_batch(m, ys)
+        for i in range(0, len(ys), 7):
+            single = crf_posterior_marginals(m, tuple(ys[i]))
+            assert np.array_equal(np.stack([r.log_values for r in single.rows]), lm[i])
+            assert crf_log_normalizer(m, tuple(ys[i])) == totals[i]
+
     def test_no_false_locality(self):
         # with strong pairwise coupling, changing the emission table at
         # position 2 must move the posterior at position 1

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainequiv.crf import default_alphabets
+from chainequiv.crf import default_alphabets, random_crf_model
+from chainequiv.equivalence import crf_to_hmc
 from chainequiv.hmc import (
     HmcModel,
     ImpossibleObservation,
@@ -139,6 +140,17 @@ class TestPosteriorMarginals:
         ys = np.array(list(itertools.product(range(3), repeat=4)))
         evidences, lm = hmc_posterior_marginals_batch(m, ys)
         for i in range(0, len(ys), 17):
+            single = hmc_posterior_marginals(m, tuple(ys[i]))
+            assert np.array_equal(np.stack([r.log_values for r in single.rows]), lm[i])
+            assert hmc_log_evidence(m, tuple(ys[i])) == evidences[i]
+
+    @pytest.mark.parametrize("scale", [5.0, 500.0])
+    @pytest.mark.parametrize("k", [8, 33])
+    def test_batch_rows_equal_single_calls_wide_labels(self, k, scale):
+        m, _ = crf_to_hmc(random_crf_model(5, k, 3, seed=k, low=-scale, high=scale))
+        ys = np.random.default_rng(k).integers(0, 3, (50, 5))
+        evidences, lm = hmc_posterior_marginals_batch(m, ys)
+        for i in range(0, len(ys), 7):
             single = hmc_posterior_marginals(m, tuple(ys[i]))
             assert np.array_equal(np.stack([r.log_values for r in single.rows]), lm[i])
             assert hmc_log_evidence(m, tuple(ys[i])) == evidences[i]

@@ -19,3 +19,8 @@ def test_scripts_run_and_sweep_passes():
 
     stress = run_script("long_chain_stress.py", "--length", "30", "--trials", "2")
     assert stress.returncode == 0, stress.stdout + stress.stderr
+
+    wide = run_script("long_chain_stress.py", "--length", "200", "--hidden", "16",
+                      "--scale", "1000", "--trials", "1")
+    assert wide.returncode == 0, wide.stdout + wide.stderr
+    assert "PASS" in wide.stdout.splitlines()
