@@ -16,6 +16,7 @@ from .tables import (
     PosteriorMarginals,
     Table1,
     Table2,
+    Table3,
     ValidationError,
     hamming_loss,
     log_sum_exp,
@@ -47,6 +48,7 @@ from .equivalence import (
     build_psi,
     crf_to_hmc,
     crf_to_hmc_generalized,
+    hmc_to_crf,
 )
 from .oracle import (
     BudgetExceeded,

@@ -33,7 +33,7 @@ from .oracle import (
     enumerate_hmc_posterior_batch,
     posterior_matrix_marginals,
 )
-from .tables import LOG_ZERO, Alphabet, Table2, ValidationError
+from .tables import LOG_ZERO, Alphabet, ValidationError
 
 # Not called in this module: perfbench/tracing.py wraps the per-line
 # marginals under these names.
@@ -171,11 +171,11 @@ class ModelFile:
     obs_symbols: tuple[str, ...]
     n: int
     mode: str
-    V: list[np.ndarray] | None = None      # log domain, CRF only
-    U: list[np.ndarray] | None = None
-    init: np.ndarray | None = None         # probability domain, HMC only
-    trans: list[np.ndarray] | None = None
-    emit: list[np.ndarray] | None = None
+    V: np.ndarray | None = None        # (n-1, k, k), log domain, CRF only
+    U: np.ndarray | None = None        # (n, k, l)
+    init: np.ndarray | None = None     # (k,), probability domain, HMC only
+    trans: np.ndarray | None = None    # (n-1, k, k)
+    emit: np.ndarray | None = None     # (n, k, l)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelFile":
@@ -206,23 +206,22 @@ class ModelFile:
             for key in ("init", "trans", "emit"):
                 if key in doc:
                     raise ParseError(f"{key}: not a CRF file key")
-            v = list(_parse_array(doc.get("V"), (n - 1, k, k), "V"))
-            u = list(_parse_array(doc.get("U"), (n, k, l), "U"))
+            v = _parse_array(doc.get("V"), (n - 1, k, k), "V")
+            u = _parse_array(doc.get("U"), (n, k, l), "U")
             if mode == STRICT:
-                for name, tabs in (("V", v), ("U", u)):
-                    for i, t in enumerate(tabs):
-                        if not np.isfinite(t).all():
-                            raise ParseError(
-                                f'{name}[{i}]: contains "{NEG_INF_TOKEN}" but mode is "strict"'
-                            )
+                for name, tables in (("V", v), ("U", u)):
+                    zeros = ~np.isfinite(tables).all(axis=(1, 2))
+                    if zeros.any():
+                        raise ParseError(f'{name}[{int(np.argmax(zeros))}]: '
+                                         f'contains "{NEG_INF_TOKEN}" but mode is "strict"')
             return cls(kind, hidden, obs, n, mode, V=v, U=u)
 
         for key in ("V", "U"):
             if key in doc:
                 raise ParseError(f"{key}: not an HMC file key")
         init = _parse_array(doc.get("init"), (k,), "init", nonnegative=True)
-        trans = list(_parse_array(doc.get("trans"), (n - 1, k, k), "trans", nonnegative=True))
-        emit = list(_parse_array(doc.get("emit"), (n, k, l), "emit", nonnegative=True))
+        trans = _parse_array(doc.get("trans"), (n - 1, k, k), "trans", nonnegative=True)
+        emit = _parse_array(doc.get("emit"), (n, k, l), "emit", nonnegative=True)
         return cls(kind, hidden, obs, n, mode, init=init, trans=trans, emit=emit)
 
     def to_json(self) -> str:
@@ -234,12 +233,12 @@ class ModelFile:
             "mode": self.mode,
         }
         if self.kind == "crf":
-            doc["V"] = [_jsonable(t) for t in self.V]
-            doc["U"] = [_jsonable(t) for t in self.U]
+            doc["V"] = _jsonable(self.V)
+            doc["U"] = _jsonable(self.U)
         else:
             doc["init"] = _jsonable(self.init)
-            doc["trans"] = [_jsonable(t) for t in self.trans]
-            doc["emit"] = [_jsonable(t) for t in self.emit]
+            doc["trans"] = _jsonable(self.trans)
+            doc["emit"] = _jsonable(self.emit)
         return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
     @classmethod
@@ -253,17 +252,15 @@ class ModelFile:
     def from_crf(cls, model: CrfModel) -> "ModelFile":
         return cls(
             "crf", model.hidden.symbols, model.obs.symbols, model.length, model.mode,
-            V=[t.log_values.copy() for t in model.pair_potentials],
-            U=[t.log_values.copy() for t in model.emit_potentials],
+            V=model.pair_potentials.log_values, U=model.emit_potentials.log_values,
         )
 
     @classmethod
     def from_hmc(cls, model: HmcModel, mode: str = STRICT) -> "ModelFile":
         return cls(
             "hmc", model.hidden.symbols, model.obs.symbols, model.length, mode,
-            init=model.init.probabilities(),
-            trans=[t.probabilities() for t in model.transitions],
-            emit=[t.probabilities() for t in model.emissions],
+            init=model.init.probabilities(), trans=model.transitions.probabilities(),
+            emit=model.emissions.probabilities(),
         )
 
     def to_model(self):
@@ -271,8 +268,7 @@ class ModelFile:
         hidden, obs = Alphabet(self.hidden_symbols), Alphabet(self.obs_symbols)
         try:
             if self.kind == "crf":
-                return CrfModel(hidden, obs, tuple(Table2(t) for t in self.V),
-                                tuple(Table2(t) for t in self.U), mode=self.mode)
+                return CrfModel(hidden, obs, self.V, self.U, mode=self.mode)
             return HmcModel.from_probabilities(hidden, obs, self.init, self.trans, self.emit)
         except ValidationError as e:
             raise ParseError(str(e)) from None
@@ -337,9 +333,9 @@ def cmd_convert(args) -> int:
     ModelFile.from_hmc(hmc, mode=model.mode).dump(args.output)
     if args.trace is not None:
         doc = {
-            "psi": [_jsonable(t.log_values) for t in trace.psi],
-            "phi": [_jsonable(t.log_values) for t in trace.phi],
-            "beta": [_jsonable(t.log_values) for t in trace.beta],
+            "psi": _jsonable(trace.psi.log_values),
+            "phi": _jsonable(trace.phi.log_values),
+            "beta": _jsonable(trace.beta.log_values),
             "unreachable": [sorted(u) for u in trace.unreachable],
         }
         _write_text(args.trace, json.dumps(doc, indent=2, allow_nan=False) + "\n")
@@ -353,15 +349,14 @@ def _tiled_model(model, length: int):
     else:
         pairs, emits = model.transitions, model.emissions
     for group, name in ((pairs, "pairwise"), (emits, "emission")):
-        for t in group[1:]:
-            if not np.array_equal(t.log_values, group[0].log_values):
-                raise ValidationError(f"--tile requires identical {name} tables at every position")
-    if length > 1 and not pairs:
+        if not (group.log_values == group.log_values[:1]).all():
+            raise ValidationError(f"--tile requires identical {name} tables at every position")
+    if not len(pairs):
         raise ValidationError("--tile cannot extend a length-1 model (no pairwise table to repeat)")
-    pairs, emits = pairs[:1] * (length - 1), emits[:1] * length
     if isinstance(model, CrfModel):
-        return CrfModel(model.hidden, model.obs, pairs, emits, mode=model.mode)
-    return HmcModel(model.hidden, model.obs, model.init, pairs, emits)
+        return CrfModel.homogeneous(model.hidden, model.obs, length, pairs[0], emits[0],
+                                    mode=model.mode)
+    return HmcModel.homogeneous(model.hidden, model.obs, length, model.init, pairs[0], emits[0])
 
 
 # ``decode`` works through its lines in blocks of at most DECODE_BLOCK_LINES,
@@ -444,6 +439,10 @@ def _sampled_sequences(obs_size: int, length: int, count: int, seed: int) -> np.
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        return _fail(EXIT_PARSE, f"--tolerance must be a finite number >= 0, got {args.tolerance}")
+    if args.budget < 1:
+        return _fail(EXIT_PARSE, f"--budget must be at least 1, got {args.budget}")
     try:
         model = _load_crf(args.model, "verify")
         against = None

@@ -20,14 +20,16 @@ from .tables import (
     Alphabet,
     LabelSeq,
     PosteriorMarginals,
-    Table1,
     Table2,
+    Table3,
     ValidationError,
     chain_log_marginals,
     chain_log_totals,
     chain_parts,
     check_chain_shapes,
+    distinct_tables,
     path_log_weight,
+    tiled,
 )
 
 STRICT = "strict"
@@ -48,36 +50,37 @@ class CrfModel:
     ----------
     hidden, obs : Alphabet
         Label and observation alphabets.
-    pair_potentials : tuple of Table2
+    pair_potentials : Table3
         ``length - 1`` tables over (hidden x hidden), one per adjacent pair.
-    emit_potentials : tuple of Table2
+    emit_potentials : Table3
         ``length`` tables over (hidden x obs), one per position.
     mode : str
         ``"strict"`` requires all potentials finite; ``"generalized"``
         additionally allows ``-inf`` (weight exactly zero).
+
+    The constructor takes each stack as a Table3, an array-like or a
+    sequence of Table2, and checks it once.
     """
 
     hidden: Alphabet
     obs: Alphabet
-    pair_potentials: tuple[Table2, ...]
-    emit_potentials: tuple[Table2, ...]
+    pair_potentials: Table3
+    emit_potentials: Table3
     mode: str = STRICT
 
     def __post_init__(self):
-        object.__setattr__(self, "pair_potentials", tuple(self.pair_potentials))
-        object.__setattr__(self, "emit_potentials", tuple(self.emit_potentials))
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        check_chain_shapes(self.pair_potentials, self.emit_potentials, self.hidden.size,
-                           self.obs.size, ("pair_potentials", "emit_potentials"))
-        if self.mode == STRICT:
-            for name, tabs in (("pair_potentials", self.pair_potentials),
-                               ("emit_potentials", self.emit_potentials)):
-                for i, t in enumerate(tabs):
-                    if not np.isfinite(t.log_values).all():
-                        raise ValidationError(
-                            f"{name}[{i}] contains -inf; strict mode requires finite potentials"
-                        )
+        names = ("pair_potentials", "emit_potentials")
+        stacks = check_chain_shapes(self.pair_potentials, self.emit_potentials,
+                                    self.hidden.size, self.obs.size, names)
+        for name, stack in zip(names, stacks):
+            object.__setattr__(self, name, stack)
+            if self.mode == STRICT:
+                zeros = ~np.isfinite(distinct_tables(stack.log_values)).all(axis=(1, 2))
+                if zeros.any():
+                    raise ValidationError(f"{name}[{int(np.argmax(zeros))}] contains -inf; "
+                                          "strict mode requires finite potentials")
 
     @property
     def length(self) -> int:
@@ -86,10 +89,13 @@ class CrfModel:
     @classmethod
     def homogeneous(cls, hidden: Alphabet, obs: Alphabet, length: int,
                     pair: Table2, emit: Table2, mode: str = STRICT) -> "CrfModel":
-        """Tile a single (pairwise, emission) table pair across all positions."""
+        """Tile one (pairwise, emission) table pair across all positions.
+
+        The stacks are stride-0 views of the two tables: O(k^2) memory at any length.
+        """
         if length < 1:
             raise ValidationError("length must be >= 1")
-        return cls(hidden, obs, (pair,) * (length - 1), (emit,) * length, mode=mode)
+        return cls(hidden, obs, tiled(pair, length - 1), tiled(emit, length), mode=mode)
 
 
 def default_alphabets(hidden_size: int, obs_size: int) -> tuple[Alphabet, Alphabet]:
@@ -118,18 +124,17 @@ def random_crf_model(length: int, hidden_size: int, obs_size: int, seed: int,
         t = rng.uniform(low, high, shape)
         if mode == GENERALIZED:
             t[rng.random(shape) < zero_prob] = -np.inf
-        return Table2(t)
+        return t
 
     k, l = hidden_size, obs_size
-    pair = tuple(draw((k, k)) for _ in range(length - 1))
-    emit = tuple(draw((k, l)) for _ in range(length))
+    pair = [draw((k, k)) for _ in range(length - 1)]
+    emit = [draw((k, l)) for _ in range(length)]
     return CrfModel(hidden, obs, pair, emit, mode=mode)
 
 
 def _factors(model: CrfModel):
-    """The CRF's chain factors: its pairwise and emission log tables."""
-    return ([t.log_values for t in model.pair_potentials],
-            [t.log_values for t in model.emit_potentials])
+    """The CRF's chain factors: its stacked pairwise and emission log tables."""
+    return model.pair_potentials.log_values, model.emit_potentials.log_values
 
 
 def crf_log_score(model: CrfModel, x, y) -> float:
@@ -145,8 +150,7 @@ def crf_log_normalizer(model: CrfModel, y) -> float:
     :class:`DegenerateModel` when every labeling has zero weight (possible
     only in generalized mode).
     """
-    first, steps = chain_parts(*_factors(model), [y])
-    total = float(chain_log_totals(first, steps)[0])
+    total = float(chain_log_totals(*chain_parts(*_factors(model), [y]))[0])
     if total == LOG_ZERO:
         raise DegenerateModel(ZERO_WEIGHT)
     return total
@@ -154,11 +158,10 @@ def crf_log_normalizer(model: CrfModel, y) -> float:
 
 def crf_posterior_marginals(model: CrfModel, y) -> PosteriorMarginals:
     """Posterior distribution of the label at each position given ``y``."""
-    first, steps = chain_parts(*_factors(model), [y])
-    totals, log_marginals = chain_log_marginals(first, steps)
+    totals, log_marginals = chain_log_marginals(*chain_parts(*_factors(model), [y]))
     if totals[0] == LOG_ZERO:
         raise DegenerateModel(ZERO_WEIGHT)
-    return PosteriorMarginals(tuple(Table1(r) for r in log_marginals[0]))
+    return PosteriorMarginals(Table2(log_marginals[0]))
 
 
 def crf_posterior_marginals_batch(model: CrfModel, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -171,8 +174,7 @@ def crf_posterior_marginals_batch(model: CrfModel, ys) -> tuple[np.ndarray, np.n
     callers can filter.  Column ``i`` equals ``crf_posterior_marginals``
     on ``ys[i]``.
     """
-    first, steps = chain_parts(*_factors(model), ys)
-    return chain_log_marginals(first, steps)
+    return chain_log_marginals(*chain_parts(*_factors(model), ys))
 
 
 def crf_mpm_decode(model: CrfModel, y) -> LabelSeq:

@@ -34,78 +34,67 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crf import STRICT, CrfModel, DegenerateModel
+from .crf import GENERALIZED, STRICT, CrfModel, DegenerateModel
 from .hmc import HmcModel
-from .tables import LOG_ZERO, Table1, Table2, ValidationError, log_sum_exp, normalize_log
+from .hmc import _factors as _hmc_factors
+from .tables import LOG_ZERO, Table2, Table3, ValidationError, log_sum_exp, normalize_log
 
 
 @dataclass(frozen=True, eq=False)
 class ConstructionTrace:
     """The intermediates of a CRF-to-HMC conversion, kept for auditing.
 
-    ``psi`` and ``beta`` hold one Table1 per position (the last beta is
-    identically zero in log domain); ``phi`` holds one Table2 per adjacent
-    position pair.  ``unreachable[n]`` lists the states whose transition or
-    emission row at position ``n`` was replaced by a uniform placebo; such
-    states never carry posterior mass.
+    ``psi`` and ``beta`` are (length, num_states) tables, one row per
+    position (the last beta row is identically zero in log domain); ``phi``
+    is the stack of length - 1 pairwise factors.  ``unreachable[n]`` lists
+    the states whose transition or emission row at position ``n`` was
+    replaced by a uniform placebo; such states never carry posterior mass.
     """
 
-    psi: tuple[Table1, ...]
-    phi: tuple[Table2, ...]
-    beta: tuple[Table1, ...]
+    psi: Table2
+    phi: Table3
+    beta: Table2
     unreachable: tuple[frozenset[int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "psi", tuple(self.psi))
-        object.__setattr__(self, "phi", tuple(self.phi))
-        object.__setattr__(self, "beta", tuple(self.beta))
-        object.__setattr__(self, "unreachable", tuple(frozenset(u) for u in self.unreachable))
 
-
-def build_psi(model: CrfModel) -> tuple[Table1, ...]:
+def build_psi(model: CrfModel) -> Table2:
     """Per-state emission weight totals, one row per position.
 
     ``psi[n][x] = log sum_y exp(emit_potentials[n][x, y])``.
     """
-    return tuple(
-        Table1(log_sum_exp(t.log_values, axis=1)) for t in model.emit_potentials
-    )
+    return Table2(log_sum_exp(model.emit_potentials.log_values, axis=2))
 
 
-def build_phi(model: CrfModel, psi) -> tuple[Table2, ...]:
+def build_phi(model: CrfModel, psi: Table2) -> Table3:
     """Pairwise chain factors with the psi weights folded in.
 
     The first factor absorbs both endpoint psi rows; later factors absorb
     only the right endpoint's, so each position's psi appears exactly once
     along any path.  Empty for length-1 models.
     """
-    psi = [p.log_values for p in psi]
-    out = []
-    for k, pair in enumerate(model.pair_potentials):
-        f = pair.log_values + psi[k + 1][None, :]
-        if k == 0:
-            f = f + psi[0][:, None]
-        out.append(Table2(f))
-    return tuple(out)
+    psi = psi.log_values
+    phi = model.pair_potentials.log_values + psi[1:, None, :]
+    phi[:1] += psi[0][:, None]
+    return Table3(phi)
 
 
-def build_beta(phi, num_states: int | None = None) -> tuple[Table1, ...]:
-    """Backward suffix sums of the phi chain.
+def build_beta(phi, num_states: int | None = None) -> Table2:
+    """Backward suffix sums of the phi chain, one row per position.
 
     The last row is identically zero (log of one); each earlier row is
-    ``beta[n][x] = log sum_{x'} exp(phi[n][x, x'] + beta[n+1][x'])``.  For an
-    empty phi chain (length-1 model) ``num_states`` sizes the single row.
+    ``beta[n][x] = log sum_{x'} exp(phi[n][x, x'] + beta[n+1][x'])``.
+    ``phi`` is a Table3 or an array-like of its tables; for an empty phi
+    chain (length-1 model) ``num_states`` sizes the single row.
     """
-    phi = tuple(phi)
-    if not phi:
+    phi = np.asarray(phi, dtype=float)
+    if len(phi) == 0:
         if num_states is None:
             raise ValidationError("num_states is required when phi is empty (length-1 model)")
-        return (Table1(np.zeros(num_states)),)
-    k = phi[0].shape[0]
-    rows = [np.zeros(k)]
-    for t in reversed(phi):
-        rows.append(log_sum_exp(t.log_values + rows[-1][None, :], axis=1))
-    return tuple(Table1(r) for r in reversed(rows))
+        return Table2(np.zeros((1, num_states)))
+    beta = np.zeros((len(phi) + 1, phi.shape[1]))
+    for n in range(len(phi) - 1, -1, -1):
+        beta[n] = log_sum_exp(phi[n] + beta[n + 1][None, :], axis=1)
+    return Table2(beta)
 
 
 def crf_to_hmc(model: CrfModel) -> tuple[HmcModel, ConstructionTrace]:
@@ -134,41 +123,50 @@ def crf_to_hmc_generalized(model: CrfModel) -> tuple[HmcModel, ConstructionTrace
     return _construct(model)
 
 
+def hmc_to_crf(model: HmcModel) -> CrfModel:
+    """The CRF with the same posterior as the HMC, the direct half of the equivalence.
+
+    Its pairwise potentials are the log transitions and its emission
+    potentials the log emissions, with ``log init`` folded into position 0.
+    The CRF is strict when every potential is finite and generalized
+    otherwise.
+    """
+    pairs, emits = _hmc_factors(model)
+    finite = np.isfinite(pairs).all() and np.isfinite(emits).all()
+    return CrfModel(model.hidden, model.obs, pairs, emits, mode=STRICT if finite else GENERALIZED)
+
+
+def _rows(weights: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``weights`` divided by their row ``totals``, and the rows with zero total.
+
+    A zero-total row is undefined and becomes a uniform placebo row.
+    """
+    with np.errstate(invalid="ignore"):
+        out = weights - totals[..., None]
+    dead = np.isneginf(totals)
+    out[dead] = -math.log(out.shape[-1])
+    return out, dead
+
+
 def _construct(model: CrfModel) -> tuple[HmcModel, ConstructionTrace]:
-    n, k = model.length, model.hidden.size
     psi = build_psi(model)
     phi = build_phi(model, psi)
-    beta = build_beta(phi, num_states=k)
+    beta = build_beta(phi, num_states=model.hidden.size)
 
-    unreachable = [set() for _ in range(n)]
-
-    if n == 1:
-        if log_sum_exp(psi[0].log_values) == LOG_ZERO:
-            raise DegenerateModel("every state has zero emission weight")
-        init = normalize_log(psi[0])
+    if model.length == 1:
+        start, why = psi[0], "every state has zero emission weight"
     else:
-        if log_sum_exp(beta[0].log_values) == LOG_ZERO:
-            raise DegenerateModel("no labeling carries positive weight")
-        init = normalize_log(beta[0])
+        start, why = beta[0], "no labeling carries positive weight"
+    if log_sum_exp(start.log_values) == LOG_ZERO:
+        raise DegenerateModel(why)
+    init = normalize_log(start)
 
-    def rows(weights: np.ndarray, totals: np.ndarray, pos: int) -> Table2:
-        """``weights`` divided by their row ``totals``; zero-total rows become uniform placebos."""
-        with np.errstate(invalid="ignore"):
-            out = weights - totals[:, None]
-        dead = np.isneginf(totals)
-        if dead.any():
-            out[dead, :] = -math.log(out.shape[1])
-            unreachable[pos].update(int(i) for i in np.flatnonzero(dead))
-        return Table2(out)
+    b = beta.log_values
+    transitions, dead_trans = _rows(phi.log_values + b[1:, None, :], b[:-1])
+    emissions, unreachable = _rows(model.emit_potentials.log_values, psi.log_values)
+    unreachable[:-1] |= dead_trans
 
-    transitions = [
-        rows(phi[s].log_values + beta[s + 1].log_values[None, :], beta[s].log_values, s)
-        for s in range(n - 1)
-    ]
-    emissions = [
-        rows(model.emit_potentials[s].log_values, psi[s].log_values, s) for s in range(n)
-    ]
-
-    hmc = HmcModel(model.hidden, model.obs, init, tuple(transitions), tuple(emissions))
-    trace = ConstructionTrace(psi, phi, beta, tuple(frozenset(u) for u in unreachable))
+    hmc = HmcModel(model.hidden, model.obs, init, transitions, emissions)
+    trace = ConstructionTrace(psi, phi, beta,
+                              tuple(frozenset(np.flatnonzero(u).tolist()) for u in unreachable))
     return hmc, trace

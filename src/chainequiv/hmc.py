@@ -21,13 +21,17 @@ from .tables import (
     PosteriorMarginals,
     Table1,
     Table2,
+    Table3,
     ValidationError,
     chain_log_marginals,
     chain_log_totals,
     chain_parts,
     check_chain_shapes,
+    distinct_tables,
+    log_of_probabilities,
     log_sum_exp,
     path_log_weight,
+    tiled,
 )
 
 ROW_SUM_TOL = 1e-9
@@ -39,22 +43,28 @@ class ImpossibleObservation(ValueError):
 
 
 def _check_stochastic(log_rows: np.ndarray, what: str):
-    sums = np.atleast_1d(np.exp(log_rows).sum(axis=-1))
-    worst = int(np.argmax(np.abs(sums - 1.0)))
-    if abs(sums[worst] - 1.0) > ROW_SUM_TOL:
-        label = what if log_rows.ndim == 1 else f"{what} row {worst}"
+    """Check that the rows of a stack of tables, or of the init row, sum to one.
+
+    A failure names the first table with a row off, and its worst row.
+    """
+    sums = np.atleast_2d(np.exp(log_rows).sum(axis=-1))
+    off = np.abs(sums - 1.0)
+    bad = (off > ROW_SUM_TOL).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        row = int(np.argmax(off[i]))
+        label = what if log_rows.ndim == 1 else f"{what}[{i}] row {row}"
         raise ValidationError(
-            f"{label} sums to {sums[worst]:.12g}, expected 1 within {ROW_SUM_TOL}"
+            f"{label} sums to {sums[i, row]:.12g}, expected 1 within {ROW_SUM_TOL}"
         )
 
 
-def _renormalized(table):
-    """Shift each log row so it sums to exactly one after exponentiation."""
-    a = table.log_values
-    # The 1-D init row takes the flat sum (math.log), which can round the last
-    # bit apart from numpy's vectorized log; convert's init output follows it.
-    totals = log_sum_exp(a, axis=-1) if a.ndim == 2 else log_sum_exp(a)
-    return type(table)(a - np.expand_dims(totals, -1))
+def _renormalized(stack: Table3, what: str) -> Table3:
+    """Check the stack's rows, then shift each to sum to exactly one; a tiled stack stays tiled."""
+    a = distinct_tables(stack.log_values)
+    _check_stochastic(a, what)
+    out = a - log_sum_exp(a, axis=-1)[..., None]
+    return Table3._view(np.broadcast_to(out, stack.shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,39 +77,37 @@ class HmcModel:
         Label and observation alphabets.
     init : Table1
         Log-probabilities of the first label.
-    transitions : tuple of Table2
-        ``length - 1`` row-stochastic tables over (hidden x hidden).
-    emissions : tuple of Table2
-        ``length`` row-stochastic tables over (hidden x obs).
+    transitions : Table3
+        ``length - 1`` stacked row-stochastic tables over (hidden x hidden).
+    emissions : Table3
+        ``length`` stacked row-stochastic tables over (hidden x obs).
 
-    Rows must sum to one within ``1e-9`` (probability domain) and are then
-    exactly renormalized, since constructions produce rows normalized only
-    up to floating rounding.
+    The constructor takes each stack as a Table3, an array-like or a
+    sequence of Table2.  Rows must sum to one within ``1e-9`` (probability
+    domain) and are then exactly renormalized, since constructions produce
+    rows normalized only up to floating rounding.
     """
 
     hidden: Alphabet
     obs: Alphabet
     init: Table1
-    transitions: tuple[Table2, ...]
-    emissions: tuple[Table2, ...]
+    transitions: Table3
+    emissions: Table3
 
     def __post_init__(self):
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-        object.__setattr__(self, "emissions", tuple(self.emissions))
-        check_chain_shapes(self.transitions, self.emissions, self.hidden.size, self.obs.size,
-                           ("transitions", "emissions"))
-        if self.init.size != self.hidden.size:
-            raise ValidationError(f"init has size {self.init.size}, expected {self.hidden.size}")
+        names = ("transitions", "emissions")
+        stacks = check_chain_shapes(self.transitions, self.emissions, self.hidden.size,
+                                    self.obs.size, names)
+        if len(self.init) != self.hidden.size:
+            raise ValidationError(f"init has size {len(self.init)}, expected {self.hidden.size}")
 
-        _check_stochastic(self.init.log_values, "init")
-        for i, t in enumerate(self.transitions):
-            _check_stochastic(t.log_values, f"transitions[{i}]")
-        for i, t in enumerate(self.emissions):
-            _check_stochastic(t.log_values, f"emissions[{i}]")
-
-        object.__setattr__(self, "init", _renormalized(self.init))
-        object.__setattr__(self, "transitions", tuple(_renormalized(t) for t in self.transitions))
-        object.__setattr__(self, "emissions", tuple(_renormalized(t) for t in self.emissions))
+        init = self.init.log_values
+        _check_stochastic(init, "init")
+        # The init row takes the flat sum (math.log), which can round the last
+        # bit apart from numpy's vectorized log; convert's init output follows it.
+        object.__setattr__(self, "init", Table1(init - log_sum_exp(init)))
+        for name, stack in zip(names, stacks):
+            object.__setattr__(self, name, _renormalized(stack, name))
 
     @property
     def length(self) -> int:
@@ -109,32 +117,28 @@ class HmcModel:
     def from_probabilities(cls, hidden: Alphabet, obs: Alphabet, init, transitions,
                            emissions) -> "HmcModel":
         """Build from probability-domain rows (zeros become -inf internally)."""
-        return cls(
-            hidden,
-            obs,
-            Table1.from_probabilities(init),
-            tuple(Table2.from_probabilities(t) for t in transitions),
-            tuple(Table2.from_probabilities(t) for t in emissions),
-        )
+        return cls(hidden, obs, Table1.from_probabilities(init),
+                   log_of_probabilities(transitions, "transitions"),
+                   log_of_probabilities(emissions, "emissions"))
 
     @classmethod
     def homogeneous(cls, hidden: Alphabet, obs: Alphabet, length: int, init: Table1,
                     trans: Table2, emit: Table2) -> "HmcModel":
-        """Tile one (transition, emission) pair into a stationary chain."""
+        """Tile one (transition, emission) pair into a stationary chain, as stride-0 views."""
         if length < 1:
             raise ValidationError("length must be >= 1")
-        return cls(hidden, obs, init, (trans,) * (length - 1), (emit,) * length)
+        return cls(hidden, obs, init, tiled(trans, length - 1), tiled(emit, length))
 
 
 def _factors(model: HmcModel):
-    """The HMC as CRF factors: its log transition and log emission tables.
+    """The HMC as CRF factors: its stacked log transition and log emission tables.
 
     ``log init`` is folded into emission 0, so this is the only code that
     knows an HMC has a start term.
     """
-    emits = [t.log_values for t in model.emissions]
-    emits[0] = model.init.log_values[:, None] + emits[0]
-    return [t.log_values for t in model.transitions], emits
+    emits = np.array(model.emissions.log_values)
+    emits[0] += model.init.log_values[:, None]
+    return model.transitions.log_values, emits
 
 
 def hmc_log_joint(model: HmcModel, x, y) -> float:
@@ -147,8 +151,7 @@ def hmc_log_joint(model: HmcModel, x, y) -> float:
 
 def hmc_log_evidence(model: HmcModel, y) -> float:
     """Log marginal probability of the observations (``-inf`` is allowed)."""
-    first, steps = chain_parts(*_factors(model), [y])
-    return float(chain_log_totals(first, steps)[0])
+    return float(chain_log_totals(*chain_parts(*_factors(model), [y]))[0])
 
 
 def hmc_posterior_marginals(model: HmcModel, y) -> PosteriorMarginals:
@@ -157,11 +160,10 @@ def hmc_posterior_marginals(model: HmcModel, y) -> PosteriorMarginals:
     Raises :class:`ImpossibleObservation` when the observations have
     probability zero (conditioning on them would be undefined).
     """
-    first, steps = chain_parts(*_factors(model), [y])
-    totals, log_marginals = chain_log_marginals(first, steps)
+    totals, log_marginals = chain_log_marginals(*chain_parts(*_factors(model), [y]))
     if totals[0] == LOG_ZERO:
         raise ImpossibleObservation(ZERO_EVIDENCE)
-    return PosteriorMarginals(tuple(Table1(r) for r in log_marginals[0]))
+    return PosteriorMarginals(Table2(log_marginals[0]))
 
 
 def hmc_posterior_marginals_batch(model: HmcModel, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -173,8 +175,7 @@ def hmc_posterior_marginals_batch(model: HmcModel, ys) -> tuple[np.ndarray, np.n
     ``-inf`` / NaN instead of raising, so callers can filter.  Column ``i``
     equals ``hmc_posterior_marginals`` on ``ys[i]``.
     """
-    first, steps = chain_parts(*_factors(model), ys)
-    return chain_log_marginals(first, steps)
+    return chain_log_marginals(*chain_parts(*_factors(model), ys))
 
 
 def hmc_mpm_decode(model: HmcModel, y) -> LabelSeq:

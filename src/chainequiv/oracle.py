@@ -6,7 +6,6 @@ code: scores come straight from table lookups over the full path matrix and
 are normalized by direct summation.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -94,11 +93,8 @@ class EnumeratedPosterior:
 
     def marginals(self) -> np.ndarray:
         """(length, hidden_size) per-position marginals of the joint posterior."""
-        cube = self.probabilities.reshape((self.hidden_size,) * self.length)
-        axes = tuple(range(self.length))
-        return np.stack(
-            [cube.sum(axis=tuple(a for a in axes if a != n)) for n in axes]
-        )
+        return posterior_matrix_marginals(self.probabilities[None], self.hidden_size,
+                                          self.length)[0]
 
 
 def all_sequences(size: int, length: int) -> np.ndarray:
@@ -145,15 +141,6 @@ def _enumerate(model, factors, ys, budget: int) -> np.ndarray:
     return _score_matrix(*factors, obs)
 
 
-def _normalize_scores(scores: np.ndarray, size: int, length: int) -> EnumeratedPosterior:
-    m = float(scores.max())
-    if m == float("-inf"):
-        raise DegenerateModel("every label sequence has zero weight for these observations")
-    weights = np.exp(scores - m)
-    total = _stable_total(weights)
-    return EnumeratedPosterior(size, length, weights / total, m + math.log(total))
-
-
 def _normalize_score_matrix(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalize a log score matrix in place; dead rows become NaN / -inf.
 
@@ -174,16 +161,22 @@ def _normalize_score_matrix(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return scores, log_totals
 
 
+def _enumerated_posterior(model, factors, y, budget: int) -> EnumeratedPosterior:
+    """The one-row case of :func:`_normalize_score_matrix`; a dead row raises."""
+    posteriors, log_totals = _normalize_score_matrix(_enumerate(model, factors, [y], budget))
+    if log_totals[0] == float("-inf"):
+        raise DegenerateModel("every label sequence has zero weight for these observations")
+    return EnumeratedPosterior(model.hidden.size, model.length, posteriors[0], float(log_totals[0]))
+
+
 def enumerate_crf_posterior(model: CrfModel, y, budget: int = DEFAULT_BUDGET) -> EnumeratedPosterior:
     """Exact CRF posterior by scoring every labeling directly."""
-    scores = _enumerate(model, _crf_factors(model), [y], budget)[0]
-    return _normalize_scores(scores, model.hidden.size, model.length)
+    return _enumerated_posterior(model, _crf_factors(model), y, budget)
 
 
 def enumerate_hmc_posterior(model: HmcModel, y, budget: int = DEFAULT_BUDGET) -> EnumeratedPosterior:
     """Exact HMC posterior: every joint probability, normalized by the evidence."""
-    scores = _enumerate(model, _hmc_factors(model), [y], budget)[0]
-    return _normalize_scores(scores, model.hidden.size, model.length)
+    return _enumerated_posterior(model, _hmc_factors(model), y, budget)
 
 
 def enumerate_crf_posterior_batch(model: CrfModel, ys,

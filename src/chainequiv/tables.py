@@ -74,10 +74,13 @@ class Alphabet:
 
 
 def _as_log_array(values, ndim: int, what: str) -> np.ndarray:
-    a = np.array(values, dtype=float)
+    try:
+        a = np.array(values, dtype=float)
+    except (ValueError, TypeError):
+        raise ValidationError(f"{what} expects a {ndim}-dimensional array of numbers") from None
     if a.ndim != ndim:
         raise ValidationError(f"{what} expects a {ndim}-dimensional array, got shape {a.shape}")
-    if a.size == 0:
+    if 0 in (a.shape[1:] if ndim == 3 else a.shape):  # a stack may hold no tables
         raise ValidationError(f"{what} must not be empty")
     if np.isnan(a).any():
         raise ValidationError(f"{what} rejects NaN entries")
@@ -89,7 +92,13 @@ def _as_log_array(values, ndim: int, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Table:
-    """A dense, read-only array of log-domain weights with ``ndim`` axes."""
+    """A dense, read-only array of log-domain weights with ``ndim`` axes.
+
+    It is also a stack of tables of one axis fewer: ``len`` and iteration run
+    over axis 0, and fewer indices than ``ndim`` give the sub-table as a
+    read-only view, indexed as a tuple of tables would be.  A full index
+    gives the entry as a float and must lie in range.
+    """
 
     log_values: np.ndarray
     ndim: ClassVar[int]
@@ -100,15 +109,32 @@ class _Table:
 
     @classmethod
     def from_probabilities(cls, probs):
-        return cls(_log_of_probs(probs, cls.__name__))
+        return cls(log_of_probabilities(probs, cls.__name__))
+
+    @classmethod
+    def _view(cls, log_values: np.ndarray) -> "_Table":
+        """A table over a read-only array already validated, without a copy."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "log_values", log_values)
+        return table
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.log_values.shape
 
-    def __getitem__(self, index) -> float:
+    def __len__(self) -> int:
+        return len(self.log_values)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.log_values, dtype=dtype)
+
+    def __getitem__(self, index):
         ix = index if isinstance(index, tuple) else (index,)
-        if len(ix) != self.ndim or not all(0 <= i < s for i, s in zip(ix, self.shape)):
+        if len(ix) < self.ndim:
+            sub = self.log_values[index]
+            return _TABLES[sub.ndim]._view(sub)
+        if len(ix) != self.ndim or not all(isinstance(i, numbers.Integral) and 0 <= i < s
+                                           for i, s in zip(ix, self.shape)):
             raise IndexError(
                 f"index {index} out of range for {type(self).__name__} of shape {self.shape}"
             )
@@ -123,10 +149,6 @@ class Table1(_Table):
 
     ndim = 1
 
-    @property
-    def size(self) -> int:
-        return self.log_values.shape[0]
-
 
 class Table2(_Table):
     """A dense row-major matrix of log-domain weights over two alphabets."""
@@ -134,8 +156,31 @@ class Table2(_Table):
     ndim = 2
 
 
-def _log_of_probs(probs, what: str) -> np.ndarray:
-    p = np.asarray(probs, dtype=float)
+class Table3(_Table):
+    """A stack of Table2 of one shape, one per position; it may be empty."""
+
+    ndim = 3
+
+
+_TABLES = {1: Table1, 2: Table2, 3: Table3}
+
+
+def tiled(table: Table2, count: int) -> Table3:
+    """``count`` copies of ``table`` as one stack: a read-only stride-0 view, no copy."""
+    return Table3._view(np.broadcast_to(table.log_values, (count, *table.shape)))
+
+
+def distinct_tables(stack: np.ndarray) -> np.ndarray:
+    """The tables of a stacked array that can differ: the first alone when it is tiled."""
+    return stack[:1] if stack.strides[0] == 0 else stack
+
+
+def log_of_probabilities(probs, what: str) -> np.ndarray:
+    """The log of an array of probabilities; ``what`` names the input in messages."""
+    try:
+        p = np.asarray(probs, dtype=float)
+    except (ValueError, TypeError):
+        raise ValidationError(f"{what} expects an array of numbers") from None
     if np.isnan(p).any():
         raise ValidationError(f"{what} rejects NaN entries")
     if (p < 0).any():
@@ -177,25 +222,48 @@ def index_rows(rows, length: int, size: int, what: str) -> np.ndarray:
     return a.astype(np.intp, copy=False)
 
 
-def check_chain_shapes(pairs, emits, num_states: int, num_obs: int, names: tuple[str, str]):
-    """Check the table counts and shapes of a chain model.
+def _stack(values, tail: tuple[int, int], name: str) -> Table3:
+    """``values`` as a Table3 of ``tail``-shaped tables; a Table3 is kept as it is.
+
+    A table of another shape raises ValidationError naming the model field
+    ``name`` and the index of the first such table.
+    """
+    if len(values) == 0:
+        return Table3(np.empty((0, *tail)))
+    if not isinstance(values, Table3):
+        try:
+            values = Table3(values)
+        except ValidationError as e:
+            try:  # a ragged table has no shape: the error stands as it is
+                i = next(i for i, t in enumerate(values) if np.shape(t) != tail)
+            except (StopIteration, ValueError):
+                raise e from None
+            raise ValidationError(
+                f"{name}[{i}] has shape {np.shape(values[i])}, expected {tail}"
+            ) from None
+    if values.shape[1:] != tail:
+        raise ValidationError(f"{name}[0] has shape {values.shape[1:]}, expected {tail}")
+    return values
+
+
+def check_chain_shapes(pairs, emits, num_states: int, num_obs: int,
+                       names: tuple[str, str]) -> tuple[Table3, Table3]:
+    """The pairwise and emission tables of a chain model as checked stacks.
 
     A model of length ``n >= 1`` has ``n - 1`` (num_states, num_states)
-    pairwise tables and ``n`` (num_states, num_obs) emission tables;
-    ``names`` are the model's field names for the two, used in messages.
+    pairwise tables and ``n`` (num_states, num_obs) emission tables, each
+    group a Table3, an array-like or a sequence of Table2; ``names`` are the
+    model's field names for the two, used in messages.
     """
     n = len(emits)
     if n < 1:
         raise ValidationError(f"{names[1]} needs at least one table (length >= 1)")
+    pairs = _stack(pairs, (num_states, num_states), names[0])
     if len(pairs) != n - 1:
         raise ValidationError(
             f"expected {n - 1} {names[0]} tables for length {n}, got {len(pairs)}"
         )
-    k = num_states
-    for name, group, shape in ((names[0], pairs, (k, k)), (names[1], emits, (k, num_obs))):
-        for i, t in enumerate(group):
-            if t.shape != shape:
-                raise ValidationError(f"{name}[{i}] has shape {t.shape}, expected {shape}")
+    return pairs, _stack(emits, (num_states, num_obs), names[1])
 
 
 def log_sum_exp(values, axis: int | None = None):
@@ -261,24 +329,28 @@ def hamming_loss(a, b) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorMarginals:
-    """Per-position posterior label distributions, one normalized log row each."""
+    """Per-position posterior label distributions, one normalized log row each.
 
-    rows: tuple[Table1, ...]
+    ``rows`` is a (length, num_labels) Table2, given as any Table2 input.
+    """
+
+    rows: Table2
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
+        if not isinstance(self.rows, Table2):
+            object.__setattr__(self, "rows", Table2(self.rows))
 
     @property
     def length(self) -> int:
         return len(self.rows)
 
     def probabilities(self) -> np.ndarray:
-        """Stack the rows into a (length, num_labels) probability array."""
-        return np.stack([r.probabilities() for r in self.rows])
+        """The rows as a (length, num_labels) probability array."""
+        return self.rows.probabilities()
 
     def mpm_labels(self) -> LabelSeq:
         """Position-wise argmax labels; the lowest index wins on ties."""
-        return tuple(int(np.argmax(r.log_values)) for r in self.rows)
+        return tuple(np.argmax(self.rows.log_values, axis=1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +358,11 @@ class PosteriorMarginals:
 #
 # A chain over positions 0..n-1 assigns each path x, per column c, the weight
 #
-#     exp(first[x_0, c] + sum_k (pair_k[x_k, x_{k+1}] + unary_k[x_{k+1}, c]))
+#     exp(first[x_0, c] + sum_k (pairs[k, x_k, x_{k+1}] + unary[k, x_{k+1}, c]))
 #
-# so each step is a (pair, unary) tuple: a (num_states, num_states) table
-# shared by all columns and a per-column log weight of the state it enters.
+# so step k has a (num_states, num_states) table ``pairs[k]`` shared by all
+# columns and a per-column log weight ``unary[k]`` of the state it enters;
+# ``pairs`` and ``unary`` are stacked arrays, one entry per step.
 # The column axis batches independent conditioning contexts (e.g. many
 # observation sequences); a single context is simply the one-column case.
 # ``chain_parts`` builds this form from CRF factors, the pairwise and
@@ -330,6 +403,7 @@ class PosteriorMarginals:
 # Each pass prepares the exponentiated tables a block of steps at a time,
 # at most FACTOR_BLOCK_CELLS pair cells per block, so a long model with a
 # different table at each position needs no prepared copy of all of them.
+# A tiled stack (stride 0 along the steps) has one table to prepare.
 # ---------------------------------------------------------------------------
 
 SCALED_FLOOR = 1e-280
@@ -339,35 +413,34 @@ _LIFT = 2.0**996
 
 
 def chain_parts(pairs, emits, ys):
-    """Fold CRF factors and observation rows into ``(first, steps)`` chain input.
+    """Fold CRF factors and observation rows into ``(first, pairs, unary)`` chain input.
 
-    ``pairs[k]`` is the (num_states, num_states) log table between positions
-    k and k + 1 and ``emits[k]`` the (num_states, num_obs) log table at
-    position k.  ``ys`` is a (count, length) array-like of observation
-    indices, checked by :func:`index_rows` against the tables' length and
-    number of symbols; each row becomes one column of the chain.  Position
-    0's emission is the start term; every later emission is the unary term
-    of the step entering its position.  The unary arrays are transposed
-    views of row-major (count, num_states) arrays, the layout the passes use.
+    ``pairs`` is the (length - 1, num_states, num_states) array of log
+    tables between adjacent positions and ``emits`` the (length, num_states,
+    num_obs) array of emission log tables.  ``ys`` is a (count, length)
+    array-like of observation indices, checked by :func:`index_rows`; each
+    row becomes one column of the chain.  Position 0's emission is the start
+    term; every later one is the unary term of the step entering its
+    position.  The unary terms are transposed views of a row-major (length,
+    count, num_states) array, the layout the passes use.
     """
-    obs = index_rows(ys, len(emits), emits[0].shape[1], "observation")
-    unary = [e.T[obs[:, k]].T for k, e in enumerate(emits)]
-    return unary[0], list(zip(pairs, unary[1:]))
+    n = len(emits)
+    obs = index_rows(ys, n, emits.shape[2], "observation")
+    unary = emits[np.arange(n)[:, None], :, obs.T].transpose(0, 2, 1)
+    return unary[0], pairs, unary[1:]
 
 
 def path_log_weight(pairs, emits, x, y) -> float:
     """Log weight of the labeling ``x`` given observations ``y`` under CRF factors.
 
-    Both sequences are checked by :func:`index_rows` against the tables.
+    Both sequences are checked by :func:`index_rows` against the tables.  The
+    terms are summed in order, pairwise terms first.
     """
-    x = index_rows([x], len(emits), emits[0].shape[0], "label")[0]
-    y = index_rows([y], len(emits), emits[0].shape[1], "observation")[0]
-    score = 0.0
-    for k, pair in enumerate(pairs):
-        score += pair[x[k], x[k + 1]]
-    for k, emit in enumerate(emits):
-        score += emit[x[k], y[k]]
-    return float(score)
+    n = len(emits)
+    x = index_rows([x], n, emits.shape[1], "label")[0]
+    y = index_rows([y], n, emits.shape[2], "observation")[0]
+    terms = np.concatenate((pairs[np.arange(n - 1), x[:-1], x[1:]], emits[np.arange(n), x, y]))
+    return float(np.cumsum(terms)[-1])
 
 
 def _finite_or_zero(a: np.ndarray) -> np.ndarray:
@@ -387,27 +460,23 @@ def _shifted_rows(m: np.ndarray):
     return m - shift[:, None], row_max, shift
 
 
-def _step_factors(steps, backward: bool = False):
+def _step_factors(pairs, backward: bool = False):
     """Yield ``(k, factor)`` for every step ``k``, what :func:`_log_product` needs.
 
     ``factor`` is ``(table, maxima, shifts, lifted)``: the step's pairwise
     table, transposed with ``backward``, which also yields the steps last to
     first; its column maxima; the same with 0 for an all ``-inf`` column;
     and ``_LIFT * exp(max(table - shifts, -_CLAMP))``.  The tables are
-    prepared stacked, a block of steps of at most FACTOR_BLOCK_CELLS pair
-    cells at a time (one step when a table is larger); within a block a
-    repeated table object (a tiled model's) is prepared once.
+    prepared a block of steps at a time, a slice of ``pairs`` of at most
+    FACTOR_BLOCK_CELLS pair cells (one step when a table is larger); a tiled
+    ``pairs`` has its one table prepared once per block.
     """
-    order = range(len(steps) - 1, -1, -1) if backward else range(len(steps))
-    block = max(1, FACTOR_BLOCK_CELLS // np.size(steps[0][0]))
-    for start in range(0, len(order), block):
-        ks = order[start:start + block]
-        index = {}
-        positions = [index.setdefault(id(steps[k][0]), len(index)) for k in ks]
-        distinct = [None] * len(index)
-        for k, i in zip(ks, positions):
-            distinct[i] = steps[k][0]
-        lifted = np.array(distinct, dtype=float)
+    n = len(pairs)
+    tiled = pairs.strides[0] == 0
+    block = max(1, FACTOR_BLOCK_CELLS // math.prod(pairs.shape[1:]))
+    for start in range(0, n, block):
+        lo, hi = (max(0, n - start - block), n - start) if backward else (start, min(n, start + block))
+        lifted = np.array(pairs[lo:lo + 1] if tiled else pairs[lo:hi], dtype=float)
         if backward:
             lifted = lifted.transpose(0, 2, 1)
         maxima = lifted.max(axis=1)
@@ -416,9 +485,9 @@ def _step_factors(steps, backward: bool = False):
         np.maximum(lifted, -_CLAMP, out=lifted)
         np.exp(lifted, out=lifted)
         lifted *= _LIFT
-        for k, i in zip(ks, positions):
-            table = np.asarray(steps[k][0], dtype=float)
-            yield k, (table.T if backward else table, maxima[i], shifts[i], lifted[i])
+        for k in (range(hi - 1, lo - 1, -1) if backward else range(lo, hi)):
+            i = 0 if tiled else k - lo
+            yield k, (pairs[k].T if backward else pairs[k], maxima[i], shifts[i], lifted[i])
 
 
 def _log_product(rows, row_max, factor):
@@ -447,55 +516,54 @@ def _log_product(rows, row_max, factor):
     return out
 
 
-def _forward_messages(first, steps):
+def _forward_messages(first, pairs, unary):
     """Row-major forward messages, (count, n, k), and the per-column log totals.
 
     Each stored row has a maximum of 0; the shifts are accumulated apart.
     """
     msg = np.ascontiguousarray(np.asarray(first, dtype=float).T)
-    fwd = np.empty((msg.shape[0], len(steps) + 1, msg.shape[1]))
+    fwd = np.empty((msg.shape[0], len(pairs) + 1, msg.shape[1]))
     total_shift = np.zeros(msg.shape[0])
-    if steps:
-        with np.errstate(divide="ignore"):
-            for k, factor in _step_factors(steps):
-                rows, row_max, shift = _shifted_rows(msg)
-                fwd[:, k] = rows
-                total_shift += shift
-                msg = _log_product(rows, row_max, factor) + steps[k][1].T
+    with np.errstate(divide="ignore"):
+        for k, factor in _step_factors(pairs):
+            rows, row_max, shift = _shifted_rows(msg)
+            fwd[:, k] = rows
+            total_shift += shift
+            msg = _log_product(rows, row_max, factor) + unary[k].T
     fwd[:, -1], _, shift = _shifted_rows(msg)
     return fwd, total_shift + shift + log_sum_exp(fwd[:, -1], axis=1)
 
 
-def chain_log_totals(first: np.ndarray, steps) -> np.ndarray:
+def chain_log_totals(first: np.ndarray, pairs: np.ndarray, unary: np.ndarray) -> np.ndarray:
     """Per-column log total weight of a batched pairwise-factor chain.
 
-    ``first`` has shape (num_states, num_columns); each step is a
-    ``(pair, unary)`` tuple where ``pair`` is (num_states, num_states),
-    shared across columns, and ``unary`` is the (num_states, num_columns)
-    log weight of the destination state.  Columns whose every path has zero
+    ``first`` has shape (num_states, num_columns); ``pairs`` is the
+    (steps, num_states, num_states) array of pairwise tables, shared across
+    columns, and ``unary`` the (steps, num_states, num_columns) log weight
+    of each step's destination state.  Columns whose every path has zero
     weight come back as ``-inf``.
     """
-    return _forward_messages(first, steps)[1]
+    return _forward_messages(first, pairs, unary)[1]
 
 
-def chain_log_marginals(first: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
+def chain_log_marginals(first: np.ndarray, pairs: np.ndarray,
+                        unary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column chain marginals plus the per-column log totals.
 
-    Takes the ``(first, steps)`` input of :func:`chain_log_totals`.  Returns
-    ``(totals, log_marginals)`` with shapes (num_columns,) and (num_columns,
-    n, num_states): ``log_marginals[c, k]`` is the normalized log marginal of
-    column ``c`` at position ``k``.  Columns with zero total weight get a
-    ``-inf`` total and NaN rows; callers decide how to surface that (the
-    per-sequence operations raise).
+    Takes the ``(first, pairs, unary)`` input of :func:`chain_log_totals`.
+    Returns ``(totals, log_marginals)`` with shapes (num_columns,) and
+    (num_columns, n, num_states): ``log_marginals[c, k]`` is the normalized
+    log marginal of column ``c`` at position ``k``.  Columns with zero total
+    weight get a ``-inf`` total and NaN rows; callers decide how to surface
+    that (the per-sequence operations raise).
     """
-    out, totals = _forward_messages(first, steps)
-    if steps:
-        bwd = np.zeros(out[:, 0].shape)
-        with np.errstate(divide="ignore"):
-            for k, factor in _step_factors(steps, backward=True):
-                rows, row_max, _ = _shifted_rows(bwd + steps[k][1].T)
-                bwd = _log_product(rows, row_max, factor)
-                out[:, k] += bwd
+    out, totals = _forward_messages(first, pairs, unary)
+    bwd = np.zeros(out[:, 0].shape)
+    with np.errstate(divide="ignore"):
+        for k, factor in _step_factors(pairs, backward=True):
+            rows, row_max, _ = _shifted_rows(bwd + unary[k].T)
+            bwd = _log_product(rows, row_max, factor)
+            out[:, k] += bwd
     # Normalize each row: shift it to a maximum of 0 (an all -inf row turns
     # NaN here), then subtract the log of its sum.  The clamp keeps exp off
     # subnormals; clamped terms are below 1e-303 and the sum is at least 1.

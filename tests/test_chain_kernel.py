@@ -24,7 +24,12 @@ from chainequiv.crf import (
     random_crf_model,
 )
 from chainequiv.equivalence import crf_to_hmc, crf_to_hmc_generalized
-from chainequiv.hmc import hmc_log_evidence, hmc_posterior_marginals, hmc_posterior_marginals_batch
+from chainequiv.hmc import (
+    HmcModel,
+    hmc_log_evidence,
+    hmc_posterior_marginals,
+    hmc_posterior_marginals_batch,
+)
 from chainequiv.tables import LOG_ZERO, Table2
 
 from conftest import brute_crf_posterior, brute_hmc_posterior, marginals_of
@@ -132,3 +137,31 @@ def test_factor_blocks_do_not_change_results(cells, monkeypatch):
     totals, got = crf_posterior_marginals_batch(model, ys)
     assert np.array_equal(totals, want_totals)
     assert np.array_equal(got, want)
+
+
+
+@pytest.mark.parametrize("cells", [1, 2 * K * K, tables.FACTOR_BLOCK_CELLS])
+def test_tiled_models_match_their_materialized_copies(cells, monkeypatch):
+    """A tiled stack (stride 0) has its one table prepared per block; the result
+    must equal the same tables stored one per position, bit for bit."""
+    base = random_crf_model(2, K, L, seed=3, low=-1000.0, high=1000.0)
+    hmc = to_hmc(base)
+    n = N + 3
+    crf = CrfModel.homogeneous(base.hidden, base.obs, n, base.pair_potentials[0],
+                               base.emit_potentials[0])
+    hmc = HmcModel.homogeneous(hmc.hidden, hmc.obs, n, hmc.init, hmc.transitions[0],
+                               hmc.emissions[1])
+    copies = (CrfModel(crf.hidden, crf.obs, np.array(crf.pair_potentials.log_values),
+                       np.array(crf.emit_potentials.log_values)),
+              HmcModel(hmc.hidden, hmc.obs, hmc.init, np.array(hmc.transitions.log_values),
+                       np.array(hmc.emissions.log_values)))
+    assert crf.pair_potentials.log_values.strides[0] == hmc.transitions.log_values.strides[0] == 0
+    monkeypatch.setattr(tables, "FACTOR_BLOCK_CELLS", cells)
+    ys = np.random.default_rng(1).integers(0, L, (16, n))
+    for batch, tiled, copy in ((crf_posterior_marginals_batch, crf, copies[0]),
+                               (hmc_posterior_marginals_batch, hmc, copies[1])):
+        assert copy.length == n and tiled.length == n
+        want_totals, want = batch(copy, ys)
+        totals, got = batch(tiled, ys)
+        assert np.array_equal(totals, want_totals)
+        assert np.array_equal(got, want, equal_nan=True)

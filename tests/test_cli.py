@@ -69,7 +69,7 @@ class TestModelFileRoundTrip:
         mf = ModelFile.load(str(tmp_path / "m.json"))
         mf.dump(str(tmp_path / "again.json"))
         again = ModelFile.load(str(tmp_path / "again.json"))
-        for a, b in zip(mf.V + mf.U, again.V + again.U):
+        for a, b in zip((*mf.V, *mf.U), (*again.V, *again.U)):
             assert np.array_equal(a, b)
         assert (tmp_path / "m.json").read_text() == (tmp_path / "again.json").read_text()
 
@@ -90,7 +90,7 @@ class TestModelFileRoundTrip:
         mf.dump(str(tmp_path / "h2.json"))
         again = ModelFile.load(str(tmp_path / "h2.json"))
         assert np.array_equal(mf.init, again.init)
-        for a, b in zip(mf.trans + mf.emit, again.trans + again.emit):
+        for a, b in zip((*mf.trans, *mf.emit), (*again.trans, *again.emit)):
             assert np.array_equal(a, b)
 
 
@@ -472,6 +472,28 @@ class TestVerify:
         assert main(["verify", str(tmp_path / "m.json"), "--budget", "100",
                      "--samples", samples]) == EXIT_PARSE
         assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1e-9", "inf", "-inf"])
+    def test_non_finite_or_negative_tolerance_rejected(self, tmp_path, capsys, tolerance):
+        # a correct HMC, so any verdict here would come from the tolerance alone
+        main(["random", "--n", "3", "--hidden", "2", "--obs", "2", "--seed", "2",
+              "-o", str(tmp_path / "m.json")])
+        main(["convert", str(tmp_path / "m.json"), "-o", str(tmp_path / "h.json")])
+        report = tmp_path / "r.json"
+        assert main(["verify", str(tmp_path / "m.json"), "--against", str(tmp_path / "h.json"),
+                     f"--tolerance={tolerance}", "--report", str(report)]) == EXIT_PARSE
+        assert "--tolerance" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_rejected(self, tmp_path, capsys, budget):
+        path = write(tmp_path / "m.json", symmetric_crf_json())
+        assert main(["verify", path, "--budget", budget]) == EXIT_PARSE
+        assert "--budget" in capsys.readouterr().err
+
+    def test_zero_tolerance_accepted(self, tmp_path):
+        path = write(tmp_path / "m.json", symmetric_crf_json())
+        assert main(["verify", path, "--tolerance", "0"]) == EXIT_OK
 
     def test_generalized_skips_zero_evidence(self, tmp_path, capsys):
         doc = json.loads(symmetric_crf_json())

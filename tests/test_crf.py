@@ -52,19 +52,48 @@ class TestModelValidation:
         pair, emit = Table2(np.ones((2, 2))), Table2(np.ones((2, 2)))
         m = CrfModel.homogeneous(hidden, obs, 4, pair, emit)
         assert m.length == 4
-        assert all(t is pair for t in m.pair_potentials)
+        assert all(np.array_equal(t.log_values, pair.log_values) for t in m.pair_potentials)
+
+    def test_homogeneous_stores_one_table_pair(self):
+        hidden, obs = default_alphabets(3, 2)
+        pair, emit = Table2(np.ones((3, 3))), Table2(np.zeros((3, 2)))
+        m = CrfModel.homogeneous(hidden, obs, 100_000, pair, emit)
+        assert m.pair_potentials.shape == (99_999, 3, 3)
+        assert m.emit_potentials.shape == (100_000, 3, 2)
+        for stack, table in ((m.pair_potentials, pair), (m.emit_potentials, emit)):
+            assert stack.log_values.strides[0] == 0
+            assert np.shares_memory(stack.log_values, table.log_values)
+
+    @pytest.mark.parametrize("field", ["pair", "emit"])
+    def test_strict_error_names_the_table(self, field):
+        hidden, obs = default_alphabets(2, 2)
+        tables = {"pair": [np.zeros((2, 2))] * 3, "emit": [np.zeros((2, 2))] * 4}
+        tables[field][2] = np.array([[0.0, 0.0], [LOG_ZERO, 0.0]])
+        with pytest.raises(ValidationError, match=rf"^{field}_potentials\[2\] contains -inf"):
+            CrfModel(hidden, obs, tables["pair"], tables["emit"])
+
+    def test_shape_error_names_the_table(self):
+        hidden, obs = default_alphabets(2, 3)
+        emits = [Table2(np.zeros((2, 3)))] * 3
+        with pytest.raises(ValidationError,
+                           match=r"^emit_potentials\[1\] has shape \(2, 2\), expected \(2, 3\)"):
+            CrfModel(hidden, obs, [np.zeros((2, 2))] * 2,
+                     [emits[0], Table2(np.zeros((2, 2))), emits[2]])
+        with pytest.raises(ValidationError,
+                           match=r"^pair_potentials\[0\] has shape \(3, 3\), expected \(2, 2\)"):
+            CrfModel(hidden, obs, np.zeros((2, 3, 3)), emits)
 
     def test_random_model_deterministic(self):
         a = random_crf_model(3, 2, 2, seed=9)
         b = random_crf_model(3, 2, 2, seed=9)
-        for ta, tb in zip(a.pair_potentials + a.emit_potentials,
-                          b.pair_potentials + b.emit_potentials):
+        for ta, tb in zip((*a.pair_potentials, *a.emit_potentials),
+                          (*b.pair_potentials, *b.emit_potentials)):
             assert np.array_equal(ta.log_values, tb.log_values)
 
     def test_random_generalized_has_zero_cells(self):
         m = random_crf_model(6, 4, 3, seed=0, mode="generalized")
         cells = np.concatenate([t.log_values.ravel()
-                                for t in m.pair_potentials + m.emit_potentials])
+                                for t in (*m.pair_potentials, *m.emit_potentials)])
         frac = np.isneginf(cells).mean()
         assert 0.02 < frac < 0.25
 

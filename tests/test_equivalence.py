@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainequiv.crf import (
+    GENERALIZED,
+    STRICT,
     CrfModel,
     DegenerateModel,
     crf_posterior_marginals,
@@ -19,6 +21,7 @@ from chainequiv.equivalence import (
     build_psi,
     crf_to_hmc,
     crf_to_hmc_generalized,
+    hmc_to_crf,
 )
 from chainequiv.hmc import hmc_log_evidence, hmc_log_joint, hmc_posterior_marginals
 from chainequiv.oracle import (
@@ -29,7 +32,7 @@ from chainequiv.oracle import (
 )
 from chainequiv.tables import LOG_ZERO, Table2, ValidationError
 
-from conftest import brute_crf_posterior, label_space, naive_crf_score
+from conftest import brute_crf_posterior, brute_hmc_posterior, label_space, naive_crf_score
 
 
 def model_of(pair_arrays, emit_arrays, mode="strict"):
@@ -299,3 +302,42 @@ class TestGeneralizedMode:
         np.testing.assert_allclose(crf_posterior_marginals(m, y).probabilities(),
                                    hmc_posterior_marginals(hmc, y).probabilities(),
                                    atol=1e-10)
+
+
+class TestHmcToCrf:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 5), st.integers(2, 4), st.integers(1, 3),
+           st.sampled_from([STRICT, GENERALIZED]))
+    def test_crf_hmc_crf_hmc_round_trip(self, seed, n, k, l, mode):
+        m = random_crf_model(n, k, l, seed=seed, mode=mode)
+        try:
+            first, first_trace = crf_to_hmc_generalized(m)
+        except DegenerateModel:
+            assume(False)
+        back = hmc_to_crf(first)
+        finite = all(np.isfinite(t.log_values).all()
+                     for t in (first.init, first.transitions, first.emissions))
+        assert back.mode == (STRICT if finite else GENERALIZED)
+        second, second_trace = crf_to_hmc_generalized(back)
+
+        y = tuple(int(v) for v in np.random.default_rng(seed).integers(0, l, n))
+        try:
+            want, _ = brute_crf_posterior(m, y)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                brute_crf_posterior(back, y)
+            return
+        for got, _ in (brute_crf_posterior(back, y), brute_hmc_posterior(second, y)):
+            assert max(abs(got[x] - p) for x, p in want.items()) <= 1e-10
+
+        np.testing.assert_allclose(second.init.probabilities(), first.init.probabilities(),
+                                   rtol=0, atol=1e-12)
+        for pos in range(n):
+            live = [x for x in range(k) if x not in first_trace.unreachable[pos]
+                    and x not in second_trace.unreachable[pos]]
+            pairs = ((first.emissions, second.emissions),)
+            if pos < n - 1:
+                pairs += ((first.transitions, second.transitions),)
+            for a, b in pairs:
+                np.testing.assert_allclose(b[pos].probabilities()[live],
+                                           a[pos].probabilities()[live], rtol=0, atol=1e-12)

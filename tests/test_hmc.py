@@ -18,7 +18,7 @@ from chainequiv.hmc import (
     hmc_posterior_marginals,
     hmc_posterior_marginals_batch,
 )
-from chainequiv.tables import LOG_ZERO, LengthMismatch, ValidationError
+from chainequiv.tables import LOG_ZERO, LengthMismatch, Table1, Table2, ValidationError
 
 from conftest import brute_hmc_posterior, label_space, marginals_of, naive_hmc_log_joint
 
@@ -58,6 +58,23 @@ class TestModelValidation:
         off = 1 + 4e-10
         m = build([0.5 * off, 0.5 * off], [], [np.full((2, 2), 0.5)])
         assert m.init.probabilities().sum() == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("field", ["transitions", "emissions"])
+    def test_stochastic_error_names_the_table_and_row(self, field):
+        tables = {"transitions": [np.full((2, 2), 0.5)] * 3, "emissions": [np.full((2, 2), 0.5)] * 4}
+        tables[field][2] = np.array([[0.5, 0.5], [0.9, 0.3]])
+        with pytest.raises(ValidationError, match=rf"^{field}\[2\] row 1 sums to 1.2,"):
+            build([0.5, 0.5], tables["transitions"], tables["emissions"])
+
+    def test_homogeneous_keeps_one_table_pair(self):
+        hidden, obs = default_alphabets(2, 2)
+        trans = Table2.from_probabilities(np.full((2, 2), 0.5))
+        emit = Table2.from_probabilities([[0.25, 0.75], [1.0, 0.0]])
+        m = HmcModel.homogeneous(hidden, obs, 1000, Table1.from_probabilities([0.5, 0.5]),
+                                 trans, emit)
+        assert m.transitions.log_values.strides[0] == 0
+        assert m.emissions.log_values.strides[0] == 0
+        assert m.emissions.shape == (1000, 2, 2)
 
     def test_table_counts(self):
         with pytest.raises(ValidationError):

@@ -15,6 +15,7 @@ from chainequiv.tables import (
     PosteriorMarginals,
     Table1,
     Table2,
+    Table3,
     ValidationError,
     hamming_loss,
     log_sum_exp,
@@ -226,6 +227,53 @@ class TestTables:
         t = Table1([1.0, 2.0])
         with pytest.raises(ValueError):
             t.log_values[0] = 5.0
+
+    def test_partial_index_is_a_read_only_sub_table(self):
+        values = np.arange(24.0).reshape(2, 3, 4)
+        stack = Table3(values)
+        table = stack[1]
+        assert type(table) is Table2
+        assert np.array_equal(table.log_values, values[1])
+        assert np.shares_memory(table.log_values, stack.log_values)
+        with pytest.raises(ValueError):
+            table.log_values[0, 0] = 5.0
+        row = stack[1, 2]
+        assert type(row) is Table1 and np.array_equal(row.log_values, values[1, 2])
+        assert type(table[2]) is Table1
+        assert stack[-1][0, 0] == stack[1][0, 0] == 12.0
+        assert type(stack[:1]) is Table3 and stack[:1].shape == (1, 3, 4)
+        assert stack[1, 2, 3] == 23.0 and type(stack[1, 2, 3]) is float
+
+    def test_len_and_iteration_run_over_axis_0(self):
+        values = np.arange(12.0).reshape(3, 2, 2)
+        stack = Table3(values)
+        assert len(stack) == 3
+        tables = list(stack)
+        assert [type(t) for t in tables] == [Table2] * 3
+        assert all(np.array_equal(t.log_values, v) for t, v in zip(tables, values))
+        assert [len(t) for t in tables] == [2, 2, 2]
+        assert list(Table1([1.0, 2.0])) == [1.0, 2.0]
+
+    def test_out_of_range_index_raises_index_error(self):
+        stack = Table3(np.zeros((2, 3, 4)))
+        for index in (2, -3, (0, 3), (2, 0, 0), (0, 0, 4), (0, 0, -1), (0, 0, 0, 0)):
+            with pytest.raises(IndexError):
+                stack[index]
+
+    def test_empty_leading_axis_only_for_stacks(self):
+        empty = Table3(np.zeros((0, 2, 3)))
+        assert len(empty) == 0 and list(empty) == []
+        for bad in (np.zeros((2, 0, 3)), np.zeros((0, 0, 0)), []):
+            with pytest.raises(ValidationError):
+                Table3(bad)
+        with pytest.raises(ValidationError):
+            Table2(np.zeros((0, 2)))
+
+    def test_a_sequence_of_tables_stacks(self):
+        tables = [Table2([[0.0, 1.0]]), Table2([[2.0, LOG_ZERO]])]
+        assert np.array_equal(Table3(tables).log_values, [[[0.0, 1.0]], [[2.0, LOG_ZERO]]])
+        with pytest.raises(ValidationError):
+            Table3([Table2([[0.0, 1.0]]), Table2([[0.0]])])
 
     def test_from_probabilities(self):
         t = Table1.from_probabilities([0.5, 0.0, 0.5])
