@@ -25,6 +25,7 @@ from .tables import (
 from .crf import (
     CrfModel,
     DegenerateModel,
+    ScoreOverflow,
     crf_log_normalizer,
     crf_log_score,
     crf_mpm_decode,

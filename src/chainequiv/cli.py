@@ -62,12 +62,93 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {e}") from None
 
 
-def _write_text(path: str, text: str):
-    """Write ``text`` to ``path`` (``"-"`` for stdout)."""
+# ---------------------------------------------------------------------------
+# JSON output
+#
+# Every JSON document the CLI writes has the layout of ``json.dumps(doc,
+# indent=2)``, which runs the pure-Python encoder.  An array runs the C
+# encoder instead, one block of its leading axis at a time, at most
+# JSON_BLOCK_CELLS cells (one item when an item is larger): the compact text
+# of ``block.tolist()`` has, between two cells, ``]`` * j + ``", "`` + ``[``
+# * j for some depth j, and one ``str.replace`` per depth, the longest
+# separator first, turns each into its indented form.  The rest of a document
+# (symbols, counts, the report) is small and keeps ``json.dumps(...,
+# indent=2)``.  Pieces are written as they are made.
+# ---------------------------------------------------------------------------
+
+JSON_BLOCK_CELLS = 2**14
+
+
+def _indent(level: int) -> str:
+    return "\n" + "  " * level
+
+
+def _array_pieces(a: np.ndarray, level: int):
+    """The ``indent=2`` text of the float array ``a`` in pieces, as a value on a line at ``level``.
+
+    Cells are shortest round-trip decimals and ``-inf`` is its string token;
+    ``a`` holds no NaN or ``+inf`` and only its leading axis may be empty.
+    """
+    if len(a) == 0:
+        yield "[]"
+        return
+    depth, item = a.ndim - 1, level + 1  # brackets inside one item; the items' level
+    opens = [_indent(item + q) + "[" for q in range(depth)]
+    closes = [_indent(item + q) + "]" for q in range(depth)]
+    separators = [("]" * j + ", " + "[" * j,
+                   "".join(closes[depth - j:][::-1]) + "," + "".join(opens[depth - j:])
+                   + _indent(item + depth))
+                  for j in range(depth, -1, -1)]
+    rows = max(1, JSON_BLOCK_CELLS // math.prod(a.shape[1:]))
+    yield "[" + "".join(opens) + _indent(item + depth)
+    for start in range(0, len(a), rows):
+        text = json.dumps(a[start:start + rows].tolist()).replace("-Infinity", f'"{NEG_INF_TOKEN}"')
+        for compact, indented in separators:
+            text = text.replace(compact, indented)
+        yield (separators[0][1] if start else "") + text[depth + 1:len(text) - depth - 1]
+    yield "".join(closes[::-1]) + _indent(level) + "]"
+
+
+def _json_pieces(doc: dict):
+    """Check ``doc`` whole, then return its pieces: ``json.dumps(doc, indent=2) + "\\n"``.
+
+    ``doc`` maps names to numpy arrays, written by :func:`_array_pieces`, or
+    to other JSON values, each run of which is one ``json.dumps`` of its
+    items.  A NaN or infinite number, other than ``-inf`` in an array,
+    raises ValueError here, before any piece exists.
+    """
+    runs = []  # the text of a run of other items, or (quoted key, array)
+    for is_array, items in itertools.groupby(doc.items(), lambda item: isinstance(item[1], np.ndarray)):
+        if not is_array:
+            runs.append(json.dumps(dict(items), indent=2, allow_nan=False)[1:-2])  # no braces
+            continue
+        for key, value in items:
+            value = np.asarray(value, dtype=float)
+            if not (value < math.inf).all():
+                raise ValueError(f"{key}: NaN and +inf cannot be written as JSON")
+            runs.append((json.dumps(key), value))
+
+    def pieces():
+        for i, run in enumerate(runs):
+            yield "," if i else "{"
+            if isinstance(run, str):
+                yield run
+            else:
+                yield _indent(1) + run[0] + ": "
+                yield from _array_pieces(run[1], 1)
+        yield "\n}\n"
+
+    return pieces()
+
+
+def _write_json(path: str, doc: dict):
+    """Write ``doc`` to ``path`` (``"-"`` for stdout) piece by piece; see :func:`_json_pieces`."""
+    pieces = _json_pieces(doc)
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            out.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +222,6 @@ def _parse_array(value, shape: tuple[int, ...], path: str, nonnegative: bool = F
             raise ParseError(f"{path}[{j}]: probabilities must be nonnegative")
         out.append(v)
     return np.array(out)
-
-
-def _jsonable(a: np.ndarray):
-    """Nested lists with -inf replaced by its string token."""
-    if a.ndim == 1:
-        return [NEG_INF_TOKEN if v == float("-inf") else float(v) for v in a]
-    return [_jsonable(row) for row in a]
 
 
 def _symbols(value, path: str) -> tuple[str, ...]:
@@ -224,7 +298,7 @@ class ModelFile:
         emit = _parse_array(doc.get("emit"), (n, k, l), "emit", nonnegative=True)
         return cls(kind, hidden, obs, n, mode, init=init, trans=trans, emit=emit)
 
-    def to_json(self) -> str:
+    def _document(self) -> dict:
         doc = {
             "kind": self.kind,
             "hidden_symbols": list(self.hidden_symbols),
@@ -232,21 +306,18 @@ class ModelFile:
             "n": self.n,
             "mode": self.mode,
         }
-        if self.kind == "crf":
-            doc["V"] = _jsonable(self.V)
-            doc["U"] = _jsonable(self.U)
-        else:
-            doc["init"] = _jsonable(self.init)
-            doc["trans"] = _jsonable(self.trans)
-            doc["emit"] = _jsonable(self.emit)
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        keys = ("V", "U") if self.kind == "crf" else ("init", "trans", "emit")
+        return doc | {key: getattr(self, key) for key in keys}
+
+    def to_json(self) -> str:
+        return "".join(_json_pieces(self._document()))
 
     @classmethod
     def load(cls, path: str) -> "ModelFile":
         return cls.from_json(_read_text(path))
 
     def dump(self, path: str):
-        _write_text(path, self.to_json())
+        _write_json(path, self._document())
 
     @classmethod
     def from_crf(cls, model: CrfModel) -> "ModelFile":
@@ -332,13 +403,12 @@ def cmd_convert(args) -> int:
         return _fail(EXIT_DEGENERATE, str(e))
     ModelFile.from_hmc(hmc, mode=model.mode).dump(args.output)
     if args.trace is not None:
-        doc = {
-            "psi": _jsonable(trace.psi.log_values),
-            "phi": _jsonable(trace.phi.log_values),
-            "beta": _jsonable(trace.beta.log_values),
+        _write_json(args.trace, {
+            "psi": trace.psi.log_values,
+            "phi": trace.phi.log_values,
+            "beta": trace.beta.log_values,
             "unreachable": [sorted(u) for u in trace.unreachable],
-        }
-        _write_text(args.trace, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        })
     return EXIT_OK
 
 
@@ -532,7 +602,7 @@ def cmd_verify(args) -> int:
     print(f"worst y: {' '.join(report['worst_y'])} (position {worst_pos})")
     print("PASS" if passed else "FAIL")
     if args.report is not None:
-        Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
+        Path(args.report).write_text("".join(_json_pieces(report)))
     return EXIT_OK if passed else EXIT_MISMATCH
 
 

@@ -36,10 +36,26 @@ STRICT = "strict"
 GENERALIZED = "generalized"
 MODES = (STRICT, GENERALIZED)
 ZERO_WEIGHT = "all label sequences have zero weight for these observations"
+# The largest allowed bound on the size of a path score: for the pairwise
+# and for the emission stack, the number of tables times the largest finite
+# |potential| among them, summed.  The chain passes, the construction and the
+# oracle add at most a few scores of this size (plus logs of label counts):
+# far inside the float range, which ends near 1.8e308.
+SCORE_LIMIT = 1e300
 
 
 class DegenerateModel(ValueError):
     """Every label sequence has zero weight for the given observations."""
+
+
+class ScoreOverflow(ValidationError):
+    """The potentials are finite, but sums of them along a path can leave the float range."""
+
+
+def _score_bound(stack: np.ndarray) -> float:
+    """The number of tables in a stack times their largest finite |potential|."""
+    a = distinct_tables(stack)  # a tiled stack's one table stands for every position
+    return len(stack) * float(np.abs(a).max(where=np.isfinite(a), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +75,8 @@ class CrfModel:
         additionally allows ``-inf`` (weight exactly zero).
 
     The constructor takes each stack as a Table3, an array-like or a
-    sequence of Table2, and checks it once.
+    sequence of Table2, and checks it once.  When a path score could pass
+    SCORE_LIMIT in size, it raises :class:`ScoreOverflow`.
     """
 
     hidden: Alphabet
@@ -81,6 +98,10 @@ class CrfModel:
                 if zeros.any():
                     raise ValidationError(f"{name}[{int(np.argmax(zeros))}] contains -inf; "
                                           "strict mode requires finite potentials")
+        bound = sum(_score_bound(stack.log_values) for stack in stacks)
+        if not bound <= SCORE_LIMIT:
+            raise ScoreOverflow(f"path scores may reach {bound:.3g} in size, above {SCORE_LIMIT:g} "
+                                "(tables times the largest |potential|): they could overflow floats")
 
     @property
     def length(self) -> int:

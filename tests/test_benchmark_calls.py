@@ -1,11 +1,13 @@
-"""The library calls the benchmark makes (perfbench/workloads.py) still run and give right answers.
+"""The calls the benchmark makes (perfbench/workloads.py) still run and give right answers.
 
 ``MarginalsWide`` builds its CRFs as ``CrfModel(hidden, obs, tuple(Table2(v)
 for v in V), ...)``, converts them with ``crf_to_hmc_generalized`` and reads
 the HMC's ``init.log_values`` and the ``log_values`` of each of its
-``transitions`` and ``emissions``.  Each of its operations checks its output
-against perfbench's reference, which imports nothing from chainequiv, and
-raises on a mismatch.
+``transitions`` and ``emissions``.  ``ConvertLong`` and ``ConvertVerify``
+run ``convert`` (with ``--trace``) and ``verify --against`` through the CLI
+and read the files written with perfbench's own reader.  Each operation
+checks its output against perfbench's reference, which imports nothing from
+chainequiv, and raises on a mismatch.
 """
 
 import sys
@@ -35,3 +37,22 @@ def test_marginals_wide_ops_run_and_pass_their_checks(perfbench, tmp_path):
     assert len(ops) == 2 * len(workload.MODELS)
     for op in ops:
         assert op().items == workload.COLUMNS
+
+
+def test_convert_ops_run_and_pass_their_checks(perfbench, tmp_path):
+    import workloads
+    from hostspeed import Clock
+
+    class ShortConvertLong(workloads.ConvertLong):
+        LENGTH = 40
+
+    class FewConvertVerify(workloads.ConvertVerify):
+        MODELS = 12
+
+    for cls, items in ((ShortConvertLong, 40), (FewConvertVerify, 1)):
+        workload = cls(1, tmp_path / cls.name, Clock())
+        ops = workload.ops()
+        assert ops
+        for op in ops:
+            assert op().items == items
+        assert workload.verified

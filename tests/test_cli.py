@@ -240,6 +240,39 @@ class TestConvert:
                      "--against", str(tmp_path / "h.json")]) == EXIT_OK
 
 
+class TestScoreOverflow:
+    """Finite potentials whose path sums overflow floats: exit 2 before any output."""
+
+    @staticmethod
+    def model(tmp_path) -> str:
+        doc = json.loads(symmetric_crf_json())
+        doc["V"] = [[[1e308, 1e308], [1e308, 1e308]]]
+        doc["U"] = [[[1e308], [1e308]], [[1e308], [1e308]]]
+        return write(tmp_path / "big.json", json.dumps(doc))
+
+    @staticmethod
+    def check_nothing_written(capsys, *paths: Path):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "overflow" in captured.err
+        assert not any(p.exists() for p in paths)
+
+    def test_convert(self, tmp_path, capsys):
+        out, trace = tmp_path / "h.json", tmp_path / "t.json"
+        assert main(["convert", self.model(tmp_path), "-o", str(out), "--trace", str(trace)]) == EXIT_PARSE
+        self.check_nothing_written(capsys, out, trace)
+
+    def test_decode(self, tmp_path, capsys):
+        seqs = write(tmp_path / "seqs.txt", "x x\n")
+        assert main(["decode", self.model(tmp_path), seqs, "--marginals"]) == EXIT_PARSE
+        self.check_nothing_written(capsys)
+
+    def test_verify(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert main(["verify", self.model(tmp_path), "--report", str(report)]) == EXIT_PARSE
+        self.check_nothing_written(capsys, report)
+
+
 class TestDecode:
     def test_pinning_emissions(self, tmp_path, capsys):
         model = write(tmp_path / "h.json", pinning_hmc_json())

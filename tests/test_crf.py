@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from chainequiv.crf import (
     CrfModel,
+    SCORE_LIMIT,
     DegenerateModel,
+    ScoreOverflow,
     crf_log_normalizer,
     crf_log_score,
     crf_mpm_decode,
@@ -82,6 +84,31 @@ class TestModelValidation:
         with pytest.raises(ValidationError,
                            match=r"^pair_potentials\[0\] has shape \(3, 3\), expected \(2, 2\)"):
             CrfModel(hidden, obs, np.zeros((2, 3, 3)), emits)
+
+    def test_path_sums_beyond_the_float_range_raise_score_overflow(self):
+        # Every potential is finite, but V + U is 2e308: +inf in float arithmetic.
+        hidden, obs = default_alphabets(2, 1)
+        with pytest.raises(ScoreOverflow, match="overflow"):
+            CrfModel(hidden, obs, [np.full((2, 2), 1e308)], [np.full((2, 1), 1e308)] * 2)
+        with pytest.raises(ScoreOverflow):
+            CrfModel(hidden, obs, [np.full((2, 2), -1e308)], [np.full((2, 1), -1e308)] * 2)
+        assert issubclass(ScoreOverflow, ValidationError)
+
+    def test_score_bound_counts_every_position_of_a_tiled_model(self):
+        hidden, obs = default_alphabets(2, 2)
+        pair = Table2(np.full((2, 2), -SCORE_LIMIT / 1e4))
+        emit = Table2([[SCORE_LIMIT / 1e4, LOG_ZERO], [0.0, 0.0]])
+        CrfModel.homogeneous(hidden, obs, 5000, pair, emit, mode="generalized")
+        with pytest.raises(ScoreOverflow):
+            CrfModel.homogeneous(hidden, obs, 5001, pair, emit, mode="generalized")
+
+    def test_scores_just_inside_the_limit_give_finite_marginals(self):
+        hidden, obs = default_alphabets(2, 1)
+        pair = np.array([[SCORE_LIMIT / 2, 0.0], [0.0, 0.0]])
+        m = CrfModel(hidden, obs, [pair], [np.array([[SCORE_LIMIT / 4], [0.0]])] * 2)
+        totals, log_marginals = crf_posterior_marginals_batch(m, [[0, 0]])
+        assert totals[0] == SCORE_LIMIT
+        np.testing.assert_array_equal(np.exp(log_marginals[0]), [[1.0, 0.0], [1.0, 0.0]])
 
     def test_random_model_deterministic(self):
         a = random_crf_model(3, 2, 2, seed=9)

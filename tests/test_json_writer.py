@@ -1,0 +1,101 @@
+"""The CLI's JSON writer against the standard library's ``indent=2`` encoder.
+
+The writer encodes each array a block of its leading axis at a time with the
+compact C encoder and restores the ``indent=2`` layout by string
+replacement.  The reference here is ``json.dumps(..., indent=2)`` on plain
+nested lists, with every ``-inf`` cell replaced by the ``"-inf"`` token.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from chainequiv import cli
+from chainequiv.cli import ModelFile
+
+SPECIAL = (1e-300, 1e300, -0.0, -math.inf, -1e-300, -1e300, 2.0, 0.1)
+
+
+def reference(doc: dict) -> str:
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if isinstance(value, list):
+            return [plain(v) for v in value]
+        return "-inf" if value == -math.inf else value
+
+    return json.dumps({key: plain(v) for key, v in doc.items()}, indent=2, allow_nan=False) + "\n"
+
+
+def cells(shape, seed: int) -> np.ndarray:
+    """Signed magnitudes from 1e-300 to 1e300, -inf and -0.0 cells, and the SPECIAL values."""
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    a[rng.random(shape) < 0.2] = -math.inf
+    a[rng.random(shape) < 0.1] = -0.0
+    a.flat[:len(SPECIAL)] = SPECIAL[:a.size]
+    return a
+
+
+def written(doc: dict) -> str:
+    return "".join(cli._json_pieces(doc))
+
+
+SHAPES = [(9,), (1,), (4, 3), (1, 1), (6, 2, 3), (5, 1, 4), (0, 2, 2), (0, 3)]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("tables_per_block", [1, 2, 3, None])
+def test_arrays_match_the_indenting_encoder(monkeypatch, shape, tables_per_block):
+    if tables_per_block is not None:
+        monkeypatch.setattr(cli, "JSON_BLOCK_CELLS", tables_per_block * math.prod(shape[1:]))
+    a = cells(shape, seed=len(shape) * 10 + shape[0])
+    doc = {"kind": "x", "symbols": ["a", "b"], "none": [], "n": 3, "a": a,
+           "nested": [[], [1, 2]], "first": a[:1]}
+    assert written(doc) == reference(doc)
+
+
+@pytest.mark.parametrize("block_cells", [1, 5, 7, 64])
+def test_block_sizes_that_are_not_whole_items(monkeypatch, block_cells):
+    monkeypatch.setattr(cli, "JSON_BLOCK_CELLS", block_cells)
+    doc = {"psi": cells((7, 4), 1), "phi": cells((6, 4, 4), 2), "beta": cells((7, 4), 3)}
+    assert written(doc) == reference(doc)
+
+
+@pytest.mark.parametrize("tables_per_block", [1, 2, 3])
+def test_model_files_match_the_indenting_encoder(monkeypatch, tmp_path, tables_per_block):
+    k, l = 3, 2
+    monkeypatch.setattr(cli, "JSON_BLOCK_CELLS", tables_per_block * k * l)
+    hidden, obs = ("h0", "h1", "h2"), ("o0", "o1")
+    crf1 = ModelFile("crf", hidden, obs, 1, "generalized", V=np.empty((0, k, k)), U=cells((1, k, l), 4))
+    crf = ModelFile("crf", hidden, obs, 7, "generalized", V=cells((6, k, k), 5), U=cells((7, k, l), 6))
+    hmc = ModelFile("hmc", hidden, obs, 7, "strict", init=np.full(k, 1 / 3),
+                    trans=np.full((6, k, k), 1 / 3), emit=np.full((7, k, l), 0.5))
+    for mf in (crf1, crf, hmc):
+        keys = ("V", "U") if mf.kind == "crf" else ("init", "trans", "emit")
+        doc = {"kind": mf.kind, "hidden_symbols": list(hidden), "obs_symbols": list(obs),
+               "n": mf.n, "mode": mf.mode} | {key: getattr(mf, key) for key in keys}
+        assert mf.to_json() == reference(doc)
+        mf.dump(str(tmp_path / "m.json"))
+        assert (tmp_path / "m.json").read_text() == reference(doc)
+    assert '"V": []' in crf1.to_json()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", [0, -1])
+def test_nan_or_inf_cell_raises_and_writes_nothing(tmp_path, capsys, bad, where):
+    U = cells((4, 2, 3), 7)
+    U.flat[where] = bad
+    mf = ModelFile("crf", ("a", "b"), ("x", "y", "z"), 4, "generalized", V=cells((3, 2, 2), 8), U=U)
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError, match="U"):
+        mf.dump(str(path))
+    assert not path.exists()
+    with pytest.raises(ValueError):
+        mf.dump("-")
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ValueError):
+        cli._write_json(str(path), {"first": cells((2, 2), 9), "last": [1.0, bad]})
+    assert not path.exists()
