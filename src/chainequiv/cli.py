@@ -12,6 +12,7 @@ observation, 5 equivalence failure, 6 budget exceeded.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -51,7 +52,10 @@ NEG_INF_TOKEN = "-inf"
 
 
 class ParseError(ValueError):
-    """A model or sequence file was rejected; the message names the spot."""
+    """A model or sequence file was rejected, or its CRF could not be converted.
+
+    The message names the spot.
+    """
 
 
 def _read_text(path: str) -> str:
@@ -388,17 +392,25 @@ def _load_crf(path: str, command: str) -> CrfModel:
 
 
 def _to_hmc(model: CrfModel):
-    """``(hmc, trace)`` from the conversion entry point for the model's mode."""
-    return crf_to_hmc(model) if model.mode == STRICT else crf_to_hmc_generalized(model)
+    """``(hmc, trace)`` from the conversion entry point for the model's mode.
+
+    Raises DegenerateModel for a CRF of zero total weight, and ParseError
+    when the constructed rows fail the HMC checks.
+    """
+    try:
+        return crf_to_hmc(model) if model.mode == STRICT else crf_to_hmc_generalized(model)
+    except ValidationError as e:
+        # At very large potentials the construction subtracts suffix sums as
+        # large as the path scores and can lose every digit of a row.
+        raise ParseError(f"the HMC construction lost precision: {e}") from None
 
 
 def cmd_convert(args) -> int:
     try:
         model = _load_crf(args.model, "convert")
+        hmc, trace = _to_hmc(model)
     except ParseError as e:
         return _fail(EXIT_PARSE, str(e))
-    try:
-        hmc, trace = _to_hmc(model)
     except DegenerateModel as e:
         return _fail(EXIT_DEGENERATE, str(e))
     ModelFile.from_hmc(hmc, mode=model.mode).dump(args.output)
@@ -525,11 +537,9 @@ def cmd_verify(args) -> int:
                     or against.obs.symbols != model.obs.symbols
                     or against.length != model.length):
                 raise ParseError("--against model does not match the CRF's alphabets and length")
+        hmc = against if against is not None else _to_hmc(model)[0]
     except ParseError as e:
         return _fail(EXIT_PARSE, str(e))
-
-    try:
-        hmc = against if against is not None else _to_hmc(model)[0]
     except DegenerateModel as e:
         return _fail(EXIT_DEGENERATE, str(e))
 
@@ -563,18 +573,18 @@ def cmd_verify(args) -> int:
         skipped += int((~valid).sum())
         if not valid.any():
             continue
-        pc, ph, block = pc[valid], ph[valid], block[valid]
-        hmc_dead = np.isnan(ph[:, 0])
-        ph = np.where(np.isnan(ph), 0.0, ph)
+        if not valid.all():
+            pc, ph, block = pc[valid], ph[valid], block[valid]
+        # A NaN can only fill a whole dead HMC row, whose NaN maximum is overwritten.
         diffs = np.abs(pc - ph).max(axis=1)
-        diffs[hmc_dead] = 1.0
+        diffs[np.isnan(ph[:, 0])] = 1.0
         checked += len(block)
         i = int(np.argmax(diffs))
         if diffs[i] > worst:
             worst = float(diffs[i])
             worst_y = tuple(int(v) for v in block[i])
             mc = posterior_matrix_marginals(pc[i:i + 1], k, n)
-            mh = posterior_matrix_marginals(ph[i:i + 1], k, n)
+            mh = posterior_matrix_marginals(np.nan_to_num(ph[i:i + 1], nan=0.0), k, n)
             worst_pos = int(np.argmax(np.abs(mc - mh).max(axis=2)))
 
     if checked == 0:
@@ -602,11 +612,14 @@ def cmd_verify(args) -> int:
     print(f"worst y: {' '.join(report['worst_y'])} (position {worst_pos})")
     print("PASS" if passed else "FAIL")
     if args.report is not None:
-        Path(args.report).write_text("".join(_json_pieces(report)))
+        _write_json(args.report, report)
     return EXIT_OK if passed else EXIT_MISMATCH
 
 
-def main(argv=None) -> int:
+# Built once per process: ``main`` only calls ``parse_args`` on it, which
+# returns a fresh namespace each time and leaves the parser as it was.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chainequiv",
         description="Linear-chain CRFs, hidden Markov chains, and the exact conversion between them.",
@@ -650,10 +663,14 @@ def main(argv=None) -> int:
     p.add_argument("--samples", type=int, default=None,
                    help="check this many random y instead of all of them")
     p.add_argument("--seed", type=int, default=0, help="seed for --samples (default 0)")
-    p.add_argument("--report", metavar="FILE", help="write a machine-readable JSON report")
+    p.add_argument("--report", metavar="FILE",
+                   help='write a machine-readable JSON report ("-" for stdout, after the summary)')
     p.set_defaults(func=cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

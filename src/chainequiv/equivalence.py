@@ -103,7 +103,9 @@ def crf_to_hmc(model: CrfModel) -> tuple[HmcModel, ConstructionTrace]:
     For strict-mode models only (all potentials finite); use
     :func:`crf_to_hmc_generalized` when zero weights are allowed.  For every
     observation sequence the returned chain's posterior over labelings
-    equals the CRF posterior.
+    equals the CRF posterior.  Raises ValidationError when the built rows
+    fail the HMC checks, which happens when the construction loses precision
+    at very large potentials.
     """
     if model.mode != STRICT:
         raise ValidationError(

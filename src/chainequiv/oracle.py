@@ -3,7 +3,10 @@
 Enumeration materializes the exact posterior over every labeling of a fixed
 observation sequence.  It is deliberately independent of the forward-backward
 code: scores come straight from table lookups over the full path matrix and
-are normalized by direct summation.
+are normalized by direct summation.  The pairwise part of every path score is
+the same for all observation rows, so it is summed once per call and shared;
+each score adds its pairwise entries in step order, then its emission entries
+in position order, starting from 0.0 (see :func:`_score_matrix`).
 """
 
 from dataclasses import dataclass
@@ -116,17 +119,25 @@ def _score_matrix(pairs, emits, obs: np.ndarray) -> np.ndarray:
     """(num_sequences, num_labelings) log weight of every labeling of each row.
 
     Takes a model as CRF factors (pairwise tables, emission tables) and
-    scores every labeling by summing its table entries; the sum is organized
-    as broadcast adds over the (sequences, label, label, ...) tensor, with
-    labelings flattened in lexicographic order.
+    scores every labeling by summing its table entries, with labelings
+    flattened in lexicographic order.  The pairwise tables do not depend on
+    the observations, so they are summed once, in step order starting from
+    0.0, into a (1, label, label, ...) path tensor; the emission entries of
+    each row are then added in position order, the first add making the
+    (sequences, label, label, ...) tensor.  Every cell therefore adds its
+    entries in one fixed order: pairwise by step, then emissions by position.
     """
     k, n, c = len(emits[0]), len(emits), len(obs)
-    scores = np.zeros((c,) + (k,) * n)
+    path = np.zeros((1,) + (k,) * n)
     for step, t in enumerate(pairs):
-        scores += t.reshape(_table_shape(k, n, step, 2))
-    for pos, t in enumerate(emits):
-        picked = t[:, obs[:, pos]].T  # (sequences, labels)
-        scores += picked.reshape((c,) + _table_shape(k, n, pos, 1)[1:])
+        path += t.reshape(_table_shape(k, n, step, 2))
+
+    def picked(pos):  # the rows' emission entries at ``pos``, (sequences, labels) broadcast
+        return emits[pos][:, obs[:, pos]].T.reshape((c,) + _table_shape(k, n, pos, 1)[1:])
+
+    scores = path + picked(0)
+    for pos in range(1, n):
+        scores += picked(pos)
     return scores.reshape(c, k**n)
 
 

@@ -24,9 +24,11 @@ from chainequiv.cli import (
     main,
     read_sequences,
 )
-from chainequiv.crf import DegenerateModel, default_alphabets
+from chainequiv.crf import DegenerateModel, default_alphabets, random_crf_model
 from chainequiv.hmc import ImpossibleObservation
 from chainequiv.tables import ValidationError
+
+from conftest import brute_crf_posterior, label_space, marginals_of, naive_crf_score
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -273,6 +275,38 @@ class TestScoreOverflow:
         self.check_nothing_written(capsys, report)
 
 
+class TestConstructionPrecision:
+    """Potentials below the overflow limit at which the HMC rows lose every digit: exit 2."""
+
+    @staticmethod
+    def model(tmp_path, value: float) -> str:
+        doc = json.loads(symmetric_crf_json())
+        doc["V"] = [[[value, value], [value, value]]]
+        doc["U"] = [[[value], [value]], [[value], [value]]]
+        return write(tmp_path / "big.json", json.dumps(doc))
+
+    @staticmethod
+    def check_one_error_line(capsys, *paths: Path):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "transitions[0] row 0 sums to" in captured.err
+        assert not any(p.exists() for p in paths)
+
+    @pytest.mark.parametrize("value", [1e15, 1e16], ids=["1e15", "1e16"])
+    def test_convert(self, tmp_path, capsys, value):
+        out, trace = tmp_path / "h.json", tmp_path / "t.json"
+        assert main(["convert", self.model(tmp_path, value), "-o", str(out),
+                     "--trace", str(trace)]) == EXIT_PARSE
+        self.check_one_error_line(capsys, out, trace)
+
+    @pytest.mark.parametrize("value", [1e15, 1e16], ids=["1e15", "1e16"])
+    def test_verify(self, tmp_path, capsys, value):
+        report = tmp_path / "r.json"
+        assert main(["verify", self.model(tmp_path, value), "--report", str(report)]) == EXIT_PARSE
+        self.check_one_error_line(capsys, report)
+
+
 class TestDecode:
     def test_pinning_emissions(self, tmp_path, capsys):
         model = write(tmp_path / "h.json", pinning_hmc_json())
@@ -474,6 +508,61 @@ class TestVerify:
         assert rep["exhaustive"] is True
         assert rep["sequences_checked"] == 16
 
+    def test_report_to_stdout_follows_the_summary(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        main(["random", "--n", "3", "--hidden", "2", "--obs", "2", "--seed", "13", "-o", "m.json"])
+        assert main(["verify", "m.json", "--report", "r.json"]) == EXIT_OK
+        summary = capsys.readouterr().out
+        assert main(["verify", "m.json", "--report", "-"]) == EXIT_OK
+        assert capsys.readouterr().out == summary + (tmp_path / "r.json").read_text()
+        assert not (tmp_path / "-").exists()
+
+    def test_chunked_sampling_counts_zero_evidence_rows(self, tmp_path):
+        # symbol o2 is impossible at position 1, so some sampled y have no weight
+        model = random_crf_model(4, 2, 3, seed=8, mode="generalized")
+        emits = np.array(model.emit_potentials.log_values)
+        emits[1][:, 2] = float("-inf")
+        model = CrfModel(model.hidden, model.obs, model.pair_potentials.log_values, emits,
+                         mode="generalized")
+        ModelFile.from_crf(model).dump(str(tmp_path / "m.json"))
+        reports = []
+        # 2^4 labelings: a budget of 48 checks 3 rows per chunk, 1000 all 40 in one
+        for budget in ("48", "1000"):
+            report = tmp_path / f"r{budget}.json"
+            assert main(["verify", str(tmp_path / "m.json"), "--budget", budget,
+                         "--samples", "40", "--seed", "3", "--report", str(report)]) == EXIT_OK
+            reports.append(report.read_text())
+        assert reports[0] == reports[1]
+        rep = json.loads(reports[0])
+        ys = np.random.default_rng(3).integers(0, 3, size=(40, 4))
+        dead = sum(all(naive_crf_score(model, x, y) == float("-inf") for x in label_space(2, 4))
+                   for y in ys.tolist())
+        assert 0 < dead < 40
+        assert rep["sequences_skipped_zero_evidence"] == dead
+        assert rep["sequences_checked"] == 40 - dead
+        assert rep["exhaustive"] is False and rep["passed"] is True
+
+    def test_dead_hmc_row_worst_position_uses_zero_marginals(self, tmp_path):
+        # The HMC forbids symbol o1, so its posterior for the first y holding
+        # o1 is dead (discrepancy 1) while the strict CRF's is not; the worst
+        # position compares the CRF marginals with zeros there.
+        main(["random", "--n", "3", "--hidden", "3", "--obs", "2", "--seed", "6",
+              "-o", str(tmp_path / "m.json")])
+        main(["convert", str(tmp_path / "m.json"), "-o", str(tmp_path / "h.json")])
+        doc = json.loads((tmp_path / "h.json").read_text())
+        doc["emit"] = [[[1.0, 0.0]] * 3] * 3
+        write(tmp_path / "h.json", json.dumps(doc))
+        report = tmp_path / "r.json"
+        assert main(["verify", str(tmp_path / "m.json"), "--against", str(tmp_path / "h.json"),
+                     "--report", str(report)]) == EXIT_MISMATCH
+        rep = json.loads(report.read_text())
+        model = ModelFile.load(str(tmp_path / "m.json")).to_model()
+        posterior, _ = brute_crf_posterior(model, (0, 0, 1))
+        marginals = marginals_of(posterior, 3, 3)
+        assert rep["max_discrepancy"] == 1.0
+        assert rep["worst_y"] == ["o0", "o0", "o1"]
+        assert rep["worst_position"] == int(np.argmax(marginals.max(axis=1)))
+
     def test_corrupted_against_fails_with_exit_5(self, tmp_path, capsys):
         main(["random", "--n", "3", "--hidden", "2", "--obs", "2", "--seed", "2",
               "-o", str(tmp_path / "m.json")])
@@ -567,3 +656,37 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert json.loads(out.stdout)["kind"] == "crf"
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    # Every call, made in one process after the calls before it, gives the
+    # bytes and exit code of the same call in a fresh process.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    main(["random", "--n", "3", "--hidden", "2", "--obs", "2", "--seed", "5", "-o", "m.json"])
+    write(tmp_path / "s.txt", "o0 o1 o0\no1 o1 o0 o1\n")
+    capsys.readouterr()
+    calls = [
+        # 2^3 labelings fit a budget of 40, 2^3 * 2^3 do not: --samples applies
+        ["verify", "m.json", "--samples", "3", "--seed", "5", "--tolerance", "0.5",
+         "--budget", "40", "--report", "-"],
+        ["verify", "m.json"],
+        ["decode", "m.json", "s.txt", "--tile", "--marginals"],
+        ["decode", "m.json", "s.txt"],
+        ["frobnicate"],
+        ["verify", "m.json"],
+        ["--help"],
+        ["decode", "m.json", "s.txt"],
+        ["verify", "--help"],
+        ["convert", "m.json"],
+    ]
+    env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "COLUMNS": "80"}
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "chainequiv", *argv],
+                               capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

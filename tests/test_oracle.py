@@ -6,8 +6,10 @@ import pytest
 
 from chainequiv.crf import DegenerateModel, default_alphabets, random_crf_model
 from chainequiv.crf import CrfModel, crf_posterior_marginals
-from chainequiv.equivalence import crf_to_hmc
+from chainequiv.crf import _factors as crf_factors
+from chainequiv.equivalence import crf_to_hmc, crf_to_hmc_generalized
 from chainequiv.hmc import HmcModel
+from chainequiv.hmc import _factors as hmc_factors
 from chainequiv.oracle import (
     BudgetExceeded,
     ShapeMismatch,
@@ -18,6 +20,7 @@ from chainequiv.oracle import (
     enumerate_hmc_posterior,
     enumerate_hmc_posterior_batch,
     posterior_matrix_marginals,
+    _score_matrix,
     _stable_total,
 )
 from chainequiv.tables import LOG_ZERO, Table2
@@ -191,6 +194,48 @@ class TestBatchEnumeration:
         pc, lk = enumerate_crf_posterior_batch(m, all_sequences(2, 1))
         assert np.isfinite(lk[0]) and np.isneginf(lk[1])
         assert np.isnan(pc[1]).all()
+
+
+def reference_scores(pairs, emits, obs) -> np.ndarray:
+    """Each labeling's score, in plain floats: pairwise by step, then emissions by position."""
+    pairs, emits = pairs.tolist(), emits.tolist()
+    k, n = len(emits[0]), len(emits)
+    rows = []
+    for y in obs.tolist():
+        row = []
+        for x in itertools.product(range(k), repeat=n):
+            total = 0.0
+            for step in range(n - 1):
+                total += pairs[step][x[step]][x[step + 1]]
+            for pos in range(n):
+                total += emits[pos][x[pos]][y[pos]]
+            row.append(total)
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestScoreMatrixOrder:
+    """The shared pairwise sum keeps every cell's additions in one fixed order."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("mode", ["strict", "generalized"])
+    @pytest.mark.parametrize("high", [5.0, 500.0])
+    def test_bit_equal_to_plain_summation(self, n, k, mode, high):
+        seed = 100 * n + 10 * k + (mode == "generalized") + int(high)
+        while True:  # a generalized draw can have zero total weight; take the next seed
+            crf = random_crf_model(n, k, 3, seed, mode=mode, low=-high, high=high, zero_prob=0.3)
+            try:
+                hmc = (crf_to_hmc if mode == "strict" else crf_to_hmc_generalized)(crf)[0]
+                break
+            except DegenerateModel:
+                seed += 1000
+        obs = np.random.default_rng(seed).integers(0, 3, size=(7, n))
+        for pairs, emits in (crf_factors(crf), hmc_factors(hmc)):
+            got = _score_matrix(pairs, emits, obs)
+            assert np.array_equal(got, reference_scores(pairs, emits, obs))
+        if mode == "generalized" and n > 1:
+            assert np.isneginf(got).any()
 
 
 class TestAllSequences:
