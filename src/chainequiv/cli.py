@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -354,14 +355,105 @@ class ModelFile:
 # ---------------------------------------------------------------------------
 
 
-def read_sequences(path: str) -> list[tuple[int, list[str]]]:
-    """(line number, symbol tokens) per nonblank line of a sequence file."""
-    out = []
-    for i, line in enumerate(_read_text(path).splitlines(), start=1):
-        tokens = line.split()
-        if tokens:
-            out.append((i, tokens))
-    return out
+# One line with its end: a line ends at "\n", "\r\n" or "\r" only, as editors
+# count lines.  Other characters ``str.splitlines`` breaks at ("\v", "\f",
+# "\x1c"-"\x1e", "\x85", U+2028, U+2029) are whitespace inside a line, where
+# ``str.split`` separates tokens at them.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def read_sequences(path: str):
+    """(line number, symbol tokens) per nonblank line of a sequence file, as an iterator.
+
+    The file is read whole here, so an unreadable or non-UTF-8 one raises
+    ParseError before any line is taken; lines are split into tokens only as
+    the iterator is advanced.
+    """
+    text = _read_text(path)
+    numbered = enumerate((match.group().split() for match in _LINE.finditer(text)), start=1)
+    return ((i, tokens) for i, tokens in numbered if tokens)
+
+
+# ---------------------------------------------------------------------------
+# Marginal columns
+#
+# ``decode --marginals`` prints each marginal as ``"%.6f" % p``, and a
+# probability prints as exactly 8 characters, ``d.dddddd``.  So the columns of
+# a group of lines are fixed-width text, 9 bytes per cell: the separator, the
+# first four characters ``d.dd`` and the last four ``dddd``, each four taken
+# from a table by an integer index.  Cells are written into a packed record
+# array MARGINAL_CHUNK_CELLS at a time and decoded to text once per chunk;
+# no string is made per cell.
+#
+# Why the digits are those of "%.6f": it prints the exact value p * 10**6
+# rounded to an integer (half to even) as millionths.  1e6 is exact in
+# binary, so the computed product is that exact value rounded to the nearest
+# double, and that rounding is monotonic: the half-integers below 2**52 are
+# doubles, so a product that is not a half-integer lies strictly between the
+# same two half-integers as the exact value, and its ``rint`` is the same
+# integer.  A product that is exactly a half-integer may come from an exact
+# value just above or below it; such cells, exact ties such as 2**-7 among
+# them, take "%.6f" itself, and so does every cell whose "%.6f" text is not
+# ``d.dddddd``: NaN, infinite, negative or -0.0, or 9.5 and above.
+# ---------------------------------------------------------------------------
+
+MARGINAL_CHUNK_CELLS = 2**14
+_CELL = np.dtype([("separator", "u1"), ("high", "<u4"), ("low", "<u4")])  # packed: 9 bytes
+
+
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII text ``d.dd`` of 0-950 hundredths and ``dddd`` of 0-9999, four bytes per uint32."""
+    high = "".join(f"{i // 100}.{i % 100:02d}" for i in range(951))
+    low = "".join(f"{i:04d}" for i in range(10000))
+    return np.frombuffer(high.encode("ascii"), "<u4"), np.frombuffer(low.encode("ascii"), "<u4")
+
+
+def _marginal_columns(probs: np.ndarray, k: int) -> list[str]:
+    """Per row of ``probs``, ``"\\t" + ",".join("%.6f" % p ...)`` for each run of ``k`` cells.
+
+    ``probs`` is a (lines, width) float array and ``width`` a multiple of
+    ``k``: a row is one line's marginals, position by position.  The text of
+    every cell equals ``"%.6f" % p`` for any float ``p``: ``rint(p * 1e6)``
+    is the correctly rounded number of millionths unless ``p * 1e6`` rounds
+    to a half-integer, and such cells, like those outside [0, 9.5), are
+    formatted by "%.6f" one by one (the argument is in full above).  Cells
+    are written a chunk at a time; a chunk may end inside a line.
+    """
+    width = probs.shape[1]
+    line_chars = 9 * width
+    flat = probs.reshape(-1)
+    high_words, low_words = _digit_words()
+    separators = np.full(width, ord(","), dtype=np.uint8)
+    separators[::k] = ord("\t")
+    separators = np.resize(separators, MARGINAL_CHUNK_CELLS + width)  # a chunk's worth from any column
+    tails, carry, fallback = [], "", []
+    for start in range(0, flat.size, MARGINAL_CHUNK_CELLS):
+        p = flat[start:start + MARGINAL_CHUNK_CELLS]
+        scaled = p * 1e6
+        millionths = np.rint(scaled)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            exact = (np.abs(scaled - millionths) != 0.5) & (p < 9.5) & ~np.signbit(p)
+        odd = np.flatnonzero(~exact)
+        if odd.size:
+            millionths[odd] = 0  # no NaN or inf reaches the integer cast
+            fallback.append(odd + start)
+        millionths = millionths.astype(np.int32)
+        hundredths = millionths // 10000
+        cells = np.empty(len(p), _CELL)
+        cells["separator"] = separators[start % width:][:len(p)]
+        cells["high"] = high_words.take(hundredths)
+        cells["low"] = low_words.take(millionths - 10000 * hundredths)
+        text = carry + cells.tobytes().decode("ascii")
+        whole = len(text) - len(text) % line_chars
+        tails += [text[j:j + line_chars] for j in range(0, whole, line_chars)]
+        carry = text[whole:]
+    # Right to left, so each patch leaves the offsets of the cells before it.
+    for f in reversed(np.concatenate(fallback).tolist() if fallback else []):
+        line, at = divmod(f, width)
+        at = 9 * at + 1
+        tails[line] = tails[line][:at] + "%.6f" % flat[f] + tails[line][at + 8:]
+    return tails
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +542,14 @@ DECODE_BLOCK_CELLS = 2**20
 
 
 def cmd_decode(args) -> int:
+    """MPM labels per nonblank sequence line, with ``--marginals`` also its marginal columns.
+
+    Lines are tokenized one block at a time, and each block makes one batch
+    marginals call per line length.  The marginal columns are exact
+    ``"%.6f"`` text from :func:`_marginal_columns`.  Output goes out in input
+    order, a block at a time: labelled lines to stdout, bad and impossible
+    ones to stderr.
+    """
     if args.model == "-" and args.sequences == "-":
         return _fail(EXIT_PARSE, "the model and the sequences cannot both come from stdin")
     try:
@@ -470,11 +570,10 @@ def cmd_decode(args) -> int:
     tiled = {model.length: model}
     parse_errors = impossible = 0
 
-    for start in range(0, len(lines), block):
-        chunk = lines[start:start + block]
-        results = [None] * len(chunk)  # (stream, text) per line, written in input order
-        by_length = {}  # length -> [(position in chunk, line number, observation indices)]
-        for i, (line_no, tokens) in enumerate(chunk):
+    while block_lines := list(itertools.islice(lines, block)):
+        results = [None] * len(block_lines)  # (stream, text) per line, written in input order
+        by_length = {}  # length -> [(position in block, line number, observation indices)]
+        for i, (line_no, tokens) in enumerate(block_lines):
             try:
                 y = [model.obs.index(t) for t in tokens]
                 if len(y) != model.length and not args.tile:
@@ -492,18 +591,18 @@ def cmd_decode(args) -> int:
         for length, group in by_length.items():
             totals, log_marginals = marginals_batch(tiled[length], [y for _, _, y in group])
             labels = symbols[log_marginals.argmax(axis=2)]  # lowest index wins ties
-            probs = np.exp(log_marginals).reshape(len(group), -1)
-            template = " ".join(["%s"] * length)
+            possible = totals != LOG_ZERO  # the other rows are NaN
+            tails = itertools.repeat("")
             if args.marginals:
-                template += ("\t" + ",".join(["%.6f"] * k)) * length
-            template += "\n"
-            for (i, line_no, _), total, row_labels, row_probs in zip(group, totals, labels, probs):
-                if total == LOG_ZERO:
+                rows = log_marginals if possible.all() else log_marginals[possible]
+                tails = iter(_marginal_columns(np.exp(rows).reshape(len(rows), length * k), k))
+            template = " ".join(["%s"] * length) + "%s\n"
+            for (i, line_no, _), ok, row_labels in zip(group, possible, labels):
+                if ok:
+                    results[i] = (sys.stdout, template % (*row_labels, next(tails)))
+                else:
                     impossible += 1
                     results[i] = (sys.stderr, f"line {line_no}: {zero_message}\n")
-                else:
-                    fields = (*row_labels, *row_probs.tolist()) if args.marginals else tuple(row_labels)
-                    results[i] = (sys.stdout, template % fields)
 
         for stream, text in results:
             stream.write(text)

@@ -3,12 +3,13 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chainequiv import CrfModel, Table2, crf_posterior_marginals, hmc_posterior_marginals
+from chainequiv import CrfModel, Table2, cli, crf_posterior_marginals, hmc_posterior_marginals
 from chainequiv.cli import (
     DECODE_BLOCK_CELLS,
     DECODE_BLOCK_LINES,
@@ -388,6 +389,35 @@ class TestDecode:
         assert main(["decode", model, seqs, "--tile"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines() == ["A B", "B A B A B"]
 
+    @pytest.mark.parametrize("space", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                             ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"])
+    def test_only_newlines_end_lines(self, tmp_path, capsys, space):
+        # The character is whitespace inside line 1, not a line break, so the
+        # bad symbol is on line 2.
+        model = write(tmp_path / "h.json", pinning_hmc_json())
+        seqs = tmp_path / "s.txt"
+        seqs.write_text(f"a{space}b a\nb z b\n", encoding="utf-8")
+        assert main(["decode", model, str(seqs)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "A B A\n"
+        assert captured.err == "line 2: symbol 'z' is not in the alphabet\n"
+
+    def test_crlf_and_cr_end_lines(self, tmp_path, capsys):
+        model = write(tmp_path / "h.json", pinning_hmc_json())
+        seqs = tmp_path / "s.txt"
+        seqs.write_bytes(b"a b a\r\n\rb z b\rb b b\r\n\nb a b")
+        assert main(["decode", model, str(seqs)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "A B A\nB B B\nB A B\n"
+        assert captured.err == "line 3: symbol 'z' is not in the alphabet\n"
+
+    def test_sequences_are_read_before_any_line_is_split(self, tmp_path):
+        lines = read_sequences(write(tmp_path / "s.txt", "a b\n\n c \n"))
+        assert iter(lines) is lines
+        assert list(lines) == [(1, ["a", "b"]), (3, ["c"])]
+        with pytest.raises(ParseError, match="cannot read"):
+            read_sequences(str(tmp_path / "missing.txt"))
+
     def test_tile_rejects_time_varying_model(self, tmp_path, capsys):
         doc = json.loads(pinning_hmc_json())
         doc["emit"][2] = [[0.5, 0.5], [0.5, 0.5]]
@@ -396,8 +426,12 @@ class TestDecode:
         assert main(["decode", model, seqs, "--tile"]) == EXIT_PARSE
 
 
-def per_line_decode(model, lines, tile: bool):
-    """``decode --marginals`` output as (stdout, stderr, exit code), one marginals call per line."""
+def per_line_decode(model, lines, tile: bool, with_columns: bool = True):
+    """``decode`` output as (stdout, stderr, exit code), one marginals call and one "%.6f" per value.
+
+    ``lines`` are (line number, tokens) pairs; ``with_columns`` adds the
+    columns of ``--marginals``.
+    """
     marginal_fn = crf_posterior_marginals if isinstance(model, CrfModel) else hmc_posterior_marginals
     tiled = {model.length: model}
     out, err = [], []
@@ -422,7 +456,8 @@ def per_line_decode(model, lines, tile: bool):
             err.append(f"line {line_no}: {e}\n")
             continue
         fields = [" ".join(model.hidden.symbol(i) for i in marginals.mpm_labels())]
-        fields += [",".join(f"{p:.6f}" for p in row) for row in marginals.probabilities()]
+        if with_columns:
+            fields += [",".join(f"{p:.6f}" for p in row) for row in marginals.probabilities()]
         out.append("\t".join(fields) + "\n")
     code = EXIT_PARSE if parse_errors else EXIT_IMPOSSIBLE if impossible else EXIT_OK
     return "".join(out), "".join(err), code
@@ -489,6 +524,85 @@ class TestBatchedDecode:
         seqs = write(tmp_path / "s.txt", "a b a\n")
         assert main(["decode", "-", seqs]) == EXIT_OK
         assert capsys.readouterr().out == "A B A\n"
+
+
+class TestDecodeAgainstPerLine:
+    """``decode`` bytes against :func:`per_line_decode` for k in {1, 2, 8, 33}.
+
+    Each length group of the sequence file mixes decodable, unknown-symbol
+    and (generalized models) impossible lines, with blank lines between; the
+    CLI runs with every warning an error, so a NaN row that warns fails.
+    """
+
+    N, L = 4, 3  # model length; observation symbols (o2 is impossible under "generalized")
+
+    @pytest.fixture(scope="class")
+    def models(self, tmp_path_factory):
+        """Time-homogeneous strict and generalized CRFs and their converted HMCs."""
+        tmp = tmp_path_factory.mktemp("per-line")
+        rng = np.random.default_rng(9)
+        paths = {}
+        for k in (1, 2, 8, 33):
+            hidden, obs = default_alphabets(k, self.L)
+            for mode in ("strict", "generalized"):
+                pair = rng.uniform(-5.0, 5.0, (k, k))
+                emit = rng.uniform(-5.0, 5.0, (k, self.L))
+                if mode == "generalized":
+                    pair[rng.random(pair.shape) < 0.2] = -np.inf
+                    np.fill_diagonal(pair, 0.0)  # every state can stay, so no length is dead
+                    emit[:, self.L - 1] = -np.inf
+                crf = CrfModel.homogeneous(hidden, obs, self.N, Table2(pair), Table2(emit), mode=mode)
+                paths[k, mode, "crf"] = str(tmp / f"{k}-{mode}-crf.json")
+                paths[k, mode, "hmc"] = str(tmp / f"{k}-{mode}-hmc.json")
+                ModelFile.from_crf(crf).dump(paths[k, mode, "crf"])
+                assert main(["convert", paths[k, mode, "crf"], "-o", paths[k, mode, "hmc"]]) == EXIT_OK
+        return paths
+
+    def sequences(self, tmp_path, seed: int):
+        """A sequence file of lengths 1-6, and its (line number, tokens) pairs."""
+        rng = np.random.default_rng(seed)
+        lines = []
+        for i in range(48):
+            length = (self.N, 2, self.N, 6, 1, self.N)[i % 6]
+            tokens = [f"o{v}" for v in rng.integers(0, self.L - 1, length)]
+            if i % 7 == 3:
+                tokens[0] = f"o{self.L - 1}"
+            if i % 11 == 5:
+                tokens[-1] = "zz"
+            lines.append(" ".join(tokens))
+            if i % 13 == 2:
+                lines.append("   ")
+        path = write(tmp_path / "seqs.txt", "\n".join(lines) + "\n")
+        return path, [(i, line.split()) for i, line in enumerate(lines, start=1) if line.split()]
+
+    @pytest.mark.parametrize("marginals", [True, False], ids=["marginals", "labels"])
+    @pytest.mark.parametrize("tile", [True, False], ids=["tile", "fixed"])
+    @pytest.mark.parametrize("kind", ["crf", "hmc"])
+    @pytest.mark.parametrize("mode", ["strict", "generalized"])
+    @pytest.mark.parametrize("k", [1, 2, 8, 33])
+    def test_matches_per_line_decode(self, models, tmp_path, capsys, k, mode, kind, tile, marginals):
+        path = models[k, mode, kind]
+        seqs, lines = self.sequences(tmp_path, seed=k)
+        expected = per_line_decode(ModelFile.load(path).to_model(), lines, tile, marginals)
+        argv = ["decode", path, seqs] + ["--tile"] * tile + ["--marginals"] * marginals
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == expected
+        assert code == EXIT_PARSE and captured.out
+        if mode == "generalized":
+            assert "probability zero" in captured.err or "zero weight" in captured.err
+
+    @pytest.mark.parametrize("chunk", [1, 9, 4 * 8 + 1])
+    def test_bytes_do_not_depend_on_the_column_chunk(self, models, tmp_path, capsys, monkeypatch, chunk):
+        seqs, _ = self.sequences(tmp_path, seed=5)
+        argv = ["decode", models[8, "generalized", "crf"], seqs, "--tile", "--marginals"]
+        code = main(argv)
+        expected = capsys.readouterr()
+        monkeypatch.setattr(cli, "MARGINAL_CHUNK_CELLS", chunk)
+        assert main(argv) == code
+        assert capsys.readouterr() == expected
 
 
 class TestVerify:
