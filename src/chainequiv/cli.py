@@ -537,18 +537,41 @@ def _tiled_model(model, length: int):
 # and of at most DECODE_BLOCK_CELLS // k**2 lines for wide label sets: the
 # chain kernel's exact recompute of underflowed entries gathers up to
 # lines * k**2 cells in one step, and this keeps that gather bounded.
+# Within a block the lines go to the chain kernel sorted by length, longest
+# first, as ragged prefixes of one call at the longest length, each call at
+# most DECODE_CALL_CELLS padded cells (lines * longest length * k): the
+# kernel holds a few arrays of about 8 bytes a cell.
 DECODE_BLOCK_LINES = 1024
 DECODE_BLOCK_CELLS = 2**20
+DECODE_CALL_CELLS = 160 * 2**10
+
+
+def _chain_calls(lengths: np.ndarray, k: int, apart: int | None):
+    """``(start, stop)`` of each chain call over lines of ``lengths``, sorted longest first.
+
+    A call holds at most DECODE_CALL_CELLS padded cells, or one line; the
+    lines of length ``apart``, if given, take calls of their own.
+    """
+    cuts = [len(lengths)]
+    if apart is not None:
+        cuts += np.searchsorted(-lengths, [-apart, -apart + 1]).tolist()
+    start = 0
+    while start < len(lengths):
+        stop = min([start + max(1, DECODE_CALL_CELLS // (int(lengths[start]) * k))]
+                   + [c for c in cuts if c > start])
+        yield start, stop
+        start = stop
 
 
 def cmd_decode(args) -> int:
     """MPM labels per nonblank sequence line, with ``--marginals`` also its marginal columns.
 
-    Lines are tokenized one block at a time, and each block makes one batch
-    marginals call per line length.  The marginal columns are exact
-    ``"%.6f"`` text from :func:`_marginal_columns`.  Output goes out in input
-    order, a block at a time: labelled lines to stdout, bad and impossible
-    ones to stderr.
+    Lines are tokenized one block at a time.  A block's valid lines are
+    sorted by length, longest first, and decoded in batch marginals calls of
+    bounded size, each line a ragged prefix of its call.  The marginal
+    columns are exact ``"%.6f"`` text from :func:`_marginal_columns`, built
+    per run of lines of one length.  Output goes out in input order, a block
+    at a time: labelled lines to stdout, bad and impossible ones to stderr.
     """
     if args.model == "-" and args.sequences == "-":
         return _fail(EXIT_PARSE, "the model and the sequences cannot both come from stdin")
@@ -567,15 +590,21 @@ def cmd_decode(args) -> int:
     k = model.hidden.size
     block = min(DECODE_BLOCK_LINES, max(1, DECODE_BLOCK_CELLS // k**2))
     symbols = np.array(model.hidden.symbols, dtype=object)
+    index_type = np.min_scalar_type(model.obs.size)  # the batch call makes its own intp copy
     tiled = {model.length: model}
+    # A retiled HMC renormalizes its rows when it is built, which can move
+    # their last bit off the loaded model's: lines of the model's own length
+    # keep the loaded model, in calls of their own.  A retiled CRF has the
+    # loaded tables.
+    apart = model.length if args.tile and not isinstance(model, CrfModel) else None
     parse_errors = impossible = 0
 
     while block_lines := list(itertools.islice(lines, block)):
         results = [None] * len(block_lines)  # (stream, text) per line, written in input order
-        by_length = {}  # length -> [(position in block, line number, observation indices)]
+        valid = []  # (position in block, line number, observation indices)
         for i, (line_no, tokens) in enumerate(block_lines):
             try:
-                y = [model.obs.index(t) for t in tokens]
+                y = model.obs.indices(tokens)
                 if len(y) != model.length and not args.tile:
                     raise ValidationError(
                         f"expected {model.length} symbols, got {len(y)} (use --tile for other lengths)"
@@ -586,23 +615,34 @@ def cmd_decode(args) -> int:
                 parse_errors += 1
                 results[i] = (sys.stderr, f"line {line_no}: {e}\n")
                 continue
-            by_length.setdefault(len(y), []).append((i, line_no, y))
+            valid.append((i, line_no, y))
+        valid.sort(key=lambda line: len(line[2]), reverse=True)  # stable
+        all_lengths = np.array([len(y) for _, _, y in valid], dtype=np.intp)
 
-        for length, group in by_length.items():
-            totals, log_marginals = marginals_batch(tiled[length], [y for _, _, y in group])
-            labels = symbols[log_marginals.argmax(axis=2)]  # lowest index wins ties
-            possible = totals != LOG_ZERO  # the other rows are NaN
-            tails = itertools.repeat("")
-            if args.marginals:
-                rows = log_marginals if possible.all() else log_marginals[possible]
-                tails = iter(_marginal_columns(np.exp(rows).reshape(len(rows), length * k), k))
-            template = " ".join(["%s"] * length) + "%s\n"
-            for (i, line_no, _), ok, row_labels in zip(group, possible, labels):
-                if ok:
-                    results[i] = (sys.stdout, template % (*row_labels, next(tails)))
-                else:
-                    impossible += 1
-                    results[i] = (sys.stderr, f"line {line_no}: {zero_message}\n")
+        for start, stop in _chain_calls(all_lengths, k, apart):
+            call, lengths = valid[start:stop], all_lengths[start:stop]
+            longest = int(lengths[0])
+            ys = np.zeros((len(call), longest), dtype=index_type)  # padded with index 0
+            ys[np.arange(longest) < lengths[:, None]] = np.fromiter(
+                itertools.chain.from_iterable(y for _, _, y in call), index_type, int(lengths.sum()))
+            totals, log_marginals = marginals_batch(tiled[longest], ys, lengths)
+            edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(call)]
+            for lo, hi in zip(edges, edges[1:]):  # the runs of one length
+                length = int(lengths[lo])
+                run = log_marginals[lo:hi, :length]
+                labels = symbols[run.argmax(axis=2)]  # lowest index wins ties
+                possible = totals[lo:hi] != LOG_ZERO  # the other rows are NaN
+                tails = itertools.repeat("")
+                if args.marginals:
+                    rows = run if possible.all() else run[possible]
+                    tails = iter(_marginal_columns(np.exp(rows).reshape(len(rows), length * k), k))
+                template = " ".join(["%s"] * length) + "%s\n"
+                for (i, line_no, _), ok, row_labels in zip(call[lo:hi], possible, labels):
+                    if ok:
+                        results[i] = (sys.stdout, template % (*row_labels, next(tails)))
+                    else:
+                        impossible += 1
+                        results[i] = (sys.stderr, f"line {line_no}: {zero_message}\n")
 
         for stream, text in results:
             stream.write(text)

@@ -185,7 +185,7 @@ def crf_posterior_marginals(model: CrfModel, y) -> PosteriorMarginals:
     return PosteriorMarginals(Table2(log_marginals[0]))
 
 
-def crf_posterior_marginals_batch(model: CrfModel, ys) -> tuple[np.ndarray, np.ndarray]:
+def crf_posterior_marginals_batch(model: CrfModel, ys, lengths=None) -> tuple[np.ndarray, np.ndarray]:
     """Posterior marginals for many observation sequences in one pass.
 
     ``ys`` is a (count, length) array of observation indices.  Returns
@@ -194,8 +194,16 @@ def crf_posterior_marginals_batch(model: CrfModel, ys) -> tuple[np.ndarray, np.n
     has zero weight come back as ``-inf`` / NaN instead of raising, so
     callers can filter.  Column ``i`` equals ``crf_posterior_marginals``
     on ``ys[i]``.
+
+    ``lengths``, one integer in [1, length] per row, decodes prefixes: row
+    ``i`` is then ``crf_posterior_marginals`` on ``ys[i, :lengths[i]]``
+    under the CRF truncated to its first ``lengths[i]`` positions, bit for
+    bit, which for a time-homogeneous CRF is the same CRF at that length.
+    ``ys`` keeps its (count, length) shape, padded past each prefix with
+    any valid index, and the marginals past a prefix are NaN.  A bad
+    ``lengths`` raises :class:`ValidationError`.
     """
-    return chain_log_marginals(*chain_parts(*_factors(model), ys))
+    return chain_log_marginals(*chain_parts(*_factors(model), ys), lengths=lengths)
 
 
 def crf_mpm_decode(model: CrfModel, y) -> LabelSeq:

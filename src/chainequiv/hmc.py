@@ -166,7 +166,7 @@ def hmc_posterior_marginals(model: HmcModel, y) -> PosteriorMarginals:
     return PosteriorMarginals(Table2(log_marginals[0]))
 
 
-def hmc_posterior_marginals_batch(model: HmcModel, ys) -> tuple[np.ndarray, np.ndarray]:
+def hmc_posterior_marginals_batch(model: HmcModel, ys, lengths=None) -> tuple[np.ndarray, np.ndarray]:
     """Posterior marginals for many observation sequences in one pass.
 
     ``ys`` is a (count, length) array of observation indices.  Returns
@@ -174,8 +174,16 @@ def hmc_posterior_marginals_batch(model: HmcModel, ys) -> tuple[np.ndarray, np.n
     (count, length, num_labels); zero-probability sequences come back as
     ``-inf`` / NaN instead of raising, so callers can filter.  Column ``i``
     equals ``hmc_posterior_marginals`` on ``ys[i]``.
+
+    ``lengths``, one integer in [1, length] per row, decodes prefixes: row
+    ``i`` is then the posterior of ``ys[i, :lengths[i]]`` alone under the
+    same chain, and its log evidence, bit for bit equal to the single call
+    on the chain's first ``lengths[i]`` positions.  ``ys`` keeps its
+    (count, length) shape, padded past each prefix with any valid index,
+    and the marginals past a prefix are NaN.  A bad ``lengths`` raises
+    :class:`ValidationError`.
     """
-    return chain_log_marginals(*chain_parts(*_factors(model), ys))
+    return chain_log_marginals(*chain_parts(*_factors(model), ys), lengths=lengths)
 
 
 def hmc_mpm_decode(model: HmcModel, y) -> LabelSeq:

@@ -28,6 +28,10 @@ class AllZeroRow(ValidationError):
     """A row with no mass at all was asked to normalize."""
 
 
+def _unknown_symbol(symbol) -> ValidationError:
+    return ValidationError(f"symbol {symbol!r} is not in the alphabet")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """An ordered collection of distinct symbol names.
@@ -60,7 +64,17 @@ class Alphabet:
         try:
             return self._positions[symbol]
         except KeyError:
-            raise ValidationError(f"symbol {symbol!r} is not in the alphabet") from None
+            raise _unknown_symbol(symbol) from None
+
+    def indices(self, symbols) -> list[int]:
+        """``[self.index(s) for s in symbols]``, one C-level lookup per symbol.
+
+        An unknown symbol raises the ValidationError of ``index``, naming the first one.
+        """
+        try:
+            return list(map(self._positions.__getitem__, symbols))
+        except KeyError as e:
+            raise _unknown_symbol(e.args[0]) from None
 
     def symbol(self, index: int) -> str:
         if isinstance(index, bool) or not isinstance(index, numbers.Integral):
@@ -516,22 +530,59 @@ def _log_product(rows, row_max, factor):
     return out
 
 
-def _forward_messages(first, pairs, unary):
+def _row_lengths(lengths, count: int, n: int) -> np.ndarray | None:
+    """Checked per-row chain lengths as an intp array, or None when every row has all ``n`` positions."""
+    if lengths is None:
+        return None
+    a = np.asarray(lengths)
+    if a.dtype.kind not in "iu":
+        raise ValidationError(f"lengths must be integers, got {a.dtype} entries")
+    if a.shape != (count,):
+        raise ValidationError(f"expected {count} lengths, one per row, got shape {a.shape}")
+    if a.size and (a.min() < 1 or a.max() > n):
+        bad = a[(a < 1) | (a > n)][0]
+        raise ValidationError(f"length {bad} out of range [1, {n}]")
+    return None if (a == n).all() else a.astype(np.intp, copy=False)
+
+
+def _active_rows(lengths: np.ndarray | None, count: int, steps: int) -> list[int]:
+    """Per step ``t``, how many leading rows take it.
+
+    That is all ``count`` rows, or with ``lengths``, sorted longest first,
+    the rows longer than ``t + 1``: a step is taken by a prefix of the rows,
+    and there is no step past the longest row.
+    """
+    if lengths is None:
+        return [count] * steps
+    return np.searchsorted(-lengths, -np.arange(2, lengths[0] + 1), side="right").tolist()
+
+
+def _forward_messages(first, pairs, unary, lengths=None):
     """Row-major forward messages, (count, n, k), and the per-column log totals.
 
     Each stored row has a maximum of 0; the shifts are accumulated apart.
+    With ``lengths``, sorted longest first, row ``i`` stops at position
+    ``lengths[i] - 1``: its total is taken there, and its messages past it
+    are NaN.
     """
     msg = np.ascontiguousarray(np.asarray(first, dtype=float).T)
-    fwd = np.empty((msg.shape[0], len(pairs) + 1, msg.shape[1]))
-    total_shift = np.zeros(msg.shape[0])
+    count, k = msg.shape
+    active = _active_rows(lengths, count, len(pairs))
+    shape = (count, len(pairs) + 1, k)
+    fwd = np.empty(shape) if lengths is None else np.full(shape, np.nan)
+    total_shift = np.zeros(count)
     with np.errstate(divide="ignore"):
-        for k, factor in _step_factors(pairs):
+        for a, (t, factor) in zip(active, _step_factors(pairs[:len(active)])):
+            live = len(msg)
             rows, row_max, shift = _shifted_rows(msg)
-            fwd[:, k] = rows
-            total_shift += shift
-            msg = _log_product(rows, row_max, factor) + unary[k].T
-    fwd[:, -1], _, shift = _shifted_rows(msg)
-    return fwd, total_shift + shift + log_sum_exp(fwd[:, -1], axis=1)
+            fwd[:live, t] = rows
+            total_shift[:live] += shift
+            msg = _log_product(rows[:a], row_max[:a], factor) + unary[t].T[:a]
+    live = len(msg)
+    fwd[:live, len(active)], _, shift = _shifted_rows(msg)
+    total_shift[:live] += shift
+    ends = fwd[:, -1] if lengths is None else fwd[np.arange(count), lengths - 1]
+    return fwd, total_shift + log_sum_exp(ends, axis=1)
 
 
 def chain_log_totals(first: np.ndarray, pairs: np.ndarray, unary: np.ndarray) -> np.ndarray:
@@ -546,8 +597,8 @@ def chain_log_totals(first: np.ndarray, pairs: np.ndarray, unary: np.ndarray) ->
     return _forward_messages(first, pairs, unary)[1]
 
 
-def chain_log_marginals(first: np.ndarray, pairs: np.ndarray,
-                        unary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def chain_log_marginals(first: np.ndarray, pairs: np.ndarray, unary: np.ndarray,
+                        lengths=None) -> tuple[np.ndarray, np.ndarray]:
     """Per-column chain marginals plus the per-column log totals.
 
     Takes the ``(first, pairs, unary)`` input of :func:`chain_log_totals`.
@@ -556,14 +607,41 @@ def chain_log_marginals(first: np.ndarray, pairs: np.ndarray,
     log marginal of column ``c`` at position ``k``.  Columns with zero total
     weight get a ``-inf`` total and NaN rows; callers decide how to surface
     that (the per-sequence operations raise).
+
+    ``lengths``, one integer in [1, n] per column, makes the columns ragged
+    prefixes: column ``c`` takes only its first ``lengths[c]`` positions, so
+    its total and marginals are those of the chain cut after that position,
+    bit for bit, and its rows past it are NaN.  A bad ``lengths`` raises
+    :class:`ValidationError`.  The columns run sorted by length, longest
+    first, so that each step works on a prefix of them; the results come
+    back in input order.
     """
-    out, totals = _forward_messages(first, pairs, unary)
-    bwd = np.zeros(out[:, 0].shape)
+    lengths = _row_lengths(lengths, np.shape(first)[1], len(pairs) + 1)
+    if lengths is not None and (lengths[:-1] < lengths[1:]).any():
+        order = np.argsort(-lengths, kind="stable")
+        back = np.empty_like(order)
+        back[order] = np.arange(len(order))
+        # Permute along the columns of unary's row-major (steps, count, k) layout.
+        unary = np.take(np.asarray(unary).transpose(0, 2, 1), order, axis=1).transpose(0, 2, 1)
+        totals, out = _chain_marginals(np.take(first, order, axis=1), pairs, unary, lengths[order])
+        return totals[back], out[back]
+    return _chain_marginals(first, pairs, unary, lengths)
+
+
+def _chain_marginals(first, pairs, unary, lengths):
+    """:func:`chain_log_marginals` on checked ``lengths``, None or sorted longest first."""
+    out, totals = _forward_messages(first, pairs, unary, lengths)
+    count, _, k = out.shape
+    active = _active_rows(lengths, count, len(pairs))
+    bwd = np.zeros((active[-1] if active else 0, k))
     with np.errstate(divide="ignore"):
-        for k, factor in _step_factors(pairs, backward=True):
-            rows, row_max, _ = _shifted_rows(bwd + unary[k].T)
+        for t, factor in _step_factors(pairs[:len(active)], backward=True):
+            a = active[t]
+            if a > len(bwd):  # the rows whose last position is t + 1 start here, at 0
+                bwd = np.concatenate((bwd, np.zeros((a - len(bwd), k))))
+            rows, row_max, _ = _shifted_rows(bwd + unary[t].T[:a])
             bwd = _log_product(rows, row_max, factor)
-            out[:, k] += bwd
+            out[:a, t] += bwd
     # Normalize each row: shift it to a maximum of 0 (an all -inf row turns
     # NaN here), then subtract the log of its sum.  The clamp keeps exp off
     # subnormals; clamped terms are below 1e-303 and the sum is at least 1.

@@ -5,7 +5,10 @@ for v in V), ...)``, converts them with ``crf_to_hmc_generalized`` and reads
 the HMC's ``init.log_values`` and the ``log_values`` of each of its
 ``transitions`` and ``emissions``.  ``ConvertLong`` and ``ConvertVerify``
 run ``convert`` (with ``--trace``) and ``verify --against`` through the CLI
-and read the files written with perfbench's own reader.  Each operation
+and read the files written with perfbench's own reader.  ``DecodeStream``
+runs ``decode --marginals`` through the CLI on a mixed-length file with
+``--tile`` and on a fixed-length file with the CRF and its converted HMC.
+Each operation
 checks its output against perfbench's reference, which imports nothing from
 chainequiv, and raises on a mismatch.
 """
@@ -56,3 +59,17 @@ def test_convert_ops_run_and_pass_their_checks(perfbench, tmp_path):
         for op in ops:
             assert op().items == items
         assert workload.verified
+
+
+def test_decode_stream_ops_run_and_pass_their_checks(perfbench, tmp_path):
+    import workloads
+    from hostspeed import Clock
+
+    class ShortDecodeStream(workloads.DecodeStream):
+        MIXED_LINES, FIXED_LINES = 60, 30
+
+    workload = ShortDecodeStream(1, tmp_path, Clock())
+    ops = workload.ops()
+    assert len(ops) == 3
+    assert [op().items for op in ops] == [60, 30, 30]
+    assert len(workload.verified) == 3

@@ -6,6 +6,8 @@ Potentials in [-1000, 1000] push many entries of a step's scaled product below
 against the plain-Python enumeration of ``tests/conftest.py``, and a batch
 that mixes zero-weight and live columns against single-sequence calls.  The
 blocks in which the passes prepare their tables must not change a result.
+Ragged batches (``lengths``) must equal, row by row and bit for bit, single
+calls on the chain cut to each row's length.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from chainequiv import tables
+from chainequiv import crf, hmc, tables
 from chainequiv.crf import (
     GENERALIZED,
     STRICT,
@@ -30,7 +32,7 @@ from chainequiv.hmc import (
     hmc_posterior_marginals,
     hmc_posterior_marginals_batch,
 )
-from chainequiv.tables import LOG_ZERO, Table2
+from chainequiv.tables import LOG_ZERO, Table2, ValidationError
 
 from conftest import brute_crf_posterior, brute_hmc_posterior, marginals_of
 
@@ -165,3 +167,120 @@ def test_tiled_models_match_their_materialized_copies(cells, monkeypatch):
         totals, got = batch(tiled, ys)
         assert np.array_equal(totals, want_totals)
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def prefix_call(factors, y, length: int):
+    """``(total, log_marginals)`` of one sequence on the chain factors cut to ``length`` positions."""
+    pairs, emits = factors
+    totals, log_marginals = tables.chain_log_marginals(
+        *tables.chain_parts(pairs[:length - 1], emits[:length], [y[:length]]))
+    return totals[0], log_marginals[0]
+
+
+def ragged_case(side: str, mode: str, seed: int):
+    """A model of length N + 3 (its chain factors and batch call), rows and unsorted lengths."""
+    n = N + 3
+    model = random_crf_model(n, K, L, seed=seed, mode=mode, low=-1000.0, high=1000.0)
+    if mode == GENERALIZED:  # symbol 1 has zero weight at position 2
+        emits = model.emit_potentials.log_values.copy()
+        emits[2, :, 1] = LOG_ZERO
+        model = CrfModel(model.hidden, model.obs, model.pair_potentials, emits, mode=mode)
+    if side == "crf":
+        factors, batch = crf._factors(model), crf_posterior_marginals_batch
+    else:
+        model = to_hmc(model)
+        factors, batch = hmc._factors(model), hmc_posterior_marginals_batch
+    rng = np.random.default_rng(seed)
+    ys = rng.integers(0, L, (60, n))
+    lengths = rng.integers(1, n + 1, 60)
+    lengths[:4] = (2, n, 1, n)
+    return model, factors, batch, ys, lengths
+
+
+@pytest.mark.parametrize("order", ["unsorted", "sorted"])
+@pytest.mark.parametrize("side", ["crf", "hmc"])
+@pytest.mark.parametrize("mode", [STRICT, GENERALIZED])
+def test_ragged_rows_equal_calls_on_the_cut_chain(mode, side, order, lse_rows):
+    """Each row equals, bit for bit, a single call on the chain cut to its length;
+    past its length it is NaN.  The potentials reach the below-floor recompute."""
+    model, factors, batch, ys, lengths = ragged_case(side, mode, seed=11)
+    if order == "sorted":
+        lengths = np.sort(lengths)[::-1]
+    lse_rows.clear()
+    totals, log_marginals = batch(model, ys, lengths)
+    assert sum(lse_rows) > len(ys)  # rows beyond the totals' are recomputed entries
+    assert log_marginals.shape == (len(ys), model.length, K)
+    for y, length, total, rows in zip(ys, lengths, totals, log_marginals):
+        want_total, want = prefix_call(factors, y, length)
+        assert total == want_total
+        assert np.array_equal(rows[:length], want, equal_nan=True)
+        assert np.isnan(rows[length:]).all()
+    if mode == GENERALIZED:
+        dead = totals == LOG_ZERO
+        assert dead.any() and (~dead).any()
+        assert np.isnan(log_marginals[dead]).all()
+        assert not dead[(ys[:, 2] == 1) & (lengths <= 2)].any()  # the dead cell is cut off
+
+
+@pytest.mark.parametrize("side", ["crf", "hmc"])
+def test_single_calls_on_cut_models_match_ragged_rows(side):
+    """A ragged row is the public single call on the model cut to its length: bit for
+    bit for a CRF, and for an HMC the posterior of the prefix alone under the same chain."""
+    model, factors, batch, ys, lengths = ragged_case(side, STRICT, seed=12)
+    totals, log_marginals = batch(model, ys, lengths)
+    for y, length, total, rows in zip(ys, lengths, totals, log_marginals):
+        if side == "crf":
+            cut = CrfModel(model.hidden, model.obs, model.pair_potentials[:length - 1],
+                           model.emit_potentials[:length], mode=model.mode)
+            assert total == crf_log_normalizer(cut, y[:length])
+            assert np.array_equal(rows[:length], crf_posterior_marginals(cut, y[:length]).rows.log_values)
+        else:  # the HMC cut to a length renormalizes its rows, which can move a last bit
+            cut = HmcModel(model.hidden, model.obs, model.init, model.transitions[:length - 1],
+                           model.emissions[:length])
+            assert total == pytest.approx(hmc_log_evidence(cut, y[:length]), rel=1e-12, abs=1e-9)
+            want = hmc_posterior_marginals(cut, y[:length]).probabilities()
+            np.testing.assert_allclose(np.exp(rows[:length]), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("side", ["crf", "hmc"])
+def test_full_lengths_take_the_plain_path(side, monkeypatch):
+    """Lengths that are all the model's length give the plain call's result, and a
+    batch whose longest row is shorter than the model skips the steps past it."""
+    model, factors, batch, ys, _ = ragged_case(side, GENERALIZED, seed=13)
+    n = model.length
+    want_totals, want = batch(model, ys)
+    totals, got = batch(model, ys, np.full(len(ys), n))
+    assert np.array_equal(totals, want_totals)
+    assert np.array_equal(got, want, equal_nan=True)
+
+    steps = []
+    original = tables._log_product
+    monkeypatch.setattr(tables, "_log_product",
+                        lambda rows, row_max, factor: steps.append(len(rows)) or original(rows, row_max, factor))
+    short = np.array([n - 2, 1, n - 2, 3] * 4)
+    totals, got = batch(model, ys[:16], short)
+    assert len(steps) == 2 * (n - 3)  # forward and backward, to the longest row only
+    assert np.isnan(got[:, n - 2:]).all()
+    for y, length, total, rows in zip(ys, short, totals, got):
+        want_total, want = prefix_call(factors, y, length)
+        assert total == want_total and np.array_equal(rows[:length], want, equal_nan=True)
+
+
+@pytest.mark.parametrize("bad, error", [
+    ([2.0] * 4, "must be integers"),
+    ([True] * 4, "must be integers"),
+    (["2"] * 4, "must be integers"),
+    ([2, 2, 2], "expected 4 lengths"),
+    ([[2, 2, 2, 2]], "expected 4 lengths"),
+    ([2, 0, 2, 2], r"length 0 out of range \[1, 5\]"),
+    ([2, 6, 2, 2], r"length 6 out of range \[1, 5\]"),
+    ([-1, 2, 2, 2], r"length -1 out of range"),
+])
+@pytest.mark.parametrize("side", ["crf", "hmc"])
+def test_bad_lengths_raise_validation_error(side, bad, error):
+    model = random_crf_model(N, K, L, seed=0)
+    batch = crf_posterior_marginals_batch
+    if side == "hmc":
+        model, batch = to_hmc(model), hmc_posterior_marginals_batch
+    with pytest.raises(ValidationError, match=error):
+        batch(model, ALL_YS[:4], bad)

@@ -26,8 +26,8 @@ from chainequiv.cli import (
     read_sequences,
 )
 from chainequiv.crf import DegenerateModel, default_alphabets, random_crf_model
-from chainequiv.hmc import ImpossibleObservation
-from chainequiv.tables import ValidationError
+from chainequiv.hmc import HmcModel, ImpossibleObservation
+from chainequiv.tables import Table1, ValidationError
 
 from conftest import brute_crf_posterior, label_space, marginals_of, naive_crf_score
 
@@ -603,6 +603,92 @@ class TestDecodeAgainstPerLine:
         monkeypatch.setattr(cli, "MARGINAL_CHUNK_CELLS", chunk)
         assert main(argv) == code
         assert capsys.readouterr() == expected
+
+
+class TestLengthSortedDecode:
+    """``decode`` sorts a block's lines by length into ragged chain calls of bounded
+    size; its bytes must match :func:`per_line_decode` wherever blocks and calls end.
+
+    The block and the call bound are set small, so that block and call seams fall
+    inside runs of lines of one length.  The file mixes lengths 1-40 with
+    unknown-symbol, blank and impossible lines.
+    """
+
+    N, K, L = 6, 3, 3  # model length, labels, symbols; o2 is impossible
+
+    @pytest.fixture(scope="class")
+    def models(self, tmp_path_factory):
+        """A generalized time-homogeneous CRF and a stationary HMC with zero-weight cells."""
+        tmp = tmp_path_factory.mktemp("sorted")
+        rng = np.random.default_rng(21)
+        hidden, obs = default_alphabets(self.K, self.L)
+        pair = rng.uniform(-5.0, 5.0, (self.K, self.K))
+        pair[rng.random(pair.shape) < 0.3] = -np.inf
+        np.fill_diagonal(pair, 0.0)
+        emit = rng.uniform(-5.0, 5.0, (self.K, self.L))
+        emit[:, 2] = -np.inf
+        crf = CrfModel.homogeneous(hidden, obs, self.N, Table2(pair), Table2(emit), mode="generalized")
+        trans, emit = np.exp(pair), np.exp(emit)
+        hmc = HmcModel.homogeneous(hidden, obs, self.N, Table1.from_probabilities([0.5, 0.3, 0.2]),
+                                   Table2.from_probabilities(trans / trans.sum(1, keepdims=True)),
+                                   Table2.from_probabilities(emit / emit.sum(1, keepdims=True)))
+        paths = {"crf": str(tmp / "crf.json"), "hmc": str(tmp / "hmc.json")}
+        ModelFile.from_crf(crf).dump(paths["crf"])
+        ModelFile.from_hmc(hmc, mode="generalized").dump(paths["hmc"])
+        return paths
+
+    def sequences(self, tmp_path):
+        rng = np.random.default_rng(22)
+        lines = []
+        for i in range(160):
+            length = int(rng.integers(1, 41)) if i % 4 == 0 else (self.N, 12, 3)[i % 3]
+            tokens = [f"o{v}" for v in rng.integers(0, self.L - 1, length)]
+            if i % 9 == 4:
+                tokens[-1] = "o2"
+            if i % 13 == 6:
+                tokens[0], tokens[-1] = "zz", "yy"  # the first unknown symbol is named
+            lines.append(" ".join(tokens))
+            if i % 17 == 2:
+                lines.append("")
+        path = write(tmp_path / "seqs.txt", "\n".join(lines) + "\n")
+        return path, [(i, line.split()) for i, line in enumerate(lines, start=1) if line.split()]
+
+    @pytest.mark.parametrize("tile", [True, False], ids=["tile", "fixed"])
+    @pytest.mark.parametrize("kind", ["crf", "hmc"])
+    def test_matches_per_line_decode(self, models, tmp_path, capsys, monkeypatch, kind, tile):
+        seqs, lines = self.sequences(tmp_path)
+        model = ModelFile.load(models[kind]).to_model()
+        expected = per_line_decode(model, lines, tile)
+        monkeypatch.setattr(cli, "DECODE_BLOCK_LINES", 23)
+        monkeypatch.setattr(cli, "DECODE_CALL_CELLS", 4 * 12 * self.K)
+        calls = []
+        module, name = (cli._crf, "crf_posterior_marginals_batch") if kind == "crf" else (
+            cli._hmc, "hmc_posterior_marginals_batch")
+        batch = getattr(module, name)
+
+        def spy(model, ys, lengths):
+            calls.append((model.length, lengths.tolist()))
+            return batch(model, ys, lengths)
+
+        monkeypatch.setattr(module, name, spy)
+        argv = ["decode", models[kind], seqs, "--marginals"] + ["--tile"] * tile
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == expected
+        assert code == EXIT_PARSE and captured.out
+        assert "zero weight" in captured.err or "probability zero" in captured.err
+        assert "symbol 'zz' is not in the alphabet" in captured.err
+        for longest, lengths in calls:
+            assert lengths == sorted(lengths, reverse=True) and longest == lengths[0]
+            assert len(lengths) * longest * self.K <= cli.DECODE_CALL_CELLS or len(lengths) == 1
+            if kind == "hmc" and tile and self.N in lengths:  # the loaded model, not a retiled one
+                assert set(lengths) == {self.N}
+        seams = [a[-1] for (_, a), (_, b) in zip(calls, calls[1:]) if a[-1] == b[0]]
+        assert seams  # a run of one length spans two calls
+        if tile:
+            assert len({n for _, lengths in calls for n in lengths}) > 10
 
 
 class TestVerify:

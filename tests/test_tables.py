@@ -186,6 +186,13 @@ class TestAlphabet:
         assert ab.symbol(np.int64(1)) == "b"
         assert ab.symbol(np.uint8(0)) == "a"
 
+    def test_indices_map_a_sequence_and_name_the_first_unknown_symbol(self):
+        ab = Alphabet(("x", "y", "z"))
+        assert ab.indices(["z", "x", "z", "y"]) == [2, 0, 2, 1]
+        assert ab.indices([]) == []
+        with pytest.raises(ValidationError, match=r"^symbol 'w' is not in the alphabet$"):
+            ab.indices(["x", "w", "q"])
+
     @given(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=8, unique=True))
     def test_bijection(self, symbols):
         ab = Alphabet(tuple(symbols))
