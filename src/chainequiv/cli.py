@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -367,11 +368,12 @@ def read_sequences(path: str):
 
     The file is read whole here, so an unreadable or non-UTF-8 one raises
     ParseError before any line is taken; lines are split into tokens only as
-    the iterator is advanced.
+    the iterator is advanced.  The iterator is built of C-level parts, with
+    no Python step per line.
     """
     text = _read_text(path)
-    numbered = enumerate((match.group().split() for match in _LINE.finditer(text)), start=1)
-    return ((i, tokens) for i, tokens in numbered if tokens)
+    numbered = zip(itertools.count(1), map(str.split, map(re.Match.group, _LINE.finditer(text))))
+    return filter(operator.itemgetter(1), numbered)  # nonblank lines
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +519,7 @@ def cmd_convert(args) -> int:
 
 
 def _tiled_model(model, length: int):
-    """Retile a time-homogeneous model to another sequence length."""
+    """Retile a time-homogeneous model to another sequence length; its tables stay bit for bit."""
     if isinstance(model, CrfModel):
         pairs, emits = model.pair_potentials, model.emit_potentials
     else:
@@ -530,35 +532,38 @@ def _tiled_model(model, length: int):
     if isinstance(model, CrfModel):
         return CrfModel.homogeneous(model.hidden, model.obs, length, pairs[0], emits[0],
                                     mode=model.mode)
-    return HmcModel.homogeneous(model.hidden, model.obs, length, model.init, pairs[0], emits[0])
+    return model.retiled(length)
 
 
-# ``decode`` works through its lines in blocks of at most DECODE_BLOCK_LINES,
-# and of at most DECODE_BLOCK_CELLS // k**2 lines for wide label sets: the
-# chain kernel's exact recompute of underflowed entries gathers up to
-# lines * k**2 cells in one step, and this keeps that gather bounded.
-# Within a block the lines go to the chain kernel sorted by length, longest
-# first, as ragged prefixes of one call at the longest length, each call at
-# most DECODE_CALL_CELLS padded cells (lines * longest length * k): the
-# kernel holds a few arrays of about 8 bytes a cell.
+# ``decode`` works through its nonblank lines in blocks of at most
+# DECODE_BLOCK_LINES, and of at most DECODE_BLOCK_CELLS // k**2 lines for wide
+# label sets: the chain kernel's exact recompute of underflowed entries
+# gathers up to lines * k**2 cells in one step, and this keeps that gather
+# bounded.  A block takes block-level calls, with no Python step per line:
+# its tokens are looked up by one ``Alphabet.lookup``, and only lines that
+# fail a check are visited one by one.  Its valid lines go to the chain kernel
+# sorted by length, longest first, as ragged prefixes of one call at the
+# longest length, each call at most DECODE_CALL_CELLS padded cells (lines *
+# longest length * k): the kernel holds a few arrays of about 8 bytes a cell.
 DECODE_BLOCK_LINES = 1024
 DECODE_BLOCK_CELLS = 2**20
 DECODE_CALL_CELLS = 160 * 2**10
 
 
-def _chain_calls(lengths: np.ndarray, k: int, apart: int | None):
+def _runs(values: np.ndarray) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each run of equal neighbours in the nonempty 1-d array ``values``."""
+    cuts = (np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(values)]))
+
+
+def _chain_calls(lengths: np.ndarray, k: int):
     """``(start, stop)`` of each chain call over lines of ``lengths``, sorted longest first.
 
-    A call holds at most DECODE_CALL_CELLS padded cells, or one line; the
-    lines of length ``apart``, if given, take calls of their own.
+    A call holds at most DECODE_CALL_CELLS padded cells, or one line.
     """
-    cuts = [len(lengths)]
-    if apart is not None:
-        cuts += np.searchsorted(-lengths, [-apart, -apart + 1]).tolist()
     start = 0
     while start < len(lengths):
-        stop = min([start + max(1, DECODE_CALL_CELLS // (int(lengths[start]) * k))]
-                   + [c for c in cuts if c > start])
+        stop = min(len(lengths), start + max(1, DECODE_CALL_CELLS // (int(lengths[start]) * k)))
         yield start, stop
         start = stop
 
@@ -566,12 +571,18 @@ def _chain_calls(lengths: np.ndarray, k: int, apart: int | None):
 def cmd_decode(args) -> int:
     """MPM labels per nonblank sequence line, with ``--marginals`` also its marginal columns.
 
-    Lines are tokenized one block at a time.  A block's valid lines are
-    sorted by length, longest first, and decoded in batch marginals calls of
-    bounded size, each line a ragged prefix of its call.  The marginal
-    columns are exact ``"%.6f"`` text from :func:`_marginal_columns`, built
-    per run of lines of one length.  Output goes out in input order, a block
-    at a time: labelled lines to stdout, bad and impossible ones to stderr.
+    The file is read whole, then its nonblank lines are handled a block at a
+    time (see DECODE_BLOCK_LINES).  A block's tokens become one flat index
+    array; a line with an unknown symbol, of the wrong length without
+    ``--tile``, or of a length the model cannot be retiled to is reported, in
+    that order of checks.  The valid lines are sorted by length, longest
+    first, and decoded in batch marginals calls of bounded size, each line a
+    ragged prefix of its call.  Each run of lines of one length is assembled
+    as arrays: its labels from one gather of the symbols, its marginal columns
+    as exact ``"%.6f"`` text from :func:`_marginal_columns`, its lines
+    scattered back to input order.  A block goes out in input order, one
+    ``writelines`` per run of lines bound for one stream: labelled lines to
+    stdout, bad and impossible ones to stderr.
     """
     if args.model == "-" and args.sequences == "-":
         return _fail(EXIT_PARSE, "the model and the sequences cannot both come from stdin")
@@ -592,60 +603,74 @@ def cmd_decode(args) -> int:
     symbols = np.array(model.hidden.symbols, dtype=object)
     index_type = np.min_scalar_type(model.obs.size)  # the batch call makes its own intp copy
     tiled = {model.length: model}
-    # A retiled HMC renormalizes its rows when it is built, which can move
-    # their last bit off the loaded model's: lines of the model's own length
-    # keep the loaded model, in calls of their own.  A retiled CRF has the
-    # loaded tables.
-    apart = model.length if args.tile and not isinstance(model, CrfModel) else None
+    untileable = {}  # line length -> the message of its failed retile
     parse_errors = impossible = 0
 
     while block_lines := list(itertools.islice(lines, block)):
-        results = [None] * len(block_lines)  # (stream, text) per line, written in input order
-        valid = []  # (position in block, line number, observation indices)
-        for i, (line_no, tokens) in enumerate(block_lines):
+        line_numbers, tokens = zip(*block_lines)
+        counts = np.fromiter(map(len, tokens), np.intp, len(tokens))
+        offsets = np.zeros(len(tokens) + 1, dtype=np.intp)  # line i holds flat[offsets[i]:offsets[i + 1]]
+        np.cumsum(counts, out=offsets[1:])
+        flat = model.obs.lookup(itertools.chain.from_iterable(tokens), int(offsets[-1]))
+        texts = np.empty(len(tokens), dtype=object)  # each line's output, in input order
+        to_stderr = np.zeros(len(tokens), dtype=bool)
+
+        errors = {}  # position in block -> message
+        for i in np.unique(np.searchsorted(offsets, np.flatnonzero(flat < 0), side="right") - 1).tolist():
             try:
-                y = model.obs.indices(tokens)
-                if len(y) != model.length and not args.tile:
-                    raise ValidationError(
-                        f"expected {model.length} symbols, got {len(y)} (use --tile for other lengths)"
-                    )
-                if len(y) not in tiled:
-                    tiled[len(y)] = _tiled_model(model, len(y))
+                model.obs.indices(tokens[i])  # raises, naming the line's first unknown symbol
             except ValidationError as e:
-                parse_errors += 1
-                results[i] = (sys.stderr, f"line {line_no}: {e}\n")
-                continue
-            valid.append((i, line_no, y))
-        valid.sort(key=lambda line: len(line[2]), reverse=True)  # stable
-        all_lengths = np.array([len(y) for _, _, y in valid], dtype=np.intp)
+                errors[i] = str(e)
+        valid = np.ones(len(tokens), dtype=bool)
+        valid[list(errors)] = False
+        if not args.tile:
+            for i in np.flatnonzero(valid & (counts != model.length)).tolist():
+                errors[i] = f"expected {model.length} symbols, got {counts[i]} (use --tile for other lengths)"
+        else:
+            for length in np.unique(counts[valid]).tolist():
+                if length not in tiled and length not in untileable:
+                    try:
+                        tiled[length] = _tiled_model(model, length)
+                    except ValidationError as e:
+                        untileable[length] = str(e)
+                if length in untileable:
+                    for i in np.flatnonzero(valid & (counts == length)).tolist():
+                        errors[i] = untileable[length]
+        if errors:
+            bad = list(errors)
+            valid[bad], to_stderr[bad] = False, True
+            texts[bad] = [f"line {line_numbers[i]}: {message}\n" for i, message in errors.items()]
+            parse_errors += len(errors)
 
-        for start, stop in _chain_calls(all_lengths, k, apart):
-            call, lengths = valid[start:stop], all_lengths[start:stop]
+        order = np.flatnonzero(valid)
+        order = order[np.argsort(-counts[order], kind="stable")]
+        all_lengths = counts[order]
+        for start, stop in _chain_calls(all_lengths, k):
+            rows, lengths = order[start:stop], all_lengths[start:stop]
             longest = int(lengths[0])
-            ys = np.zeros((len(call), longest), dtype=index_type)  # padded with index 0
-            ys[np.arange(longest) < lengths[:, None]] = np.fromiter(
-                itertools.chain.from_iterable(y for _, _, y in call), index_type, int(lengths.sum()))
+            padded = np.arange(longest) < lengths[:, None]
+            ys = np.zeros((len(rows), longest), dtype=index_type)  # padded with index 0
+            ys[padded] = flat[(offsets[rows, None] + np.arange(longest))[padded]]
             totals, log_marginals = marginals_batch(tiled[longest], ys, lengths)
-            edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(call)]
-            for lo, hi in zip(edges, edges[1:]):  # the runs of one length
-                length = int(lengths[lo])
+            for lo, hi in _runs(lengths):
+                length, run_rows = int(lengths[lo]), rows[lo:hi]
                 run = log_marginals[lo:hi, :length]
-                labels = symbols[run.argmax(axis=2)]  # lowest index wins ties
                 possible = totals[lo:hi] != LOG_ZERO  # the other rows are NaN
-                tails = itertools.repeat("")
+                if not possible.all():
+                    dead = run_rows[~possible]
+                    to_stderr[dead] = True
+                    texts[dead] = [f"line {line_numbers[i]}: {zero_message}\n" for i in dead.tolist()]
+                    impossible += len(dead)
+                    run, run_rows = run[possible], run_rows[possible]
+                labels = map(" ".join, symbols[run.argmax(axis=2)].tolist())  # lowest index wins ties
                 if args.marginals:
-                    rows = run if possible.all() else run[possible]
-                    tails = iter(_marginal_columns(np.exp(rows).reshape(len(rows), length * k), k))
-                template = " ".join(["%s"] * length) + "%s\n"
-                for (i, line_no, _), ok, row_labels in zip(call[lo:hi], possible, labels):
-                    if ok:
-                        results[i] = (sys.stdout, template % (*row_labels, next(tails)))
-                    else:
-                        impossible += 1
-                        results[i] = (sys.stderr, f"line {line_no}: {zero_message}\n")
+                    tails = _marginal_columns(np.exp(run).reshape(len(run), length * k), k)
+                    texts[run_rows] = list(map("{}{}\n".format, labels, tails))
+                else:
+                    texts[run_rows] = list(map("{}\n".format, labels))
 
-        for stream, text in results:
-            stream.write(text)
+        for lo, hi in _runs(to_stderr):
+            (sys.stderr if to_stderr[lo] else sys.stdout).writelines(texts[lo:hi].tolist())
 
     if parse_errors:
         return EXIT_PARSE
@@ -664,6 +689,10 @@ def cmd_verify(args) -> int:
         return _fail(EXIT_PARSE, f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     if args.budget < 1:
         return _fail(EXIT_PARSE, f"--budget must be at least 1, got {args.budget}")
+    if args.samples is not None and args.samples < 1:
+        return _fail(EXIT_PARSE, f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        return _fail(EXIT_PARSE, f"--seed must be at least 0, got {args.seed}")
     try:
         model = _load_crf(args.model, "verify")
         against = None
@@ -691,8 +720,6 @@ def cmd_verify(args) -> int:
     if exhaustive:
         ys = all_sequences(l, n)
     elif args.samples is not None:
-        if args.samples < 1:
-            return _fail(EXIT_PARSE, f"--samples must be at least 1, got {args.samples}")
         ys = _sampled_sequences(l, n, args.samples, args.seed)
     else:
         return _fail(EXIT_BUDGET,

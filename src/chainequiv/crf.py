@@ -11,6 +11,7 @@ per-position posterior marginals and the MPM (maximum posterior mode)
 decoding, all in O(length * num_labels^2).
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,10 +136,13 @@ def random_crf_model(length: int, hidden_size: int, obs_size: int, seed: int,
     Deterministic for a fixed seed; in generalized mode each cell is
     independently set to ``-inf`` with probability ``zero_prob``.  Pairwise
     tables are drawn first (in position order), then emission tables.
+    ``seed`` must be an integer >= 0.
     """
     hidden, obs = default_alphabets(hidden_size, obs_size)
     if length < 1:
         raise ValidationError("length must be >= 1")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
 
     def draw(shape):

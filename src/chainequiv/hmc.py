@@ -129,6 +129,25 @@ class HmcModel:
             raise ValidationError("length must be >= 1")
         return cls(hidden, obs, init, tiled(trans, length - 1), tiled(emit, length))
 
+    def retiled(self, length: int) -> "HmcModel":
+        """The chain of this model's init, first transition and first emission table at ``length``.
+
+        The stacks are stride-0 views of this model's own rows, which are
+        normalized already: they are neither checked nor renormalized again,
+        so every table equals the one it repeats bit for bit.  For a
+        stationary model this is the same chain at another length.
+        """
+        if length < 1:
+            raise ValidationError("length must be >= 1")
+        if not len(self.transitions):
+            raise ValidationError("a length-1 chain has no transition table to repeat")
+        model = object.__new__(HmcModel)
+        for name, value in (("hidden", self.hidden), ("obs", self.obs), ("init", self.init),
+                            ("transitions", tiled(self.transitions[0], length - 1)),
+                            ("emissions", tiled(self.emissions[0], length))):
+            object.__setattr__(model, name, value)
+        return model
+
 
 def _factors(model: HmcModel):
     """The HMC as CRF factors: its stacked log transition and log emission tables.

@@ -6,6 +6,7 @@ Probabilities are exponentiated only at API boundaries.  NaN is rejected at
 table construction so that every downstream operation is total.
 """
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -75,6 +76,14 @@ class Alphabet:
             return list(map(self._positions.__getitem__, symbols))
         except KeyError as e:
             raise _unknown_symbol(e.args[0]) from None
+
+    def lookup(self, symbols, count: int = -1) -> np.ndarray:
+        """The index of each of ``symbols`` as an intp array, ``-1`` for a symbol not in the alphabet.
+
+        One C-level lookup per symbol and no error; ``count``, when known,
+        is the number of symbols.
+        """
+        return np.fromiter(map(self._positions.get, symbols, itertools.repeat(-1)), np.intp, count)
 
     def symbol(self, index: int) -> str:
         if isinstance(index, bool) or not isinstance(index, numbers.Integral):

@@ -9,7 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainequiv import CrfModel, Table2, cli, crf_posterior_marginals, hmc_posterior_marginals
+from chainequiv import (
+    CrfModel,
+    Table2,
+    cli,
+    crf_posterior_marginals,
+    crf_to_hmc,
+    hmc_posterior_marginals,
+)
 from chainequiv.cli import (
     DECODE_BLOCK_CELLS,
     DECODE_BLOCK_LINES,
@@ -179,6 +186,16 @@ class TestRandom:
             assert main(["random", "--n", "3", "--hidden", "2", "--obs", "2",
                          "--seed", "5", "-o", str(tmp_path / name)]) == EXIT_OK
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_exits_2_with_one_error_line(self, tmp_path, capsys, seed):
+        path = tmp_path / "m.json"
+        assert main(["random", "--n", "3", "--hidden", "2", "--obs", "2", "--seed", seed,
+                     "-o", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed must be an integer >= 0, got {seed}\n"
+        assert not path.exists()
 
     def test_length_one_has_empty_pairwise_array(self, tmp_path):
         main(["random", "--n", "1", "--hidden", "2", "--obs", "2", "-o",
@@ -683,12 +700,121 @@ class TestLengthSortedDecode:
         for longest, lengths in calls:
             assert lengths == sorted(lengths, reverse=True) and longest == lengths[0]
             assert len(lengths) * longest * self.K <= cli.DECODE_CALL_CELLS or len(lengths) == 1
-            if kind == "hmc" and tile and self.N in lengths:  # the loaded model, not a retiled one
-                assert set(lengths) == {self.N}
+        if tile:  # a retiled model has the loaded tables, so the model's own length shares calls
+            assert any(self.N in lengths and len(set(lengths)) > 1 for _, lengths in calls)
         seams = [a[-1] for (_, a), (_, b) in zip(calls, calls[1:]) if a[-1] == b[0]]
         assert seams  # a run of one length spans two calls
         if tile:
             assert len({n for _, lengths in calls for n in lengths}) > 10
+
+
+class TestDecodeBlockSeams:
+    """``decode`` bytes against :func:`per_line_decode` with blocks of 1, 2, 7 and the default
+    number of lines, on a file that puts every kind of line next to a block seam.
+
+    The file mixes blank and whitespace-only lines, ``\\n``, ``\\r\\n`` and ``\\r``
+    ends (and none on the last line), ``\\x85`` and U+2028 between tokens, unknown
+    symbols first or last on a line, a line both unknown and of the wrong length,
+    and impossible lines; the reference reads it with :func:`read_sequences`.
+    """
+
+    N, K, L = 5, 3, 3  # model length, labels, symbols; o2 is impossible
+
+    @pytest.fixture(scope="class")
+    def models(self, tmp_path_factory):
+        """A generalized time-homogeneous CRF and a stationary HMC with zero-weight cells."""
+        tmp = tmp_path_factory.mktemp("seams")
+        rng = np.random.default_rng(31)
+        hidden, obs = default_alphabets(self.K, self.L)
+        pair = rng.uniform(-5.0, 5.0, (self.K, self.K))
+        pair[rng.random(pair.shape) < 0.3] = -np.inf
+        np.fill_diagonal(pair, 0.0)
+        emit = rng.uniform(-5.0, 5.0, (self.K, self.L))
+        emit[:, 2] = -np.inf
+        crf = CrfModel.homogeneous(hidden, obs, self.N, Table2(pair), Table2(emit), mode="generalized")
+        trans, emit = np.exp(pair), np.exp(emit)
+        hmc = HmcModel.homogeneous(hidden, obs, self.N, Table1.from_probabilities([0.2, 0.5, 0.3]),
+                                   Table2.from_probabilities(trans / trans.sum(1, keepdims=True)),
+                                   Table2.from_probabilities(emit / emit.sum(1, keepdims=True)))
+        paths = {"crf": str(tmp / "crf.json"), "hmc": str(tmp / "hmc.json")}
+        ModelFile.from_crf(crf).dump(paths["crf"])
+        ModelFile.from_hmc(hmc, mode="generalized").dump(paths["hmc"])
+
+        lines = []
+        for i in range(64):
+            length = int(rng.integers(1, 10)) if i % 2 else self.N
+            tokens = [f"o{v}" for v in rng.integers(0, self.L - 1, length)]
+            if i % 11 == 1:
+                tokens[0] = "zz"
+            if i % 11 == 6:
+                tokens[-1] = "yy"
+            if i % 13 == 2:
+                tokens = ["o0"] * (self.N + 3) + ["xx"]  # unknown and the wrong length
+            if i % 9 == 4:
+                tokens[-1] = "o2"
+            separators = [" "] * len(tokens)
+            if i % 7 == 3:
+                separators[-1] = "\x85"
+            if i % 7 == 5:
+                separators[0] = "\u2028"
+            lines.append("".join(sep + t for sep, t in zip(separators, tokens)).lstrip(" "))
+            if i % 6 == 2:
+                lines.append("" if i % 12 == 2 else " \t ")
+        ends = rng.choice(["\n", "\r\n", "\r"], len(lines)).tolist()
+        text = "".join(line + end for line, end in zip(lines, ends))[:-len(ends[-1])]
+        seqs = tmp / "seqs.txt"
+        seqs.write_bytes(text.encode())
+        return paths, str(seqs)
+
+    @pytest.mark.parametrize("marginals", [True, False], ids=["marginals", "labels"])
+    @pytest.mark.parametrize("tile", [True, False], ids=["tile", "fixed"])
+    @pytest.mark.parametrize("kind", ["crf", "hmc"])
+    @pytest.mark.parametrize("block", [1, 2, 7, None], ids=["1", "2", "7", "default"])
+    def test_matches_per_line_decode(self, models, capsys, monkeypatch, block, kind, tile, marginals):
+        paths, seqs = models
+        model = ModelFile.load(paths[kind]).to_model()
+        expected = per_line_decode(model, read_sequences(seqs), tile, marginals)
+        if block is not None:
+            monkeypatch.setattr(cli, "DECODE_BLOCK_LINES", block)
+        argv = ["decode", paths[kind], seqs] + ["--tile"] * tile + ["--marginals"] * marginals
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == expected
+        for message in ("symbol 'zz'", "symbol 'yy'", "symbol 'xx'", "zero weight" if kind == "crf"
+                        else "probability zero"):
+            assert message in captured.err
+        assert (f"expected {self.N} symbols" in captured.err) != tile
+
+    @pytest.mark.parametrize("kind", ["crf", "hmc"])
+    def test_sequences_from_stdin_match_the_file(self, models, capsys, monkeypatch, kind):
+        paths, seqs = models
+        argv = ["decode", paths[kind], seqs, "--tile", "--marginals"]
+        code = main(argv)
+        expected = capsys.readouterr()
+        stdin = io.TextIOWrapper(io.BytesIO(Path(seqs).read_bytes()), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(argv[:2] + ["-"] + argv[3:]) == code
+        assert capsys.readouterr() == expected
+
+
+class TestRetiledTables:
+    def test_retiled_stationary_hmc_keeps_the_loaded_tables(self):
+        """200 stationary HMCs with rows from ``crf_to_hmc``: retiling copies no bit wrong."""
+        for seed in range(200):
+            hmc, _ = crf_to_hmc(random_crf_model(3, 4, 3, seed=seed))
+            stationary = HmcModel.homogeneous(hmc.hidden, hmc.obs, 3, hmc.init, hmc.transitions[0],
+                                              hmc.emissions[0])
+            loaded = ModelFile.from_json(ModelFile.from_hmc(stationary).to_json()).to_model()
+            for length in (1, 2, 3, 4, 9, 40):
+                tiled = _tiled_model(loaded, length)
+                assert tiled.length == length
+                for name in ("init", "transitions", "emissions"):
+                    got = getattr(tiled, name).log_values
+                    want = getattr(loaded, name).log_values
+                    want = want if name == "init" else np.broadcast_to(want[:1], got.shape)
+                    assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (seed, length, name)
 
 
 class TestVerify:
@@ -794,6 +920,25 @@ class TestVerify:
         assert main(["verify", str(tmp_path / "m.json"), "--budget", "100",
                      "--samples", samples]) == EXIT_PARSE
         assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["100", "1000000"], ids=["sampled", "exhaustive"])
+    @pytest.mark.parametrize("extra, message", [
+        (["--samples", "0"], "--samples must be at least 1, got 0"),
+        (["--samples", "-3"], "--samples must be at least 1, got -3"),
+        (["--samples", "3", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["--seed", "-1"], "--seed must be at least 0, got -1"),
+    ])
+    def test_bad_samples_or_seed_exit_2_with_one_error_line(self, tmp_path, capsys, budget, extra,
+                                                             message):
+        # 2^4 labelings fit either budget; 3^4 * 2^4 enumerations fit only the larger one
+        main(["random", "--n", "4", "--hidden", "2", "--obs", "3", "--seed", "0",
+              "-o", str(tmp_path / "m.json")])
+        report = tmp_path / "r.json"
+        assert main(["verify", str(tmp_path / "m.json"), "--budget", budget, "--report", str(report)]
+                    + extra) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not report.exists()
 
     @pytest.mark.parametrize("tolerance", ["nan", "-1e-9", "inf", "-inf"])
     def test_non_finite_or_negative_tolerance_rejected(self, tmp_path, capsys, tolerance):

@@ -117,6 +117,11 @@ class TestModelValidation:
                           (*b.pair_potentials, *b.emit_potentials)):
             assert np.array_equal(ta.log_values, tb.log_values)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_random_model_rejects_a_negative_or_non_integer_seed(self, seed):
+        with pytest.raises(ValidationError, match=r"^seed must be an integer >= 0"):
+            random_crf_model(3, 2, 2, seed=seed)
+
     def test_random_generalized_has_zero_cells(self):
         m = random_crf_model(6, 4, 3, seed=0, mode="generalized")
         cells = np.concatenate([t.log_values.ravel()

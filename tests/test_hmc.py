@@ -76,6 +76,19 @@ class TestModelValidation:
         assert m.emissions.log_values.strides[0] == 0
         assert m.emissions.shape == (1000, 2, 2)
 
+    def test_retiled_repeats_the_first_tables_as_views(self):
+        m = random_hmc(4, 3, 2, seed=5)
+        r = m.retiled(7)
+        assert r.length == 7 and r.init is m.init
+        assert r.transitions.log_values.strides[0] == 0
+        assert (r.transitions.log_values == m.transitions.log_values[0]).all()
+        assert (r.emissions.log_values == m.emissions.log_values[0]).all()
+        assert m.retiled(1).transitions.shape == (0, 3, 3)
+        with pytest.raises(ValidationError):
+            m.retiled(0)
+        with pytest.raises(ValidationError, match="no transition table"):
+            random_hmc(1, 3, 2, seed=5).retiled(3)
+
     def test_table_counts(self):
         with pytest.raises(ValidationError):
             build([0.5, 0.5], [np.eye(2)], [np.full((2, 2), 0.5)])

@@ -193,6 +193,12 @@ class TestAlphabet:
         with pytest.raises(ValidationError, match=r"^symbol 'w' is not in the alphabet$"):
             ab.indices(["x", "w", "q"])
 
+    def test_lookup_maps_every_symbol_and_marks_unknown_ones(self):
+        ab = Alphabet(("x", "y", "z"))
+        got = ab.lookup(iter(["z", "w", "x", "-1", "y"]), 5)
+        assert got.dtype == np.intp and got.tolist() == [2, -1, 0, -1, 1]
+        assert ab.lookup([]).tolist() == []
+
     @given(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=8, unique=True))
     def test_bijection(self, symbols):
         ab = Alphabet(tuple(symbols))
