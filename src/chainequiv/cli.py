@@ -616,7 +616,8 @@ def cmd_decode(args) -> int:
         to_stderr = np.zeros(len(tokens), dtype=bool)
 
         errors = {}  # position in block -> message
-        for i in np.unique(np.searchsorted(offsets, np.flatnonzero(flat < 0), side="right") - 1).tolist():
+        unknown = np.searchsorted(offsets, np.flatnonzero(flat < 0), side="right") - 1
+        for i in dict.fromkeys(unknown.tolist()):  # not np.unique: it imports numpy.ma (1.2 MB)
             try:
                 model.obs.indices(tokens[i])  # raises, naming the line's first unknown symbol
             except ValidationError as e:
@@ -627,7 +628,7 @@ def cmd_decode(args) -> int:
             for i in np.flatnonzero(valid & (counts != model.length)).tolist():
                 errors[i] = f"expected {model.length} symbols, got {counts[i]} (use --tile for other lengths)"
         else:
-            for length in np.unique(counts[valid]).tolist():
+            for length in set(counts[valid].tolist()):
                 if length not in tiled and length not in untileable:
                     try:
                         tiled[length] = _tiled_model(model, length)
