@@ -21,6 +21,7 @@ from .tables import (
     hamming_loss,
     log_sum_exp,
     normalize_log,
+    normalize_rows,
 )
 from .crf import (
     CrfModel,

@@ -494,9 +494,9 @@ def _to_hmc(model: CrfModel):
     try:
         return crf_to_hmc(model) if model.mode == STRICT else crf_to_hmc_generalized(model)
     except ValidationError as e:
-        # At very large potentials the construction subtracts suffix sums as
-        # large as the path scores and can lose every digit of a row.
-        raise ParseError(f"the HMC construction lost precision: {e}") from None
+        # A guard: every row is normalized by its own maximum, so built rows
+        # pass the HMC checks at any potentials below the CRF's score limit.
+        raise ParseError(f"the HMC construction built rows that fail the HMC checks: {e}") from None
 
 
 def cmd_convert(args) -> int:

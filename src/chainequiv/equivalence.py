@@ -23,13 +23,17 @@ Rows of trans_n sum to one by the beta recursion itself.  For every y with
 positive evidence, the resulting HMC's posterior over label sequences equals
 the CRF's posterior exactly.
 
+Subtracting suffix sums, about n times the potentials, would cost each cell
+eps times that.  A reparameterization needs beta only up to a constant per
+position (Wainwright, Jaakkola & Willsky, IEEE Trans. Inf. Theory 49(5), 2003):
+beta rows are kept at a maximum of 0, and each output row is normalized alone.
+
 In generalized mode (potentials may be ``-inf``, i.e. weight zero) a state
 whose beta or psi value is ``-inf`` can never carry posterior mass; its
 transition or emission row is undefined (zero over zero) and is replaced by
 a uniform placebo row, recorded in the trace as unreachable.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +41,7 @@ import numpy as np
 from .crf import GENERALIZED, STRICT, CrfModel, DegenerateModel
 from .hmc import HmcModel
 from .hmc import _factors as _hmc_factors
-from .tables import LOG_ZERO, Table2, Table3, ValidationError, log_sum_exp, normalize_log
+from .tables import Table1, Table2, Table3, ValidationError, _finite_or_zero, log_sum_exp, normalize_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,10 +49,11 @@ class ConstructionTrace:
     """The intermediates of a CRF-to-HMC conversion, kept for auditing.
 
     ``psi`` and ``beta`` are (length, num_states) tables, one row per
-    position (the last beta row is identically zero in log domain); ``phi``
-    is the stack of length - 1 pairwise factors.  ``unreachable[n]`` lists
-    the states whose transition or emission row at position ``n`` was
-    replaced by a uniform placebo; such states never carry posterior mass.
+    position; ``beta`` is the unshifted one rebuilt from :func:`build_beta`,
+    its last row zero in log domain.  ``phi`` is the stack of length - 1
+    pairwise factors.  ``unreachable[n]`` lists the states whose transition
+    or emission row at position ``n`` was replaced by a uniform placebo;
+    such states never carry posterior mass.
     """
 
     psi: Table2
@@ -78,23 +83,27 @@ def build_phi(model: CrfModel, psi: Table2) -> Table3:
     return Table3(phi)
 
 
-def build_beta(phi, num_states: int | None = None) -> Table2:
-    """Backward suffix sums of the phi chain, one row per position.
+def build_beta(phi, num_states: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Backward suffix sums of the phi chain as ``(rows, shifts)``, one row and shift per position.
 
-    The last row is identically zero (log of one); each earlier row is
-    ``beta[n][x] = log sum_{x'} exp(phi[n][x, x'] + beta[n+1][x'])``.
-    ``phi`` is a Table3 or an array-like of its tables; for an empty phi
-    chain (length-1 model) ``num_states`` sizes the single row.
+    ``beta[n] = rows[n] + sum(shifts[n:])``, each row at a maximum of 0: the
+    last beta row is zero (log of one), each earlier one is ``beta[n][x] =
+    log sum_{x'} exp(phi[n][x, x'] + beta[n+1][x'])``.  ``phi`` is a Table3
+    or an array-like of its tables; for an empty phi chain (length-1 model)
+    ``num_states`` sizes the single row.
     """
     phi = np.asarray(phi, dtype=float)
     if len(phi) == 0:
         if num_states is None:
             raise ValidationError("num_states is required when phi is empty (length-1 model)")
-        return Table2(np.zeros((1, num_states)))
-    beta = np.zeros((len(phi) + 1, phi.shape[1]))
+        return np.zeros((1, num_states)), np.zeros(1)
+    rows = np.zeros((len(phi) + 1, phi.shape[1]))
+    shifts = np.zeros(len(phi) + 1)
     for n in range(len(phi) - 1, -1, -1):
-        beta[n] = log_sum_exp(phi[n] + beta[n + 1][None, :], axis=1)
-    return Table2(beta)
+        row = log_sum_exp(phi[n] + rows[n + 1], axis=1)
+        shifts[n] = _finite_or_zero(row.max())
+        rows[n] = row - shifts[n]
+    return rows, shifts
 
 
 def crf_to_hmc(model: CrfModel) -> tuple[HmcModel, ConstructionTrace]:
@@ -103,9 +112,8 @@ def crf_to_hmc(model: CrfModel) -> tuple[HmcModel, ConstructionTrace]:
     For strict-mode models only (all potentials finite); use
     :func:`crf_to_hmc_generalized` when zero weights are allowed.  For every
     observation sequence the returned chain's posterior over labelings
-    equals the CRF posterior.  Raises ValidationError when the built rows
-    fail the HMC checks, which happens when the construction loses precision
-    at very large potentials.
+    equals the CRF posterior, at every length and at any potentials below
+    the CRF's score limit: no row is normalized by a suffix sum.
     """
     if model.mode != STRICT:
         raise ValidationError(
@@ -138,37 +146,25 @@ def hmc_to_crf(model: HmcModel) -> CrfModel:
     return CrfModel(model.hidden, model.obs, pairs, emits, mode=STRICT if finite else GENERALIZED)
 
 
-def _rows(weights: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``weights`` divided by their row ``totals``, and the rows with zero total.
-
-    A zero-total row is undefined and becomes a uniform placebo row.
-    """
-    with np.errstate(invalid="ignore"):
-        out = weights - totals[..., None]
-    dead = np.isneginf(totals)
-    out[dead] = -math.log(out.shape[-1])
-    return out, dead
-
-
 def _construct(model: CrfModel) -> tuple[HmcModel, ConstructionTrace]:
     psi = build_psi(model)
     phi = build_phi(model, psi)
-    beta = build_beta(phi, num_states=model.hidden.size)
+    rows, shifts = build_beta(phi, num_states=model.hidden.size)
 
     if model.length == 1:
-        start, why = psi[0], "every state has zero emission weight"
+        start, why = psi.log_values[0], "every state has zero emission weight"
     else:
-        start, why = beta[0], "no labeling carries positive weight"
-    if log_sum_exp(start.log_values) == LOG_ZERO:
+        start, why = rows[0], "no labeling carries positive weight"
+    init, degenerate = normalize_rows(start)
+    if degenerate:
         raise DegenerateModel(why)
-    init = normalize_log(start)
 
-    b = beta.log_values
-    transitions, dead_trans = _rows(phi.log_values + b[1:, None, :], b[:-1])
-    emissions, unreachable = _rows(model.emit_potentials.log_values, psi.log_values)
+    transitions, dead_trans = normalize_rows(phi.log_values + rows[1:, None, :])
+    emissions, unreachable = normalize_rows(model.emit_potentials.log_values)
     unreachable[:-1] |= dead_trans
 
-    hmc = HmcModel(model.hidden, model.obs, init, transitions, emissions)
+    hmc = HmcModel(model.hidden, model.obs, Table1(init), transitions, emissions)
+    beta = Table2(rows + np.cumsum(shifts[::-1])[::-1, None])
     trace = ConstructionTrace(psi, phi, beta,
                               tuple(frozenset(np.flatnonzero(u).tolist()) for u in unreachable))
     return hmc, trace

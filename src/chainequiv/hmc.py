@@ -29,10 +29,13 @@ from .tables import (
     check_chain_shapes,
     distinct_tables,
     log_of_probabilities,
-    log_sum_exp,
+    normalize_rows,
     path_log_weight,
     tiled,
 )
+
+# Not called in this module: perfbench/tracing.py counts calls under this name.
+from .tables import log_sum_exp  # noqa: F401
 
 ROW_SUM_TOL = 1e-9
 ZERO_EVIDENCE = "observation sequence has probability zero under the model"
@@ -59,12 +62,12 @@ def _check_stochastic(log_rows: np.ndarray, what: str):
         )
 
 
-def _renormalized(stack: Table3, what: str) -> Table3:
-    """Check the stack's rows, then shift each to sum to exactly one; a tiled stack stays tiled."""
-    a = distinct_tables(stack.log_values)
+def _renormalized(table, what: str):
+    """Check the rows of the init row or of a stack, then normalize them; a tiled stack stays tiled."""
+    a = distinct_tables(table.log_values)
     _check_stochastic(a, what)
-    out = a - log_sum_exp(a, axis=-1)[..., None]
-    return Table3._view(np.broadcast_to(out, stack.shape))
+    out, _ = normalize_rows(a)
+    return table if out is a else type(table)._view(np.broadcast_to(out, table.shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +87,9 @@ class HmcModel:
 
     The constructor takes each stack as a Table3, an array-like or a
     sequence of Table2.  Rows must sum to one within ``1e-9`` (probability
-    domain) and are then exactly renormalized, since constructions produce
-    rows normalized only up to floating rounding.
+    domain) and are then normalized by ``tables.normalize_rows``, which
+    keeps a row it has normalized before bit for bit: a model built from
+    another model's tables, as ``retiled`` is, has the same rows.
     """
 
     hidden: Alphabet
@@ -101,13 +105,8 @@ class HmcModel:
         if len(self.init) != self.hidden.size:
             raise ValidationError(f"init has size {len(self.init)}, expected {self.hidden.size}")
 
-        init = self.init.log_values
-        _check_stochastic(init, "init")
-        # The init row takes the flat sum (math.log), which can round the last
-        # bit apart from numpy's vectorized log; convert's init output follows it.
-        object.__setattr__(self, "init", Table1(init - log_sum_exp(init)))
-        for name, stack in zip(names, stacks):
-            object.__setattr__(self, name, _renormalized(stack, name))
+        for name, table in zip(("init", *names), (self.init, *stacks)):
+            object.__setattr__(self, name, _renormalized(table, name))
 
     @property
     def length(self) -> int:
@@ -132,21 +131,12 @@ class HmcModel:
     def retiled(self, length: int) -> "HmcModel":
         """The chain of this model's init, first transition and first emission table at ``length``.
 
-        The stacks are stride-0 views of this model's own rows, which are
-        normalized already: they are neither checked nor renormalized again,
-        so every table equals the one it repeats bit for bit.  For a
-        stationary model this is the same chain at another length.
+        Every table equals the one it repeats bit for bit, since the rows are normalized already.
         """
-        if length < 1:
-            raise ValidationError("length must be >= 1")
         if not len(self.transitions):
             raise ValidationError("a length-1 chain has no transition table to repeat")
-        model = object.__new__(HmcModel)
-        for name, value in (("hidden", self.hidden), ("obs", self.obs), ("init", self.init),
-                            ("transitions", tiled(self.transitions[0], length - 1)),
-                            ("emissions", tiled(self.emissions[0], length))):
-            object.__setattr__(model, name, value)
-        return model
+        return HmcModel.homogeneous(self.hidden, self.obs, length, self.init, self.transitions[0],
+                                    self.emissions[0])
 
 
 def _factors(model: HmcModel):

@@ -311,27 +311,43 @@ def log_sum_exp(values, axis: int | None = None):
     return out
 
 
-def normalize_log(row: Table1) -> Table1:
-    """Shift a log-domain row so its exponentiated entries sum to one.
+_FIXED_POINT_SHIFT = 4 * np.finfo(float).eps
 
-    Raises :class:`AllZeroRow` when every entry is ``-inf``.  Being a pure
-    translation, normalization preserves the argmax.  The shift is computed
-    as ``max + log1p(rest)`` with the leading term split out.  A row whose
-    shift is within a few ulps of zero is already normalized and comes back
-    unchanged, so normalization is an exact fixed point on its own output.
+
+def normalize_rows(a) -> tuple[np.ndarray, np.ndarray]:
+    """Shift each row of a (..., k) log-domain array so its exponentiated entries sum to one.
+
+    Returns ``(rows, dead)``, ``dead`` flagging the rows of only ``-inf``,
+    which come back uniform.  The shift is ``max + log1p(rest)``, the first
+    maximal entry split out of the rest.  A row whose shift is within 4 eps
+    of zero comes back unchanged, so this is an exact fixed point on its own
+    output; when no row moves, ``a`` itself comes back.
     """
-    v = row.log_values
-    top = int(np.argmax(v))
-    m = float(v[top])
-    if m == LOG_ZERO:
-        raise AllZeroRow("cannot normalize a row whose entries are all -inf")
-    shifted = v - m  # the top entry lands on exactly zero
+    a = np.asarray(a, dtype=float)
+    flat = a.reshape(-1, a.shape[-1])
+    first = flat.argmax(axis=1) + np.arange(0, flat.size, flat.shape[1])  # flat indices
+    top = flat.take(first)
+    dead = top == LOG_ZERO
+    top[dead] = 0.0
+    shifted = flat - top[:, None]  # the top entry lands on exactly zero
     rest = np.exp(shifted)
-    rest[top] = 0.0
-    tail = math.log1p(float(rest.sum()))
-    if abs(m + tail) <= 4 * np.finfo(float).eps:
-        return row
-    return Table1(shifted - tail)
+    rest.put(first, 0.0)
+    tail = np.log1p(rest.sum(axis=1))  # 0 on a dead row
+    move = (np.abs(top + tail) > _FIXED_POINT_SHIFT) | dead
+    shifted[dead] = -math.log(flat.shape[1])
+    if not move.any():
+        return a, dead.reshape(a.shape[:-1])
+    out = np.subtract(shifted, tail[:, None], out=rest)
+    np.copyto(out, flat, where=~move[:, None])
+    return out.reshape(a.shape), dead.reshape(a.shape[:-1])
+
+
+def normalize_log(row: Table1) -> Table1:
+    """:func:`normalize_rows` on one row: itself when normalized already, AllZeroRow when all ``-inf``."""
+    rows, dead = normalize_rows(row.log_values)
+    if dead:
+        raise AllZeroRow("cannot normalize a row whose entries are all -inf")
+    return row if rows is row.log_values else Table1(rows)
 
 
 def hamming_loss(a, b) -> int:

@@ -60,6 +60,28 @@ def brute_hmc_posterior(model: HmcModel, y) -> tuple[dict, float]:
     return _normalize(scores)
 
 
+def log_ratio_bound(crf: CrfModel, hmc: HmcModel) -> float:
+    """The largest ``D(x, y) - D(x', y)`` over every y and label pair, ``D`` = HMC log joint - CRF score.
+
+    Strict models of one shape only.  For every x and y, ``|log p_hmc(x | y)
+    - log p_crf(x | y)|`` is at most this bound, and for some it is at least
+    half of it.  Exact over all labelings and observation sequences without
+    enumerating them: a max-plus pass over label pairs, in plain numpy.
+    """
+    pairs = hmc.transitions.log_values - crf.pair_potentials.log_values
+    emits = hmc.emissions.log_values - crf.emit_potentials.log_values
+    emits[0] += hmc.init.log_values[:, None]
+
+    def unary(t):  # as (x, x'): max over y of emits[t, x, y] - emits[t, x', y]
+        return (emits[t][:, None, :] - emits[t][None, :, :]).max(axis=-1)
+
+    best = unary(0)
+    for t, step in enumerate(pairs):
+        half = (best[:, :, None] + step[:, None, :]).max(axis=0)  # as (x', z)
+        best = (half[:, :, None] - step[:, None, :]).max(axis=0) + unary(t + 1)  # as (z, z')
+    return float(best.max())
+
+
 def marginals_of(posterior: dict, size: int, length: int) -> np.ndarray:
     out = np.zeros((length, size))
     for x, p in posterior.items():

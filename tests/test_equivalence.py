@@ -23,16 +23,23 @@ from chainequiv.equivalence import (
     crf_to_hmc_generalized,
     hmc_to_crf,
 )
-from chainequiv.hmc import hmc_log_evidence, hmc_log_joint, hmc_posterior_marginals
+from chainequiv.hmc import HmcModel, hmc_log_evidence, hmc_log_joint, hmc_posterior_marginals
 from chainequiv.oracle import (
     all_sequences,
     compare_posteriors,
     enumerate_crf_posterior,
     enumerate_hmc_posterior,
 )
-from chainequiv.tables import LOG_ZERO, Table2, ValidationError
+from chainequiv.tables import LOG_ZERO, Table1, Table2, ValidationError
 
-from conftest import brute_crf_posterior, brute_hmc_posterior, label_space, naive_crf_score
+from conftest import (
+    brute_crf_posterior,
+    brute_hmc_posterior,
+    label_space,
+    log_ratio_bound,
+    naive_crf_score,
+    naive_hmc_log_joint,
+)
 
 
 def model_of(pair_arrays, emit_arrays, mode="strict"):
@@ -94,15 +101,21 @@ class TestBuildPhi:
                     assert phi[i][a, b] == pytest.approx(want, abs=1e-12)
 
 
+def paper_beta(phi, num_states=None) -> Table2:
+    """The unshifted beta: build_beta's rows plus the suffix sums of its per-position shifts."""
+    rows, shifts = build_beta(phi, num_states)
+    return Table2(rows + np.cumsum(shifts[::-1])[::-1, None])
+
+
 class TestBuildBeta:
     def test_unit_factors(self):
         m = symmetric_two_step()
-        beta = build_beta(build_phi(m, build_psi(m)), num_states=2)
+        beta = paper_beta(build_phi(m, build_psi(m)), num_states=2)
         np.testing.assert_allclose(beta[1].log_values, 0.0, atol=1e-15)
         np.testing.assert_allclose(beta[0].log_values, math.log(2), atol=1e-15)
 
     def test_length_one_base_case(self):
-        beta = build_beta((), num_states=3)
+        beta = paper_beta((), num_states=3)
         assert len(beta) == 1
         np.testing.assert_allclose(beta[0].log_values, 0.0)
 
@@ -113,7 +126,7 @@ class TestBuildBeta:
     def test_matches_suffix_path_enumeration(self):
         m = random_crf_model(4, 3, 2, seed=41)
         phi = build_phi(m, build_psi(m))
-        beta = build_beta(phi)
+        beta = paper_beta(phi)
         for n in range(4):
             for x in range(3):
                 if n == 3:
@@ -182,7 +195,7 @@ class TestConstruction:
     def test_trace_beta_recomputable_from_phi(self):
         m = random_crf_model(6, 4, 3, seed=7)
         _, trace = crf_to_hmc(m)
-        again = build_beta(trace.phi, num_states=4)
+        again = paper_beta(trace.phi, num_states=4)
         for a, b in zip(trace.beta, again):
             assert np.abs(a.log_values - b.log_values).max() <= 1e-12
 
@@ -225,6 +238,50 @@ class TestConstruction:
         a = crf_posterior_marginals(m, y).probabilities()
         b = hmc_posterior_marginals(hmc, y).probabilities()
         assert np.abs(a - b).max() <= 1e-9
+
+
+class TestExactConstruction:
+    """The constructed HMC has the CRF's posterior over whole labelings, at every length and scale."""
+
+    def test_bound_covers_the_enumerated_log_ratios(self):
+        """Against an HMC built from perturbed potentials, the worst log ratio lies in [bound/2, bound]."""
+        rng = np.random.default_rng(2024)
+        for seed in range(30):
+            n, k, l = 1 + seed % 4, 2 + seed % 2, 2
+            m = random_crf_model(n, k, l, seed=seed)
+            noisy = CrfModel(m.hidden, m.obs,
+                             m.pair_potentials.log_values + rng.normal(0, 0.01, (n - 1, k, k)),
+                             m.emit_potentials.log_values + rng.normal(0, 0.01, (n, k, l)))
+            hmc, _ = crf_to_hmc(noisy)
+            worst = 0.0
+            for y in itertools.product(range(l), repeat=n):
+                _, log_z = brute_crf_posterior(m, y)
+                _, log_evidence = brute_hmc_posterior(hmc, y)
+                for x in label_space(k, n):
+                    ratio = ((naive_hmc_log_joint(hmc, x, y) - log_evidence)
+                             - (naive_crf_score(m, x, y) - log_z))
+                    worst = max(worst, abs(ratio))
+            bound = log_ratio_bound(m, hmc)
+            assert bound / 2 - 1e-12 <= worst <= bound + 1e-12, (seed, worst, bound)
+
+    @pytest.mark.parametrize("n, k, l, scale", [(2000, 16, 8, 5), (2000, 16, 8, 50), (200, 4, 3, 500),
+                                                (20000, 4, 3, 5)])
+    def test_long_chains_and_large_potentials(self, n, k, l, scale):
+        m = random_crf_model(n, k, l, seed=0, low=-scale, high=scale)
+        hmc, _ = crf_to_hmc(m)
+        assert log_ratio_bound(m, hmc) <= 1e-10
+
+    def test_hmc_model_moves_no_constructed_row(self):
+        """Building the HMC again from copies of its rows keeps every row bit for bit."""
+        moved = 0
+        for seed in range(300):
+            hmc, _ = crf_to_hmc(random_crf_model(6, 4, 3, seed=seed))
+            again = HmcModel(hmc.hidden, hmc.obs, Table1(hmc.init.log_values),
+                             np.array(hmc.transitions.log_values), np.array(hmc.emissions.log_values))
+            for name in ("init", "transitions", "emissions"):
+                a, b = getattr(hmc, name).log_values, getattr(again, name).log_values
+                moved += int((a != b).reshape(-1, a.shape[-1]).any(axis=1).sum())
+        assert moved == 0
 
 
 class TestGeneralizedMode:

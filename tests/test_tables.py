@@ -20,6 +20,7 @@ from chainequiv.tables import (
     hamming_loss,
     log_sum_exp,
     normalize_log,
+    normalize_rows,
 )
 
 getcontext().prec = 50
@@ -113,6 +114,52 @@ class TestNormalizeLog:
         once = normalize_log(Table1(values))
         twice = normalize_log(once)
         assert np.abs(twice.log_values - once.log_values).max() <= 1e-15
+
+    # normalize_rows: the cases above as stacked (..., k) inputs, with rows
+    # spanning 1e3 to 1e300 and rows of only -inf.
+
+    ROWS = [[math.log(2), math.log(2)], [0.0, LOG_ZERO], [1.0, 2.0], [2.5, 2.5]]
+    WIDE = [[1e3, 0.0, -1e3], [1e300, 1.0, -1e300], [-1e300, -1e300, LOG_ZERO], [1e3, 1e3, -1e300],
+            [-1e3, LOG_ZERO, -1e3 - 1e-9], [0.0, -40.0, -1e300]]
+
+    @staticmethod
+    def check(stack, rows, dead):
+        """Live rows as one-row calls give them, dead rows uniform, and a second pass bit for bit."""
+        stack = np.asarray(stack, dtype=float)
+        assert rows.shape == stack.shape and dead.shape == stack.shape[:-1]
+        for index in np.ndindex(stack.shape[:-1]):
+            if dead[index]:
+                assert (stack[index] == LOG_ZERO).all()
+                assert (rows[index] == -math.log(stack.shape[-1])).all()
+            else:
+                one = normalize_log(Table1(stack[index])).log_values
+                assert rows[index].tobytes() == one.tobytes()
+                assert int(np.argmax(rows[index])) == int(np.argmax(stack[index]))
+                assert np.exp(rows[index]).sum() == pytest.approx(1.0, abs=1e-15)
+        again, dead_again = normalize_rows(rows)
+        assert again is rows and not dead_again.any()
+
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 2, 2), (1, 4, 1, 2)])
+    def test_stacked_rows(self, shape):
+        stack = np.reshape(self.ROWS, shape)
+        self.check(stack, *normalize_rows(stack))
+
+    def test_rows_spanning_1e3_to_1e300(self):
+        stack = np.reshape(self.WIDE, (2, 3, 3))
+        self.check(stack, *normalize_rows(stack))
+
+    def test_all_inf_rows_are_flagged_dead(self):
+        stack = np.array([[[0.0, 1.0, 2.0], [LOG_ZERO] * 3], [[LOG_ZERO] * 3, [LOG_ZERO, 5.0, LOG_ZERO]]])
+        rows, dead = normalize_rows(stack)
+        assert dead.tolist() == [[False, True], [True, False]]
+        self.check(stack, rows, dead)
+
+    @given(st.lists(st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=3, max_size=3),
+                    min_size=1, max_size=6))
+    def test_second_pass_is_bit_identical(self, values):
+        once, _ = normalize_rows(values)
+        twice, dead = normalize_rows(once)
+        assert twice is once and not dead.any()
 
 
 class TestHammingLoss:
