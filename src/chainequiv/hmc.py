@@ -23,13 +23,13 @@ from .tables import (
     Table2,
     Table3,
     ValidationError,
+    _normalized_rows,
     chain_log_marginals,
     chain_log_totals,
     chain_parts,
     check_chain_shapes,
     distinct_tables,
     log_of_probabilities,
-    normalize_rows,
     path_log_weight,
     tiled,
 )
@@ -45,11 +45,16 @@ class ImpossibleObservation(ValueError):
     """The observation sequence has probability zero under the model."""
 
 
-def _check_stochastic(log_rows: np.ndarray, what: str):
+def _check_stochastic(log_rows: np.ndarray, log_sums: np.ndarray, what: str):
     """Check that the rows of a stack of tables, or of the init row, sum to one.
 
-    A failure names the first table with a row off, and its worst row.
+    ``log_sums`` holds the log of each row's sum, as the normalizer computed
+    it.  When every one is within half the tolerance of zero, the rows pass
+    on that alone; otherwise they are summed here, so a failure names the
+    first table with a row off, and its worst row, by their direct sums.
     """
+    if (np.abs(log_sums) <= ROW_SUM_TOL / 2).all():
+        return
     sums = np.atleast_2d(np.exp(log_rows).sum(axis=-1))
     off = np.abs(sums - 1.0)
     bad = (off > ROW_SUM_TOL).any(axis=1)
@@ -63,10 +68,10 @@ def _check_stochastic(log_rows: np.ndarray, what: str):
 
 
 def _renormalized(table, what: str):
-    """Check the rows of the init row or of a stack, then normalize them; a tiled stack stays tiled."""
+    """Normalize the rows of the init row or of a stack, after checking them; a tiled stack stays tiled."""
     a = distinct_tables(table.log_values)
-    _check_stochastic(a, what)
-    out, _ = normalize_rows(a)
+    out, _, log_sums = _normalized_rows(a)
+    _check_stochastic(a, log_sums, what)
     return table if out is a else type(table)._view(np.broadcast_to(out, table.shape))
 
 

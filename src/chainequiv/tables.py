@@ -323,6 +323,12 @@ def normalize_rows(a) -> tuple[np.ndarray, np.ndarray]:
     of zero comes back unchanged, so this is an exact fixed point on its own
     output; when no row moves, ``a`` itself comes back.
     """
+    rows, dead, _ = _normalized_rows(a)
+    return rows, dead
+
+
+def _normalized_rows(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`normalize_rows`, and the log of each row's sum (the shift; ``-inf`` on a dead row)."""
     a = np.asarray(a, dtype=float)
     flat = a.reshape(-1, a.shape[-1])
     first = flat.argmax(axis=1) + np.arange(0, flat.size, flat.shape[1])  # flat indices
@@ -333,13 +339,16 @@ def normalize_rows(a) -> tuple[np.ndarray, np.ndarray]:
     rest = np.exp(shifted)
     rest.put(first, 0.0)
     tail = np.log1p(rest.sum(axis=1))  # 0 on a dead row
-    move = (np.abs(top + tail) > _FIXED_POINT_SHIFT) | dead
+    log_sums = top + tail
+    move = (np.abs(log_sums) > _FIXED_POINT_SHIFT) | dead
+    log_sums[dead] = LOG_ZERO
     shifted[dead] = -math.log(flat.shape[1])
+    dead, log_sums = dead.reshape(a.shape[:-1]), log_sums.reshape(a.shape[:-1])
     if not move.any():
-        return a, dead.reshape(a.shape[:-1])
+        return a, dead, log_sums
     out = np.subtract(shifted, tail[:, None], out=rest)
     np.copyto(out, flat, where=~move[:, None])
-    return out.reshape(a.shape), dead.reshape(a.shape[:-1])
+    return out.reshape(a.shape), dead, log_sums
 
 
 def normalize_log(row: Table1) -> Table1:

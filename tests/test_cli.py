@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -137,13 +138,36 @@ class TestParseErrors:
         ("1" + "0" * 400, 'U[1][0][0]: non-finite values must be written as "-inf"'),
         ("true", 'U[1][0][0]: expected a number or "-inf", got True'),
         ('"1.5"', "U[1][0][0]: expected a number or \"-inf\", got '1.5'"),
-    ], ids=["1e999", "-1e999", "int-1e400", "true", "numeric-string"])
+        ("false", 'U[1][0][0]: expected a number or "-inf", got False'),
+        ('"inf"', "U[1][0][0]: expected a number or \"-inf\", got 'inf'"),
+        ('"nan"', "U[1][0][0]: expected a number or \"-inf\", got 'nan'"),
+        ('"-Infinity"', "U[1][0][0]: expected a number or \"-inf\", got '-Infinity'"),
+        ('" -inf"', "U[1][0][0]: expected a number or \"-inf\", got ' -inf'"),
+        ('"2"', "U[1][0][0]: expected a number or \"-inf\", got '2'"),
+    ], ids=["1e999", "-1e999", "int-1e400", "true", "numeric-string", "false", "inf-string",
+            "nan-string", "Infinity-string", "spaced-token", "integer-string"])
     def test_bad_cell_message(self, literal, message):
         doc = json.loads(symmetric_crf_json())
         doc["U"][1][0][0] = "CELL"
         with pytest.raises(ParseError) as e:
             ModelFile.from_json(json.dumps(doc).replace('"CELL"', literal))
         assert str(e.value) == message
+
+    @pytest.mark.parametrize("cell", [True, False, "inf", "nan", "1.5", "2", "-Infinity", " -inf", "-INF"])
+    @pytest.mark.parametrize("with_token", [False, True])
+    def test_plain_array_refuses_every_cell_it_cannot_vouch_for(self, cell, with_token):
+        # The one-pass census hands such lists to the cell-by-cell checks,
+        # with or without a "-inf" token elsewhere in the list.
+        rows = [[0.5, cell], ["-inf" if with_token else 1.0, 2]]
+        assert cli._plain_array(rows, (2, 2), nonnegative=False) is None
+        with pytest.raises(ParseError):
+            cli._parse_array(rows, (2, 2), "V")
+
+    def test_plain_array_reads_tokens_ints_and_floats(self):
+        a = cli._plain_array([[0.5, "-inf"], [3, -2]], (2, 2), nonnegative=False)
+        np.testing.assert_array_equal(a, [[0.5, -math.inf], [3.0, -2.0]])
+        assert cli._plain_array([[0.5, 1], [3, 2]], (2, 2), nonnegative=True).dtype == float
+        assert cli._plain_array([[0.5, "-inf"]], (1, 2), nonnegative=True) is None
 
     def test_strict_mode_rejects_neg_inf(self):
         doc = json.loads(symmetric_crf_json())
@@ -258,6 +282,191 @@ class TestConvert:
         main(["convert", str(tmp_path / "m.json"), "-o", str(tmp_path / "h.json")])
         assert main(["verify", str(tmp_path / "m.json"),
                      "--against", str(tmp_path / "h.json")]) == EXIT_OK
+
+
+class TestForkedTraceWriter:
+    """``convert --trace`` writes a large trace from a forked process, with the bytes of the in-order writes."""
+
+    @pytest.fixture(scope="class")
+    def models(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("forked")
+        paths = {}
+        for name, n, k in (("strict", 40, 16), ("generalized", 40, 16), ("length-one", 1, 3)):
+            mode = "strict" if name == "length-one" else name
+            paths[name] = str(d / f"{name}.json")
+            ModelFile.from_crf(random_crf_model(n, k, 4, seed=3, mode=mode)).dump(paths[name])
+        return paths
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children ``os.fork`` started, as seen by the parent."""
+        pids = []
+        fork = os.fork
+
+        def spy():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", spy)
+        return pids
+
+    @staticmethod
+    def convert(monkeypatch, capsys, argv, fork_cells=None):
+        """``(exit code, stdout, stderr)`` of ``main(argv)``; ``fork_cells`` overrides FORK_CELLS."""
+        if fork_cells is not None:
+            monkeypatch.setattr(cli, "FORK_CELLS", fork_cells)
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_large_traces_are_forked(self, models, tmp_path, monkeypatch, capsys, forks):
+        trace = tmp_path / "t.json"
+        for name in ("strict", "generalized"):
+            assert main(["convert", models[name], "-o", str(tmp_path / "h.json"), "--trace", str(trace)]) == EXIT_OK
+            doc = json.loads(trace.read_text())
+            assert sum(np.size(doc[key]) for key in ("psi", "phi", "beta")) >= cli.FORK_CELLS
+        assert len(forks) == 2
+        assert main(["convert", models["length-one"], "-o", str(tmp_path / "h.json"),
+                     "--trace", str(trace)]) == EXIT_OK
+        assert len(forks) == 2  # far too small to pay for a fork
+
+    @pytest.mark.parametrize("name", ["strict", "generalized", "length-one"])
+    def test_files_equal_the_in_order_writes(self, models, name, tmp_path, monkeypatch, capsys, forks):
+        files = {}
+        for label, fork_cells in (("forked", 0), ("in-order", math.inf)):
+            hmc, trace = tmp_path / f"{label}-h.json", tmp_path / f"{label}-t.json"
+            argv = ["convert", models[name], "-o", str(hmc), "--trace", str(trace)]
+            assert self.convert(monkeypatch, capsys, argv, fork_cells) == (EXIT_OK, "", "")
+            files[label] = hmc.read_bytes(), trace.read_bytes()
+            assert len(forks) == 1
+        assert files["forked"] == files["in-order"]
+        if name == "length-one":
+            assert json.loads(files["forked"][1])["phi"] == []
+
+    @pytest.mark.parametrize("output, trace, forked", [
+        ("-", "t.json", True),
+        ("h.json", "-", True),
+        ("-", "-", False),
+        ("x.json", "x.json", False),
+        ("x.json", "./x.json", False),
+    ], ids=["hmc-to-stdout", "trace-to-stdout", "both-to-stdout", "same-path", "same-file"])
+    def test_stdout_and_file_combinations(self, models, tmp_path, monkeypatch, capsys, forks,
+                                          output, trace, forked):
+        monkeypatch.chdir(tmp_path)
+        results = {}
+        for fork_cells in (0, math.inf):
+            argv = ["convert", models["strict"], "-o", output, "--trace", trace]
+            code, out, err = self.convert(monkeypatch, capsys, argv, fork_cells)
+            written = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+            results[fork_cells] = code, out, err, written
+            for p in tmp_path.iterdir():
+                p.unlink()
+        assert results[0] == results[math.inf]
+        assert len(forks) == (1 if forked else 0)
+        code, out, err, written = results[0]
+        assert (code, err) == (EXIT_OK, "")
+        if output == trace == "-":
+            hmc_doc, trace_doc = out.split("\n}\n")[:2]
+            assert json.loads(hmc_doc + "}")["kind"] == "hmc" and "psi" in json.loads(trace_doc + "}")
+        elif output == "-":
+            assert json.loads(out)["kind"] == "hmc" and list(written) == ["t.json"]
+        elif trace == "-":
+            assert "psi" in json.loads(out) and list(written) == ["h.json"]
+        else:  # the trace overwrites the HMC, as in order
+            assert out == "" and "psi" in json.loads(written["x.json"])
+
+    def test_no_child_is_left_behind(self, models, tmp_path, forks):
+        assert main(["convert", models["strict"], "-o", str(tmp_path / "h.json"),
+                     "--trace", str(tmp_path / "t.json")]) == EXIT_OK
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def in_order_files(self, models, tmp_path, monkeypatch, capsys):
+        hmc, trace = tmp_path / "ok-h.json", tmp_path / "ok-t.json"
+        argv = ["convert", models["strict"], "-o", str(hmc), "--trace", str(trace)]
+        assert self.convert(monkeypatch, capsys, argv, math.inf)[0] == EXIT_OK
+        return hmc.read_bytes(), trace.read_bytes()
+
+    @pytest.mark.parametrize("broken", ["trace", "hmc", "both"])
+    def test_unwritable_output_exits_2_with_one_error_line(self, models, tmp_path, monkeypatch, capsys,
+                                                           forks, broken):
+        expected = self.in_order_files(models, tmp_path, monkeypatch, capsys)
+        missing = tmp_path / "missing"
+        hmc = (missing if broken != "trace" else tmp_path) / "h.json"
+        trace = (missing if broken != "hmc" else tmp_path) / "t.json"
+        code, out, err = self.convert(monkeypatch, capsys,
+                                      ["convert", models["strict"], "-o", str(hmc), "--trace", str(trace)],
+                                      fork_cells=0)
+        assert len(forks) == 1
+        assert (code, out) == (EXIT_PARSE, "")
+        failed = trace if broken == "trace" else hmc  # the HMC's error when both fail, as in order
+        assert err.startswith(f"error: cannot write {failed}: ") and err.count("\n") == 1
+        # The output that could be written is complete.
+        if broken == "trace":
+            assert hmc.read_bytes() == expected[0]
+        if broken == "hmc":
+            assert trace.read_bytes() == expected[1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_failure_is_raised_in_the_parent(self, models, tmp_path, monkeypatch, forks):
+        pieces = cli._json_pieces
+
+        def failing(doc):
+            if "psi" in doc:
+                raise ValueError("trace writer broke")
+            return pieces(doc)
+
+        monkeypatch.setattr(cli, "_json_pieces", failing)
+        monkeypatch.setattr(cli, "FORK_CELLS", 0)
+        with pytest.raises(RuntimeError, match="trace writer broke"):
+            main(["convert", models["strict"], "-o", str(tmp_path / "h.json"),
+                  "--trace", str(tmp_path / "t.json")])
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_fresh_process_writes_each_document_once(self, models, tmp_path, monkeypatch, capsys):
+        expected = self.in_order_files(models, tmp_path, monkeypatch, capsys)
+        trace = tmp_path / "t.json"
+        env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+        done = subprocess.run([sys.executable, "-m", "chainequiv", "convert", models["strict"],
+                               "-o", "-", "--trace", str(trace)], capture_output=True, env=env)
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        assert done.stdout == expected[0]
+        assert trace.read_bytes() == expected[1]
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written: exit 2 and one ``error: cannot write`` line."""
+
+    def check(self, capsys, code, path, out=""):
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == out
+        assert captured.err.startswith(f"error: cannot write {path}: ") and captured.err.count("\n") == 1
+
+    def test_random(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "m.json"
+        self.check(capsys, main(["random", "--n", "3", "--hidden", "2", "--obs", "2", "-o", str(path)]), path)
+
+    def test_convert(self, tmp_path, capsys):
+        model = write(tmp_path / "m.json", symmetric_crf_json())
+        path = tmp_path / "missing" / "h.json"
+        self.check(capsys, main(["convert", model, "-o", str(path)]), path)
+        trace = tmp_path / "t.json"
+        self.check(capsys, main(["convert", model, "-o", str(path), "--trace", str(trace)]), path)
+        assert not trace.exists()  # small traces are written after the HMC, in order
+
+    def test_verify_report(self, tmp_path, capsys):
+        model = write(tmp_path / "m.json", symmetric_crf_json())
+        assert main(["verify", model]) == EXIT_OK
+        summary = capsys.readouterr().out
+        path = tmp_path / "missing" / "r.json"
+        self.check(capsys, main(["verify", model, "--report", str(path)]), path, out=summary)
 
 
 class TestScoreOverflow:

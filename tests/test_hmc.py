@@ -66,6 +66,37 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match=rf"^{field}\[2\] row 1 sums to 1.2,"):
             build([0.5, 0.5], tables["transitions"], tables["emissions"])
 
+    @pytest.mark.parametrize("off", ["scaled", "one-row", "near-tolerance", "zero-row"])
+    def test_stochastic_error_reports_the_direct_row_sums(self, off):
+        # The check screens on the normalizer's row sums, but a failure names
+        # the worst row and prints the sum as direct sums of the rows give
+        # them, also where rows scaled alike tie to the last bit or two.
+        rng = np.random.default_rng(["scaled", "one-row", "near-tolerance", "zero-row"].index(off))
+        for _ in range(50):
+            p = rng.random((3, 3, 3))
+            p /= p.sum(axis=-1, keepdims=True)
+            if off == "scaled":
+                p *= rng.uniform(0.5, 2.0)
+            elif off == "one-row":
+                p[rng.integers(3), rng.integers(3)] *= rng.uniform(0.5, 2.0)
+            elif off == "near-tolerance":
+                p *= 1 + rng.uniform(-2e-9, 2e-9, (3, 3, 1))
+            else:
+                p[1, 2] = 0.0
+            with np.errstate(divide="ignore"):
+                sums = np.exp(np.log(p)).sum(axis=-1)
+            bad = (np.abs(sums - 1.0) > 1e-9).any(axis=1)
+            emit = [np.full((3, 2), 0.5)] * 4
+            if not bad.any():
+                build([1 / 3] * 3, p, emit)
+                continue
+            i = int(np.argmax(bad))
+            row = int(np.argmax(np.abs(sums[i] - 1.0)))
+            message = f"transitions[{i}] row {row} sums to {sums[i, row]:.12g}, expected 1 within 1e-09"
+            with pytest.raises(ValidationError) as e:
+                build([1 / 3] * 3, p, emit)
+            assert str(e.value) == message
+
     def test_homogeneous_keeps_one_table_pair(self):
         hidden, obs = default_alphabets(2, 2)
         trans = Table2.from_probabilities(np.full((2, 2), 0.5))
