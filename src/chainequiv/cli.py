@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import crf as _crf
 from . import hmc as _hmc
@@ -74,26 +75,89 @@ def _read_text(path: str) -> str:
 # JSON output
 #
 # Every JSON document the CLI writes has the layout of ``json.dumps(doc,
-# indent=2)``, which runs the pure-Python encoder.  An array runs the C
-# encoder instead, one block of its leading axis at a time, at most
-# JSON_BLOCK_CELLS cells (one item when an item is larger): the compact text
-# of ``block.tolist()`` has, between two cells, ``]`` * j + ``", "`` + ``[``
-# * j for some depth j, and one ``str.replace`` per depth, the longest
-# separator first, turns each into its indented form.  The rest of a document
-# (symbols, counts, the report) is small and keeps ``json.dumps(...,
-# indent=2)``.  Pieces are written as they are made.
+# indent=2)``, which runs the pure-Python encoder.  An array is written one
+# block of its leading axis at a time, at most JSON_BLOCK_CELLS cells (one
+# item when an item is larger), by ``orjson.dumps(block,
+# OPT_SERIALIZE_NUMPY | OPT_INDENT_2)``.  orjson prints the same shortest
+# round-trip digits as ``float.__repr__``, which ``json`` calls, and the
+# ``indent=2`` layout of a nested list at level 0; one replacement of "\n"
+# moves it to the array's level.  Its number text differs from ``repr`` in
+# three layout rules, each rewritten in the block text:
+#
+# - a positive exponent has no sign: ``1e16`` becomes ``1e+16``;
+# - a one-digit negative exponent has no leading zero: ``2.19e-6`` becomes
+#   ``2.19e-06``;
+# - a cell with 1e-5 <= |x| < 1e-4 is printed positionally:
+#   ``0.00002005762503325462`` becomes ``2.005762503325462e-05``.
+#
+# The first two are one regular expression each, with a constant
+# replacement, run when the block text holds an ``e``.  A cell of the third
+# kind, or a ``-inf`` cell (orjson writes it as ``null``), is a hole: the
+# block is printed with NaN there, which orjson also writes as ``null``; the
+# holes are printed by one more orjson call, their digits are moved into the
+# ``repr`` layout by array operations (_hole_texts), and the block text is
+# split at ``null`` and joined with them.  No step runs per cell: ``repr`` of
+# a cell in that band takes about 2 us, some 25 times orjson's time a cell.
+# The rest of a document (symbols, counts, the report) is small and keeps
+# ``json.dumps(..., indent=2)``.  Pieces are written as they are made.
 # ---------------------------------------------------------------------------
 
 JSON_BLOCK_CELLS = 2**14
 # ``convert --trace`` writes a trace of at least FORK_CELLS cells from a forked
 # process while this one writes the HMC (see _write_outputs).  The writer
-# takes about 1 us a cell; on a 2-vCPU Xeon, in a 140 MB process, the fork
-# paid for itself from about 3,000-5,000 trace cells and saved 15% at 9,500.
-FORK_CELLS = 2**13
+# takes about 0.15-0.35 us a cell, and fork plus wait about 4 ms.  On a 2-vCPU
+# Xeon, converting k = 16 models in one process, forking cost 4.4 ms at
+# 11,264 trace cells, broke even within about 1 ms from 23,000 to 46,000,
+# and saved 4-7 ms at 69,000 and 19 ms at 138,000.
+FORK_CELLS = 2**15
+
+_POSITIVE_EXPONENT = re.compile(rb"e(?=\d)")
+_ONE_DIGIT_EXPONENT = re.compile(rb"e-(?=\d[,\n])")
+_NEG_INF_JSON = f'"{NEG_INF_TOKEN}"'.encode()
 
 
 def _indent(level: int) -> str:
     return "\n" + "  " * level
+
+
+def _hole_texts(cells: np.ndarray) -> list[bytes]:
+    """The ``json`` text of each of ``cells``, a 1-d array of ``-inf`` and of cells with 1e-5 <= |x| < 1e-4.
+
+    orjson writes ``-inf`` as ``null``, and a cell in that band as ``0.0000``
+    and its shortest digits D, after a ``-`` when negative; ``repr`` writes
+    D[0], then ``.`` and D[1:] when D has more than one digit, then ``e-05``.
+    The digits are moved in place by array operations over all cells at once.
+    """
+    text = np.frombuffer(bytearray(orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)), np.uint8)
+    point = np.flatnonzero(text == ord("."))  # in 0.0000D, one per cell in the band
+    single = (text[point + 6] == ord(",")) | (text[point + 6] == ord("]"))  # D is one digit
+    text[point + 4] = text[point + 5]
+    text[point + 5] = np.where(single, 0, ord("."))
+    for k in range(-1, 4):
+        text[point + k] = 0  # 0.000
+    text = text[text != 0].tobytes()[1:-1].replace(b",", b"e-05,") + b"e-05"
+    return text.replace(b"nulle-05", _NEG_INF_JSON).split(b",")
+
+
+def _block_text(block: np.ndarray, indent: bytes) -> str:
+    """The items of the float array ``block`` as ``json.dumps(block.tolist(), indent=2)`` lays them out.
+
+    The text is moved to the level of ``indent``: it starts with ``indent``
+    + "  " and the first item, and ends with the last item.
+    """
+    magnitude = np.abs(block)
+    holes = ((1e-5 <= magnitude) & (magnitude < 1e-4)) | (block == -math.inf)
+    has_holes = holes.any()
+    text = orjson.dumps(np.where(holes, math.nan, block) if has_holes else np.ascontiguousarray(block),
+                        option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2)
+    if b"e" in text:
+        text = _ONE_DIGIT_EXPONENT.sub(b"e-0", _POSITIVE_EXPONENT.sub(b"e+", text))
+    if has_holes:
+        tokens = _hole_texts(block[holes])
+        pieces = [b""] * (2 * len(tokens) + 1)
+        pieces[::2], pieces[1::2] = text.split(b"null"), tokens
+        text = b"".join(pieces)
+    return text[1:-2].replace(b"\n", indent).decode()  # no outer brackets
 
 
 def _array_pieces(a: np.ndarray, level: int):
@@ -105,21 +169,12 @@ def _array_pieces(a: np.ndarray, level: int):
     if len(a) == 0:
         yield "[]"
         return
-    depth, item = a.ndim - 1, level + 1  # brackets inside one item; the items' level
-    opens = [_indent(item + q) + "[" for q in range(depth)]
-    closes = [_indent(item + q) + "]" for q in range(depth)]
-    separators = [("]" * j + ", " + "[" * j,
-                   "".join(closes[depth - j:][::-1]) + "," + "".join(opens[depth - j:])
-                   + _indent(item + depth))
-                  for j in range(depth, -1, -1)]
     rows = max(1, JSON_BLOCK_CELLS // math.prod(a.shape[1:]))
-    yield "[" + "".join(opens) + _indent(item + depth)
+    indent = _indent(level).encode()
+    yield "["
     for start in range(0, len(a), rows):
-        text = json.dumps(a[start:start + rows].tolist()).replace("-Infinity", f'"{NEG_INF_TOKEN}"')
-        for compact, indented in separators:
-            text = text.replace(compact, indented)
-        yield (separators[0][1] if start else "") + text[depth + 1:len(text) - depth - 1]
-    yield "".join(closes[::-1]) + _indent(level) + "]"
+        yield ("," if start else "") + _block_text(a[start:start + rows], indent)
+    yield _indent(level) + "]"
 
 
 def _json_pieces(doc: dict):
@@ -171,9 +226,19 @@ def _write_json(path: str, doc: dict):
 
 
 def _same_target(a: str, b: str) -> bool:
-    """Whether the output paths ``a`` and ``b`` name one target: both stdout, or one file."""
+    """Whether the output paths ``a`` and ``b`` name one target: both stdout, or one file.
+
+    ``-`` and a path are one target when stdout's descriptor and the path
+    stat as one file (``/dev/stdout``, or the file stdout is redirected to);
+    a stdout without a file descriptor is never a path's target.
+    """
+    if a == b:
+        return True
     if "-" in (a, b):
-        return a == b
+        try:
+            return os.path.samestat(os.fstat(sys.stdout.fileno()), os.stat(b if a == "-" else a))
+        except (OSError, ValueError):  # no descriptor, or a file that does not exist yet
+            return False
     try:
         return os.path.samefile(a, b)
     except OSError:  # a file that does not exist yet
@@ -197,6 +262,7 @@ def _write_outputs(writes, cells: int):
     (path_a, write_a), (path_b, write_b) = writes
     if cells < FORK_CELLS or not hasattr(os, "fork") or _same_target(path_a, path_b):
         write_a()
+        sys.stdout.flush()  # before write_b opens a path that may be stdout's file
         write_b()
         return
     child = 1 if path_b != "-" else 0
@@ -329,6 +395,20 @@ def _symbols(value, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _json_object(text: str) -> dict:
+    """The JSON object in ``text``; bad syntax, a non-finite literal or another value raise ParseError."""
+    def reject_constant(name):
+        raise ParseError(f'non-finite literal {name} is not allowed; use "{NEG_INF_TOKEN}"')
+
+    try:
+        doc = json.loads(text, parse_constant=reject_constant)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("top level: expected a JSON object")
+    return doc
+
+
 @dataclass
 class ModelFile:
     """The raw content of a model file, exactly as serialized.
@@ -350,16 +430,10 @@ class ModelFile:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelFile":
-        def reject_constant(name):
-            raise ParseError(f'non-finite literal {name} is not allowed; use "{NEG_INF_TOKEN}"')
+        return cls._from_document(_json_object(text))
 
-        try:
-            doc = json.loads(text, parse_constant=reject_constant)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-        if not isinstance(doc, dict):
-            raise ParseError("top level: expected a JSON object")
-
+    @classmethod
+    def _from_document(cls, doc: dict) -> "ModelFile":
         kind = doc.get("kind")
         if kind not in ("crf", "hmc"):
             raise ParseError(f'kind: expected "crf" or "hmc", got {kind!r}')
@@ -411,7 +485,8 @@ class ModelFile:
 
     @classmethod
     def load(cls, path: str) -> "ModelFile":
-        return cls.from_json(_read_text(path))
+        # The text is freed as _json_object returns, before the arrays are built.
+        return cls._from_document(_json_object(_read_text(path)))
 
     def dump(self, path: str):
         _write_json(path, self._document())

@@ -291,7 +291,8 @@ class TestForkedTraceWriter:
     def models(self, tmp_path_factory):
         d = tmp_path_factory.mktemp("forked")
         paths = {}
-        for name, n, k in (("strict", 40, 16), ("generalized", 40, 16), ("length-one", 1, 3)):
+        large = cli.FORK_CELLS // (16 * 16 + 2 * 16) + 2  # a k = 16 trace just above FORK_CELLS
+        for name, n, k in (("strict", large, 16), ("generalized", large, 16), ("length-one", 1, 3)):
             mode = "strict" if name == "length-one" else name
             paths[name] = str(d / f"{name}.json")
             ModelFile.from_crf(random_crf_model(n, k, 4, seed=3, mode=mode)).dump(paths[name])
@@ -376,6 +377,26 @@ class TestForkedTraceWriter:
             assert "psi" in json.loads(out) and list(written) == ["h.json"]
         else:  # the trace overwrites the HMC, as in order
             assert out == "" and "psi" in json.loads(written["x.json"])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    @pytest.mark.parametrize("trace", ["/dev/stdout", "out.json"])
+    def test_stdout_file_named_as_a_path_is_one_target(self, models, tmp_path, trace):
+        """``-o -`` and a path to stdout's own file: no fork, and the bytes of one path named twice."""
+        twice = tmp_path / "twice.json"
+        assert main(["convert", models["strict"], "-o", str(twice), "--trace", str(twice)]) == EXIT_OK
+        script = ("import os, sys\n"
+                  "from chainequiv.cli import main\n"
+                  "def fork():\n"
+                  "    raise AssertionError('forked')\n"
+                  "os.fork = fork\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+        with open(tmp_path / "out.json", "wb") as out:
+            argv = ["convert", models["strict"], "-o", "-", "--trace", trace]
+            done = subprocess.run([sys.executable, "-c", script, *argv], stdout=out, stderr=subprocess.PIPE,
+                                  env=env, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        assert (tmp_path / "out.json").read_bytes() == twice.read_bytes()
 
     def test_no_child_is_left_behind(self, models, tmp_path, forks):
         assert main(["convert", models["strict"], "-o", str(tmp_path / "h.json"),

@@ -1,9 +1,10 @@
 """The CLI's JSON writer against the standard library's ``indent=2`` encoder.
 
-The writer encodes each array a block of its leading axis at a time with the
-compact C encoder and restores the ``indent=2`` layout by string
-replacement.  The reference here is ``json.dumps(..., indent=2)`` on plain
-nested lists, with every ``-inf`` cell replaced by the ``"-inf"`` token.
+The writer prints each array a block of its leading axis at a time with
+orjson and rewrites the three layout rules in which orjson's number text
+differs from ``repr``.  The reference here is ``json.dumps(..., indent=2)``
+on plain nested lists, with every ``-inf`` cell replaced by the ``"-inf"``
+token.
 """
 
 import json
@@ -11,11 +12,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chainequiv import cli
 from chainequiv.cli import ModelFile
 
 SPECIAL = (1e-300, 1e300, -0.0, -math.inf, -1e-300, -1e300, 2.0, 0.1)
+# Both signs of the cells where orjson's text and ``repr`` differ in layout, and
+# of their neighbours: every decade from 5e-324 to 1e308, the 1e-5 band
+# (``0.00002`` against ``2e-05``) and its edges, the exponents from 1e16 on,
+# and tokens with ``0.0000`` inside.
+LAYOUTS = np.array([sign * v for sign in (1.0, -1.0) for v in (
+    5e-324, *(10.0**e for e in range(-323, 309)),
+    1e-05, 2e-05, 1.5e-05, 9.99e-05, 1e-4, 9.999999999999999e15, 1e16, 1e22,
+    np.nextafter(1e-5, 0), np.nextafter(1e-4, 0), np.nextafter(1e16, 0), 2.005762503325462e-05,
+    10.00001, 100.00005, 0.0)])
 
 
 def reference(doc: dict) -> str:
@@ -64,6 +77,31 @@ def test_block_sizes_that_are_not_whole_items(monkeypatch, block_cells):
     assert written(doc) == reference(doc)
 
 
+@pytest.mark.parametrize("shape", [(-1,), (-1, 2), (-1, 2, 3)])
+@pytest.mark.parametrize("block_cells", [1, 7, 64, None])
+def test_layouts_where_orjson_and_repr_differ(monkeypatch, shape, block_cells):
+    if block_cells is not None:
+        monkeypatch.setattr(cli, "JSON_BLOCK_CELLS", block_cells)
+    a = LAYOUTS[:len(LAYOUTS) // 6 * 6].reshape(shape)
+    doc = {"a": a, "with_inf": np.where(np.arange(a.size).reshape(a.shape) % 5 == 1, -math.inf, a)}
+    assert written(doc) == reference(doc)
+
+
+CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e-4, 1e-4),
+                  st.just(-math.inf))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_any_finite_cells_and_block_seams(data):
+    shape = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    a = data.draw(arrays(np.float64, shape, elements=CELLS))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "JSON_BLOCK_CELLS", data.draw(st.integers(1, a.size + 1)))
+        doc = {"a": a, "n": 1}
+        assert written(doc) == reference(doc)
+
+
 @pytest.mark.parametrize("tables_per_block", [1, 2, 3])
 def test_model_files_match_the_indenting_encoder(monkeypatch, tmp_path, tables_per_block):
     k, l = 3, 2
@@ -73,7 +111,10 @@ def test_model_files_match_the_indenting_encoder(monkeypatch, tmp_path, tables_p
     crf = ModelFile("crf", hidden, obs, 7, "generalized", V=cells((6, k, k), 5), U=cells((7, k, l), 6))
     hmc = ModelFile("hmc", hidden, obs, 7, "strict", init=np.full(k, 1 / 3),
                     trans=np.full((6, k, k), 1 / 3), emit=np.full((7, k, l), 0.5))
-    for mf in (crf1, crf, hmc):
+    tiled = ModelFile("crf", hidden, obs, 7, "generalized",  # stride-0 views, as homogeneous models hold
+                      V=np.broadcast_to(np.linspace(-2, 2, k * k).reshape(1, k, k), (6, k, k)),
+                      U=np.broadcast_to(np.linspace(-3, 1, k * l).reshape(1, k, l), (7, k, l)))
+    for mf in (crf1, crf, hmc, tiled):
         keys = ("V", "U") if mf.kind == "crf" else ("init", "trans", "emit")
         doc = {"kind": mf.kind, "hidden_symbols": list(hidden), "obs_symbols": list(obs),
                "n": mf.n, "mode": mf.mode} | {key: getattr(mf, key) for key in keys}
