@@ -248,28 +248,51 @@ def _same_target(a: str, b: str) -> bool:
 def _write_outputs(writes, cells: int):
     """Run ``writes``, two ``(path, write)`` pairs, one after the other or both at once.
 
-    They run at once when ``cells`` is at least FORK_CELLS, the platform has
-    ``os.fork`` and the paths name different targets.  A forked child then
-    runs the write with a file path, the second when both have one, and
-    leaves through ``os._exit``, so it never returns into the caller and
-    never touches stdout; it only formats text and writes one file, with no
-    BLAS call.  This process runs the other write meanwhile and reaps the
-    child on every path.  A write that fails with ParseError (``cannot
-    write``) leaves the other's output complete; once both are done, the
-    failure is raised here, the first write's when both fail.  Any other
-    failure of the child raises RuntimeError with the child's traceback.
+    They run at once (:func:`_write_forked`) when ``cells`` is at least
+    FORK_CELLS, the platform has ``os.fork`` and the paths name different
+    targets; in order when the fork itself fails.  In order, stdout is
+    flushed between the writes, and when the first wrote stdout's own
+    file through its path and the second writes ``-``, stdout's file is
+    started again, as a second open of the path would, so the bytes are
+    those of one path named twice.
     """
     (path_a, write_a), (path_b, write_b) = writes
-    if cells < FORK_CELLS or not hasattr(os, "fork") or _same_target(path_a, path_b):
-        write_a()
-        sys.stdout.flush()  # before write_b opens a path that may be stdout's file
-        write_b()
+    same = _same_target(path_a, path_b)
+    if cells >= FORK_CELLS and hasattr(os, "fork") and not same and _write_forked(writes):
         return
-    child = 1 if path_b != "-" else 0
+    write_a()
+    sys.stdout.flush()  # before write_b opens a path that may be stdout's file
+    if same and path_b == "-" != path_a and sys.stdout.seekable():
+        sys.stdout.seek(0)
+        sys.stdout.truncate()
+    write_b()
+
+
+def _write_forked(writes) -> bool:
+    """Run ``writes`` at once, one in a forked child; False, with nothing written, if the fork fails.
+
+    The child runs the write with a file path, the second when both have
+    one, and leaves through ``os._exit``, so it never returns into the
+    caller and never touches stdout; it only formats text and writes one
+    file, with no BLAS call.  This process runs the other write meanwhile
+    and reaps the child on every path.  A write that fails with ParseError
+    (``cannot write``) leaves the other's output complete; once both are
+    done, the failure is raised here, the first write's when both fail.
+    Any other failure of the child raises RuntimeError with the child's
+    traceback.  A pipe or fork refused by the system (EMFILE, EAGAIN,
+    ENOMEM) closes what was opened and returns False.
+    """
+    child = 1 if writes[1][0] != "-" else 0
     sys.stdout.flush()
     sys.stderr.flush()
-    read_end, write_end = os.pipe()
-    pid = os.fork()
+    ends = ()
+    try:
+        ends = read_end, write_end = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for end in ends:
+            os.close(end)
+        return False
     if pid == 0:
         _run_forked(writes[child][1], read_end, write_end)
     os.close(write_end)
@@ -288,10 +311,11 @@ def _write_outputs(writes, cells: int):
         raise RuntimeError(f"the writer of {writes[child][0]} exited with {code}:\n{report}")
     if failures:
         raise failures[min(failures)]
+    return True
 
 
 def _run_forked(write, read_end: int, write_end: int):
-    """The child of :func:`_write_outputs`: run ``write``, send any failure down the pipe, exit."""
+    """The child of :func:`_write_forked`: run ``write``, send any failure down the pipe, exit."""
     code = 1
     try:
         os.close(read_end)
@@ -396,7 +420,11 @@ def _symbols(value, path: str) -> tuple[str, ...]:
 
 
 def _json_object(text: str) -> dict:
-    """The JSON object in ``text``; bad syntax, a non-finite literal or another value raise ParseError."""
+    """The JSON object in ``text`` as Python's ``json`` reads it.
+
+    Bad syntax, a non-finite literal, nesting too deep for the parser's
+    recursion, or a value other than an object raise ParseError.
+    """
     def reject_constant(name):
         raise ParseError(f'non-finite literal {name} is not allowed; use "{NEG_INF_TOKEN}"')
 
@@ -404,9 +432,55 @@ def _json_object(text: str) -> dict:
         doc = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("top level: nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise ParseError("top level: expected a JSON object")
     return doc
+
+
+# orjson 3.9 and later refuse nesting deeper than 1024 levels; 3.8 recurses
+# on the C stack without a limit and crashes the process some 10^4-10^6
+# levels down.  A text that may nest deeper is left to json.
+ORJSON_DEPTH = 1024
+_NOT_BRACKET_OR_QUOTE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+
+
+def _nests_deeper(raw: bytes, limit: int) -> bool:
+    """Whether a JSON parser may nest more than ``limit`` levels deep in the UTF-8 text ``raw`` before its first error.
+
+    Escaped backslashes, then escaped quotes, are dropped, then every byte
+    but brackets and quotes, so the quotes left open and close strings;
+    the depth is the running count of the brackets outside them.  Up to
+    the text's first error this is the parser's own count, and past it a
+    count can only raise the maximum.  No step runs per byte in Python,
+    and a text of at most ``limit`` brackets and quotes is answered by
+    their number.
+    """
+    if b"\\" in raw:
+        raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
+    marks = raw.translate(None, _NOT_BRACKET_OR_QUOTE)
+    if len(marks) <= limit:
+        return False
+    marks = np.frombuffer(marks, np.uint8)
+    quotes = marks == ord('"')
+    brackets = marks[~quotes & (np.cumsum(quotes) % 2 == 0)]
+    return bool(np.cumsum((brackets & 2).astype(np.intp) - 1).max(initial=0) > limit)  # [{ have bit 1, ]} not
+
+
+def _orjson_object(text: str) -> dict | None:
+    """The JSON object in ``text`` as orjson reads it.
+
+    None when orjson refuses ``text``, when it may nest deeper than
+    ORJSON_DEPTH, or when it holds a value other than an object.
+    """
+    try:
+        if _nests_deeper(text.encode(), ORJSON_DEPTH):
+            return None
+        doc = orjson.loads(text)
+    except (UnicodeEncodeError, orjson.JSONDecodeError):  # a lone surrogate, or what orjson refuses
+        return None
+    return doc if isinstance(doc, dict) else None
 
 
 @dataclass
@@ -430,6 +504,21 @@ class ModelFile:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelFile":
+        """The model file in ``text``, as Python's ``json`` and the checks below read it.
+
+        orjson reads the text first, some three times as fast.  A text it
+        refuses (``1e999``, ``NaN``, a lone surrogate, a BOM, bad syntax),
+        a value other than an object, or a document the checks reject
+        (orjson reads an integer of 2^64 or more as a float) is read again
+        by ``json``, so the files accepted, their arrays bit for bit, and
+        every message are ``json``'s.
+        """
+        doc = _orjson_object(text)
+        if doc is not None:
+            try:
+                return cls._from_document(doc)
+            except (ParseError, RecursionError):  # the repr of a deep value in a message can recurse too far
+                doc = None  # freed before json reads the text again
         return cls._from_document(_json_object(text))
 
     @classmethod
@@ -485,8 +574,7 @@ class ModelFile:
 
     @classmethod
     def load(cls, path: str) -> "ModelFile":
-        # The text is freed as _json_object returns, before the arrays are built.
-        return cls._from_document(_json_object(_read_text(path)))
+        return cls.from_json(_read_text(path))
 
     def dump(self, path: str):
         _write_json(path, self._document())

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import math
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainequiv import (
     CrfModel,
@@ -73,6 +76,22 @@ def pinning_hmc_json() -> str:
     })
 
 
+# A cell of U[1][0][0] that the reader refuses: test id -> (JSON literal, message).
+BAD_CELLS = {
+    "1e999": ("1e999", 'U[1][0][0]: non-finite values must be written as "-inf"'),
+    "-1e999": ("-1e999", 'U[1][0][0]: non-finite values must be written as "-inf"'),
+    "int-1e400": ("1" + "0" * 400, 'U[1][0][0]: non-finite values must be written as "-inf"'),
+    "true": ("true", 'U[1][0][0]: expected a number or "-inf", got True'),
+    "numeric-string": ('"1.5"', "U[1][0][0]: expected a number or \"-inf\", got '1.5'"),
+    "false": ("false", 'U[1][0][0]: expected a number or "-inf", got False'),
+    "inf-string": ('"inf"', "U[1][0][0]: expected a number or \"-inf\", got 'inf'"),
+    "nan-string": ('"nan"', "U[1][0][0]: expected a number or \"-inf\", got 'nan'"),
+    "Infinity-string": ('"-Infinity"', "U[1][0][0]: expected a number or \"-inf\", got '-Infinity'"),
+    "spaced-token": ('" -inf"', "U[1][0][0]: expected a number or \"-inf\", got ' -inf'"),
+    "integer-string": ('"2"', "U[1][0][0]: expected a number or \"-inf\", got '2'"),
+}
+
+
 class TestModelFileRoundTrip:
     def test_dump_load_is_exact(self, tmp_path):
         main(["random", "--n", "4", "--hidden", "3", "--obs", "2", "--seed", "7",
@@ -132,20 +151,7 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="-inf"):
             ModelFile.from_json(doc)
 
-    @pytest.mark.parametrize("literal, message", [
-        ("1e999", 'U[1][0][0]: non-finite values must be written as "-inf"'),
-        ("-1e999", 'U[1][0][0]: non-finite values must be written as "-inf"'),
-        ("1" + "0" * 400, 'U[1][0][0]: non-finite values must be written as "-inf"'),
-        ("true", 'U[1][0][0]: expected a number or "-inf", got True'),
-        ('"1.5"', "U[1][0][0]: expected a number or \"-inf\", got '1.5'"),
-        ("false", 'U[1][0][0]: expected a number or "-inf", got False'),
-        ('"inf"', "U[1][0][0]: expected a number or \"-inf\", got 'inf'"),
-        ('"nan"', "U[1][0][0]: expected a number or \"-inf\", got 'nan'"),
-        ('"-Infinity"', "U[1][0][0]: expected a number or \"-inf\", got '-Infinity'"),
-        ('" -inf"', "U[1][0][0]: expected a number or \"-inf\", got ' -inf'"),
-        ('"2"', "U[1][0][0]: expected a number or \"-inf\", got '2'"),
-    ], ids=["1e999", "-1e999", "int-1e400", "true", "numeric-string", "false", "inf-string",
-            "nan-string", "Infinity-string", "spaced-token", "integer-string"])
+    @pytest.mark.parametrize("literal, message", BAD_CELLS.values(), ids=BAD_CELLS.keys())
     def test_bad_cell_message(self, literal, message):
         doc = json.loads(symmetric_crf_json())
         doc["U"][1][0][0] = "CELL"
@@ -202,6 +208,182 @@ class TestParseErrors:
             argv = ["decode", write(tmp_path / "h.json", pinning_hmc_json()), str(bad)]
         assert main(argv) == EXIT_PARSE
         assert f"error: cannot read {bad}: " in capsys.readouterr().err
+
+
+def json_reader_outcome(read, text):
+    """What ``read(text)`` gives: each field of the ModelFile, arrays as their bytes, or the ParseError text."""
+    try:
+        mf = read(text)
+    except ParseError as e:
+        return "error", str(e)
+    return "model", {key: (value.dtype.str, value.shape, value.tobytes()) if isinstance(value, np.ndarray)
+                     else value for key, value in vars(mf).items()}
+
+
+def read_with_json(text):
+    """The reference: the model file in ``text`` as Python's json and the checks read it."""
+    return ModelFile._from_document(cli._json_object(text))
+
+
+def set_text(doc: dict, spot: str, literal: str) -> str:
+    """``doc`` as JSON text with the value at ``spot`` (a key, ``symbol`` or ``cell``) written as ``literal``."""
+    doc = json.loads(json.dumps(doc))
+    if spot == "symbol":
+        doc["hidden_symbols"][0] = "SPOT"
+    elif spot == "cell":
+        doc["U"][1][0][0] = "SPOT"
+    else:
+        doc[spot] = "SPOT"
+    return json.dumps(doc).replace('"SPOT"', literal)
+
+
+def nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+# JSON texts of finite doubles and of long decimals, some beyond the float range.
+decimal_texts = st.from_regex(r"-?(0|[1-9][0-9]{0,45})(\.[0-9]{1,45})?([eE][+-]?[0-9]{1,3})?", fullmatch=True)
+cell_texts = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), decimal_texts)
+
+
+class TestReaderMatchesJson:
+    """orjson reads model files, and what it refuses or the checks reject is read again by json.
+
+    The outcome is always json's: the same ModelFile, arrays bit for bit,
+    or the same ParseError text.
+    """
+
+    CRF = json.loads(symmetric_crf_json())
+
+    @staticmethod
+    def check(text):
+        expected = json_reader_outcome(read_with_json, text)
+        assert json_reader_outcome(ModelFile.from_json, text) == expected
+        return expected
+
+    @pytest.mark.parametrize("literal", [literal for literal, _ in BAD_CELLS.values()], ids=BAD_CELLS.keys())
+    def test_bad_cells(self, literal):
+        assert self.check(set_text(self.CRF, "cell", literal))[0] == "error"
+
+    @pytest.mark.parametrize("spot", ["n", "symbol", "cell"])
+    @pytest.mark.parametrize("value", [2**64, 10**20, 10**400], ids=["2^64", "10^20", "10^400"])
+    def test_integers_beyond_64_bits(self, spot, value):
+        outcome, detail = self.check(set_text(self.CRF, spot, str(value)))
+        if spot == "cell" and value < 10**400:
+            assert outcome == "model" and np.frombuffer(detail["U"][2])[2] == value  # U[1][0][0]
+        else:
+            assert outcome == "error"
+
+    def test_surrogate_symbol(self):
+        escaped = set_text(self.CRF, "symbol", '"\\ud800"')
+        raw = json.dumps(json.loads(escaped), ensure_ascii=False)
+        for text in (escaped, raw):
+            outcome, detail = self.check(text)
+            assert outcome == "model" and detail["hidden_symbols"][0] == "\ud800"
+
+    def test_surrogate_from_stdin(self, monkeypatch):
+        text = json.dumps(json.loads(set_text(self.CRF, "symbol", '"\\udcff"')), ensure_ascii=False)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert json_reader_outcome(lambda _: ModelFile.load("-"), None) == self.check(text)
+
+    @pytest.mark.parametrize("text", [
+        "\ufeff" + symmetric_crf_json(),
+        set_text(CRF, "cell", "NaN"),
+        set_text(CRF, "cell", "Infinity"),
+        set_text(CRF, "cell", "-Infinity"),
+        symmetric_crf_json() + " x",
+        symmetric_crf_json() + "{}",
+        symmetric_crf_json()[:-1],
+        "",
+        "[]",
+        '"crf"',
+    ], ids=["bom", "nan", "infinity", "-infinity", "trailing-word", "trailing-object", "unclosed", "empty",
+            "array", "string"])
+    def test_refused_texts(self, text):
+        assert self.check(text)[0] == "error"
+
+    @pytest.mark.parametrize("key, first, last, outcome", [
+        ("n", "5", "2", "model"), ("n", "2", "5", "error"),
+        ("V", "[]", json.dumps(CRF["V"]), "model"), ("V", json.dumps(CRF["V"]), "[]", "error"),
+    ])
+    def test_duplicate_keys_keep_the_last(self, key, first, last, outcome):
+        text = symmetric_crf_json()[:-1] + f', "{key}": {last}}}'
+        text = text.replace(f'"{key}": ', f'"{key}": {first}, "{key}": ', 1)
+        assert self.check(text)[0] == outcome
+
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    @pytest.mark.parametrize("spot", ["top", "kind", "symbol", "cell"])
+    def test_deep_nesting(self, depth, spot):
+        text = nested(depth) if spot == "top" else set_text(self.CRF, spot, nested(depth))
+        assert self.check(text)[0] == "error"
+
+    @settings(max_examples=200)
+    @given(st.lists(cell_texts, min_size=6, max_size=6))
+    def test_cells(self, cells):
+        doc = json.loads(symmetric_crf_json())
+        doc["V"] = [[["C", "C"], ["C", "C"]]]
+        doc["U"] = [[["C"], ["C"]], [["C"], ["C"]]]
+        pieces = json.dumps(doc).split('"C"')
+        self.check("".join(piece + cell for piece, cell in zip(pieces, cells + [""])))
+
+    def test_valid_files_are_read_by_orjson_alone(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("json read a file orjson can read")
+
+        monkeypatch.setattr(cli, "_json_object", refuse)
+        assert ModelFile.from_json(symmetric_crf_json()).n == 2
+        assert ModelFile.from_json(pinning_hmc_json()).kind == "hmc"
+
+    @settings(max_examples=100)
+    @given(st.recursive(st.none() | st.integers() | st.text(alphabet='[]{}"\\ab\u00e9'),
+                        lambda items: st.lists(items, max_size=3)
+                        | st.dictionaries(st.text(alphabet='[]{}"\\a', max_size=3), items, max_size=3)))
+    def test_depth_of_valid_json(self, value):
+        def depth(v):
+            if isinstance(v, list):
+                return 1 + max(map(depth, v), default=0)
+            if isinstance(v, dict):
+                return 1 + max(map(depth, v.values()), default=0)
+            return 0
+
+        for text in (json.dumps(value), json.dumps(value, ensure_ascii=False)):
+            for limit in range(depth(value) + 2):
+                assert cli._nests_deeper(text.encode(), limit) == (depth(value) > limit)
+
+    @pytest.mark.parametrize("text", ['"]]]]"' + "[" * 2000, '"\\\\"' + "[" * 2000, "[" * 2000 + '"\\"]]]]'],
+                             ids=["closers-in-a-string", "escaped-backslash", "escaped-quote"])
+    def test_depth_counts_only_brackets_outside_strings(self, text):
+        assert cli._nests_deeper(text.encode(), 1999) and not cli._nests_deeper(text.encode(), 2000)
+
+
+class TestDeepNesting:
+    """Nesting too deep for json's recursion: exit 2 and one ``error:`` line, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["convert", "decode", "verify"])
+    @pytest.mark.parametrize("spot", ["top", "symbols"])
+    def test_exit_2(self, tmp_path, capsys, command, spot):
+        if spot == "top":
+            text = nested(5000)
+        else:
+            text = set_text(json.loads(symmetric_crf_json()), "hidden_symbols", nested(3000))
+        model = write(tmp_path / "deep.json", text)
+        argv = {"convert": ["convert", model], "verify": ["verify", model],
+                "decode": ["decode", model, write(tmp_path / "ys.txt", "x x\n")]}[command]
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: top level: nested too deeply to read\n"
+
+    @pytest.mark.parametrize("opener", ["[", '{"a": '])
+    def test_nesting_that_overflows_the_c_stack(self, tmp_path, opener):
+        # orjson 3.8 recurses without a limit and crashes about 10^5 levels down.
+        depth = 200_000
+        closer = "]" if opener == "[" else "}"
+        model = write(tmp_path / "deep.json", opener * depth + "1" * (opener != "[") + closer * depth)
+        done = subprocess.run([sys.executable, "-m", "chainequiv", "convert", model], capture_output=True,
+                              env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+        assert (done.returncode, done.stdout) == (EXIT_PARSE, b"")
+        assert done.stderr == b"error: top level: nested too deeply to read\n"
 
 
 class TestRandom:
@@ -397,6 +579,44 @@ class TestForkedTraceWriter:
                                   env=env, cwd=tmp_path)
         assert (done.returncode, done.stderr) == (EXIT_OK, b"")
         assert (tmp_path / "out.json").read_bytes() == twice.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    @pytest.mark.parametrize("output", ["/dev/stdout", "out.json"])
+    def test_stdout_file_named_as_the_hmc_path_is_one_target(self, models, tmp_path, output):
+        """A path to stdout's own file for the HMC and ``--trace -``: the bytes of one path named twice."""
+        twice = tmp_path / "twice.json"
+        assert main(["convert", models["strict"], "-o", str(twice), "--trace", str(twice)]) == EXIT_OK
+        env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+        with open(tmp_path / "out.json", "wb") as out:
+            done = subprocess.run([sys.executable, "-m", "chainequiv", "convert", models["strict"],
+                                   "-o", output, "--trace", "-"], stdout=out, stderr=subprocess.PIPE,
+                                  env=env, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        assert (tmp_path / "out.json").read_bytes() == twice.read_bytes()
+
+    def test_failed_fork_writes_in_order(self, models, tmp_path, monkeypatch, capsys):
+        expected = self.in_order_files(models, tmp_path, monkeypatch, capsys)
+        pipes = []
+        pipe = os.pipe
+
+        def spy_pipe():
+            pipes.extend(pipe())
+            return tuple(pipes[-2:])
+
+        def fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "pipe", spy_pipe)
+        monkeypatch.setattr(os, "fork", fork)
+        hmc, trace = tmp_path / "h.json", tmp_path / "t.json"
+        argv = ["convert", models["strict"], "-o", str(hmc), "--trace", str(trace)]
+        assert self.convert(monkeypatch, capsys, argv, fork_cells=0) == (EXIT_OK, "", "")
+        assert (hmc.read_bytes(), trace.read_bytes()) == expected
+        assert len(pipes) == 2
+        for fd in pipes:
+            with pytest.raises(OSError) as e:
+                os.fstat(fd)
+            assert e.value.errno == errno.EBADF
 
     def test_no_child_is_left_behind(self, models, tmp_path, forks):
         assert main(["convert", models["strict"], "-o", str(tmp_path / "h.json"),
