@@ -1,18 +1,16 @@
 """Linear-chain CRFs, hidden Markov chains, and the exact conversion between them.
 
 Every linear-chain CRF over finite alphabets is the posterior of some hidden
-Markov chain; :func:`crf_to_hmc` constructs that chain explicitly, and the
-:mod:`~chainequiv.oracle` module certifies the equality by brute-force
-enumeration on small instances.
+Markov chain; :func:`crf_to_hmc` constructs that chain explicitly, for strict
+and generalized (zero-weight) models alike, and the :mod:`~chainequiv.oracle`
+module certifies the equality by brute-force enumeration on small instances.
 """
 
 from .tables import (
     LOG_ZERO,
     Alphabet,
-    AllZeroRow,
     LabelSeq,
     LengthMismatch,
-    ObsSeq,
     PosteriorMarginals,
     Table1,
     Table2,
@@ -20,7 +18,6 @@ from .tables import (
     ValidationError,
     hamming_loss,
     log_sum_exp,
-    normalize_log,
     normalize_rows,
 )
 from .crf import (

@@ -30,7 +30,7 @@ import orjson
 from . import crf as _crf
 from . import hmc as _hmc
 from .crf import MODES, STRICT, ZERO_WEIGHT, CrfModel, DegenerateModel, random_crf_model
-from .equivalence import crf_to_hmc, crf_to_hmc_generalized
+from .equivalence import crf_to_hmc
 from .hmc import ZERO_EVIDENCE, HmcModel
 from .oracle import (
     DEFAULT_BUDGET,
@@ -42,8 +42,9 @@ from .oracle import (
 from .tables import LOG_ZERO, Alphabet, ValidationError
 
 # Not called in this module: perfbench/tracing.py wraps the per-line
-# marginals under these names.
+# marginals and the conversion under these names.
 from .crf import crf_posterior_marginals  # noqa: F401
+from .equivalence import crf_to_hmc_generalized  # noqa: F401
 from .hmc import hmc_posterior_marginals  # noqa: F401
 
 EXIT_OK = 0
@@ -726,11 +727,8 @@ def _fail(code: int, message: str) -> int:
 def cmd_random(args) -> int:
     try:
         model = random_crf_model(args.n, args.hidden, args.obs, seed=args.seed, mode=args.mode)
-    except ValidationError as e:
-        return _fail(EXIT_PARSE, str(e))
-    try:
         ModelFile.from_crf(model).dump(args.output)
-    except ParseError as e:
+    except (ValidationError, ParseError) as e:
         return _fail(EXIT_PARSE, str(e))
     return EXIT_OK
 
@@ -744,13 +742,13 @@ def _load_crf(path: str, command: str) -> CrfModel:
 
 
 def _to_hmc(model: CrfModel):
-    """``(hmc, trace)`` from the conversion entry point for the model's mode.
+    """``(hmc, trace)`` of the model, strict or generalized, from :func:`crf_to_hmc`.
 
     Raises DegenerateModel for a CRF of zero total weight, and ParseError
     when the constructed rows fail the HMC checks.
     """
     try:
-        return crf_to_hmc(model) if model.mode == STRICT else crf_to_hmc_generalized(model)
+        return crf_to_hmc(model)
     except ValidationError as e:
         # A guard: every row is normalized by its own maximum, so built rows
         # pass the HMC checks at any potentials below the CRF's score limit.
@@ -801,7 +799,7 @@ def _tiled_model(model, length: int):
     if isinstance(model, CrfModel):
         return CrfModel.homogeneous(model.hidden, model.obs, length, pairs[0], emits[0],
                                     mode=model.mode)
-    return model.retiled(length)
+    return HmcModel.homogeneous(model.hidden, model.obs, length, model.init, pairs[0], emits[0])
 
 
 # ``decode`` works through its nonblank lines in blocks of at most
@@ -949,11 +947,6 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _sampled_sequences(obs_size: int, length: int, count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, obs_size, size=(count, length), dtype=np.intp)
-
-
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         return _fail(EXIT_PARSE, f"--tolerance must be a finite number >= 0, got {args.tolerance}")
@@ -990,7 +983,7 @@ def cmd_verify(args) -> int:
     if exhaustive:
         ys = all_sequences(l, n)
     elif args.samples is not None:
-        ys = _sampled_sequences(l, n, args.samples, args.seed)
+        ys = np.random.default_rng(args.seed).integers(0, l, size=(args.samples, n), dtype=np.intp)
     else:
         return _fail(EXIT_BUDGET,
                      f"exhaustive check needs {l}^{n} * {k}^{n} = {l**n * num_labelings} "

@@ -28,6 +28,7 @@ eps times that.  A reparameterization needs beta only up to a constant per
 position (Wainwright, Jaakkola & Willsky, IEEE Trans. Inf. Theory 49(5), 2003):
 beta rows are kept at a maximum of 0, and each output row is normalized alone.
 
+:func:`crf_to_hmc` runs these steps on strict and generalized models alike.
 In generalized mode (potentials may be ``-inf``, i.e. weight zero) a state
 whose beta or psi value is ``-inf`` can never carry posterior mass; its
 transition or emission row is undefined (zero over zero) and is replaced by
@@ -83,20 +84,19 @@ def build_phi(model: CrfModel, psi: Table2) -> Table3:
     return Table3(phi)
 
 
-def build_beta(phi, num_states: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def build_beta(phi) -> tuple[np.ndarray, np.ndarray]:
     """Backward suffix sums of the phi chain as ``(rows, shifts)``, one row and shift per position.
 
     ``beta[n] = rows[n] + sum(shifts[n:])``, each row at a maximum of 0: the
     last beta row is zero (log of one), each earlier one is ``beta[n][x] =
     log sum_{x'} exp(phi[n][x, x'] + beta[n+1][x'])``.  ``phi`` is a Table3
-    or an array-like of its tables; for an empty phi chain (length-1 model)
-    ``num_states`` sizes the single row.
+    or a (length - 1, k, k) array-like of its tables; a length-1 model's is
+    empty, of shape (0, k, k), and gives the single zero row.  Any other
+    shape raises :class:`ValidationError`.
     """
     phi = np.asarray(phi, dtype=float)
-    if len(phi) == 0:
-        if num_states is None:
-            raise ValidationError("num_states is required when phi is empty (length-1 model)")
-        return np.zeros((1, num_states)), np.zeros(1)
+    if phi.ndim != 3 or phi.shape[1] != phi.shape[2]:
+        raise ValidationError(f"phi must be a (length - 1, k, k) stack of tables, got shape {phi.shape}")
     rows = np.zeros((len(phi) + 1, phi.shape[1]))
     shifts = np.zeros(len(phi) + 1)
     for n in range(len(phi) - 1, -1, -1):
@@ -109,47 +109,18 @@ def build_beta(phi, num_states: int | None = None) -> tuple[np.ndarray, np.ndarr
 def crf_to_hmc(model: CrfModel) -> tuple[HmcModel, ConstructionTrace]:
     """Construct the HMC whose posterior equals the CRF's, with its trace.
 
-    For strict-mode models only (all potentials finite); use
-    :func:`crf_to_hmc_generalized` when zero weights are allowed.  For every
-    observation sequence the returned chain's posterior over labelings
-    equals the CRF posterior, at every length and at any potentials below
-    the CRF's score limit: no row is normalized by a suffix sum.
+    For every observation sequence the returned chain's posterior over
+    labelings equals the CRF posterior, at every length and at any
+    potentials below the CRF's score limit: no row is normalized by a suffix
+    sum.  Strict and generalized models take the same formulas; in a
+    generalized one zero weights flow through as ``-inf``, and rows with zero
+    total mass are replaced by uniform placebo rows flagged unreachable in
+    the trace.  Raises :class:`DegenerateModel` when every labeling of every
+    observation sequence has zero weight.
     """
-    if model.mode != STRICT:
-        raise ValidationError(
-            "crf_to_hmc expects a strict-mode model; use crf_to_hmc_generalized"
-        )
-    return _construct(model)
-
-
-def crf_to_hmc_generalized(model: CrfModel) -> tuple[HmcModel, ConstructionTrace]:
-    """CRF-to-HMC conversion for nonnegative-weight (generalized) models.
-
-    Identical formulas; zero weights flow through as ``-inf``, and rows with
-    zero total mass are replaced by uniform placebo rows flagged unreachable
-    in the trace rather than normalized.  Raises :class:`DegenerateModel`
-    when every labeling of every observation sequence has zero weight.
-    """
-    return _construct(model)
-
-
-def hmc_to_crf(model: HmcModel) -> CrfModel:
-    """The CRF with the same posterior as the HMC, the direct half of the equivalence.
-
-    Its pairwise potentials are the log transitions and its emission
-    potentials the log emissions, with ``log init`` folded into position 0.
-    The CRF is strict when every potential is finite and generalized
-    otherwise.
-    """
-    pairs, emits = _hmc_factors(model)
-    finite = np.isfinite(pairs).all() and np.isfinite(emits).all()
-    return CrfModel(model.hidden, model.obs, pairs, emits, mode=STRICT if finite else GENERALIZED)
-
-
-def _construct(model: CrfModel) -> tuple[HmcModel, ConstructionTrace]:
     psi = build_psi(model)
     phi = build_phi(model, psi)
-    rows, shifts = build_beta(phi, num_states=model.hidden.size)
+    rows, shifts = build_beta(phi)
 
     if model.length == 1:
         start, why = psi.log_values[0], "every state has zero emission weight"
@@ -168,3 +139,21 @@ def _construct(model: CrfModel) -> tuple[HmcModel, ConstructionTrace]:
     trace = ConstructionTrace(psi, phi, beta,
                               tuple(frozenset(np.flatnonzero(u).tolist()) for u in unreachable))
     return hmc, trace
+
+
+# The name of the generalized-mode entry point before the two were one
+# function; perfbench still calls it and traces calls under it.
+crf_to_hmc_generalized = crf_to_hmc
+
+
+def hmc_to_crf(model: HmcModel) -> CrfModel:
+    """The CRF with the same posterior as the HMC, the direct half of the equivalence.
+
+    Its pairwise potentials are the log transitions and its emission
+    potentials the log emissions, with ``log init`` folded into position 0.
+    The CRF is strict when every potential is finite and generalized
+    otherwise.
+    """
+    pairs, emits = _hmc_factors(model)
+    finite = np.isfinite(pairs).all() and np.isfinite(emits).all()
+    return CrfModel(model.hidden, model.obs, pairs, emits, mode=STRICT if finite else GENERALIZED)

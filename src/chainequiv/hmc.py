@@ -94,7 +94,8 @@ class HmcModel:
     sequence of Table2.  Rows must sum to one within ``1e-9`` (probability
     domain) and are then normalized by ``tables.normalize_rows``, which
     keeps a row it has normalized before bit for bit: a model built from
-    another model's tables, as ``retiled`` is, has the same rows.
+    another model's tables, as ``homogeneous`` builds one from a model's
+    first tables, has the same rows.
     """
 
     hidden: Alphabet
@@ -132,16 +133,6 @@ class HmcModel:
         if length < 1:
             raise ValidationError("length must be >= 1")
         return cls(hidden, obs, init, tiled(trans, length - 1), tiled(emit, length))
-
-    def retiled(self, length: int) -> "HmcModel":
-        """The chain of this model's init, first transition and first emission table at ``length``.
-
-        Every table equals the one it repeats bit for bit, since the rows are normalized already.
-        """
-        if not len(self.transitions):
-            raise ValidationError("a length-1 chain has no transition table to repeat")
-        return HmcModel.homogeneous(self.hidden, self.obs, length, self.init, self.transitions[0],
-                                    self.emissions[0])
 
 
 def _factors(model: HmcModel):

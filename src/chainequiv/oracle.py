@@ -31,14 +31,6 @@ class ShapeMismatch(ValueError):
     """Two enumerated posteriors do not live on the same label space."""
 
 
-@lru_cache(maxsize=16)
-def _paths(size: int, length: int) -> np.ndarray:
-    """All label sequences of the given length, one per row, lexicographic."""
-    paths = np.indices((size,) * length).reshape(length, -1).T
-    paths.setflags(write=False)
-    return paths
-
-
 def _check_budget(size: int, length: int, budget: int):
     if size**length > budget:
         raise BudgetExceeded(
@@ -79,7 +71,7 @@ class EnumeratedPosterior:
 
     @property
     def entries(self) -> dict[LabelSeq, float]:
-        paths = _paths(self.hidden_size, self.length)
+        paths = all_sequences(self.hidden_size, self.length)
         return {
             tuple(int(v) for v in paths[i]): float(p)
             for i, p in enumerate(self.probabilities)
@@ -87,7 +79,7 @@ class EnumeratedPosterior:
         }
 
     def sequence(self, i: int) -> LabelSeq:
-        return tuple(int(v) for v in _paths(self.hidden_size, self.length)[i])
+        return tuple(int(v) for v in all_sequences(self.hidden_size, self.length)[i])
 
     def probability(self, labels) -> float:
         labels = index_rows([labels], self.length, self.hidden_size, "label")[0]
@@ -100,9 +92,12 @@ class EnumeratedPosterior:
                                           self.length)[0]
 
 
+@lru_cache(maxsize=16)
 def all_sequences(size: int, length: int) -> np.ndarray:
-    """Every index sequence of the given length, one per row, lexicographic."""
-    return _paths(size, length)
+    """Every index sequence of the given length, one per row, lexicographic; read-only and cached."""
+    paths = np.indices((size,) * length).reshape(length, -1).T
+    paths.setflags(write=False)
+    return paths
 
 
 def _table_shape(size: int, length: int, pos: int, width: int):
@@ -226,10 +221,6 @@ class PosteriorComparison:
     max_abs_diff: float
     worst_sequence: LabelSeq
     position_marginal_diffs: np.ndarray
-
-    @property
-    def max_marginal_diff(self) -> float:
-        return float(self.position_marginal_diffs.max())
 
     @property
     def worst_position(self) -> int:

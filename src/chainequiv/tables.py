@@ -25,10 +25,6 @@ class LengthMismatch(ValidationError):
     """Two sequences (or a sequence and a model) disagree on length."""
 
 
-class AllZeroRow(ValidationError):
-    """A row with no mass at all was asked to normalize."""
-
-
 def _unknown_symbol(symbol) -> ValidationError:
     return ValidationError(f"symbol {symbol!r} is not in the alphabet")
 
@@ -212,9 +208,8 @@ def log_of_probabilities(probs, what: str) -> np.ndarray:
         return np.log(p)
 
 
-# Sequences of alphabet indices.  Plain tuples keep them hashable and cheap.
+# A sequence of label indices.  Plain tuples keep it hashable and cheap.
 LabelSeq = tuple[int, ...]
-ObsSeq = tuple[int, ...]
 
 
 def index_rows(rows, length: int, size: int, what: str) -> np.ndarray:
@@ -349,14 +344,6 @@ def _normalized_rows(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     out = np.subtract(shifted, tail[:, None], out=rest)
     np.copyto(out, flat, where=~move[:, None])
     return out.reshape(a.shape), dead, log_sums
-
-
-def normalize_log(row: Table1) -> Table1:
-    """:func:`normalize_rows` on one row: itself when normalized already, AllZeroRow when all ``-inf``."""
-    rows, dead = normalize_rows(row.log_values)
-    if dead:
-        raise AllZeroRow("cannot normalize a row whose entries are all -inf")
-    return row if rows is row.log_values else Table1(rows)
 
 
 def hamming_loss(a, b) -> int:

@@ -20,7 +20,7 @@ from chainequiv.crf import (
     crf_posterior_marginals_batch,
     random_crf_model,
 )
-from chainequiv.equivalence import crf_to_hmc, crf_to_hmc_generalized
+from chainequiv.equivalence import crf_to_hmc
 from chainequiv.hmc import hmc_mpm_decode, hmc_posterior_marginals, hmc_posterior_marginals_batch
 from chainequiv.oracle import (
     all_sequences,
@@ -141,7 +141,7 @@ def generalized_sweep():
         n, k, l, seed = _model_params(i, "generalized")
         model = random_crf_model(n, k, l, seed=seed, mode="generalized")
         try:
-            hmc, _ = crf_to_hmc_generalized(model)
+            hmc, _ = crf_to_hmc(model)
         except DegenerateModel:
             stats["degenerate_models"] += 1
             continue

@@ -25,7 +25,7 @@ from chainequiv.crf import (
     crf_posterior_marginals_batch,
     random_crf_model,
 )
-from chainequiv.equivalence import crf_to_hmc, crf_to_hmc_generalized
+from chainequiv.equivalence import crf_to_hmc
 from chainequiv.hmc import (
     HmcModel,
     hmc_log_evidence,
@@ -59,7 +59,7 @@ def lse_rows(monkeypatch):
 
 
 def to_hmc(model):
-    return (crf_to_hmc(model) if model.mode == STRICT else crf_to_hmc_generalized(model))[0]
+    return crf_to_hmc(model)[0]
 
 
 def check_against_enumeration(totals, log_marginals, brute, model, ys):

@@ -890,6 +890,26 @@ class TestDecode:
         seqs = write(tmp_path / "s.txt", "a b\n")
         assert main(["decode", model, seqs, "--tile"]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("kind", ["crf", "hmc"])
+    def test_tile_cannot_extend_a_length_one_model(self, tmp_path, capsys, kind):
+        """Length-1 lines decode; every longer line gets the one length-1 error line."""
+        crf = random_crf_model(1, 3, 2, seed=4)
+        doc = ModelFile.from_crf(crf) if kind == "crf" else ModelFile.from_hmc(crf_to_hmc(crf)[0])
+        path = str(tmp_path / "m.json")
+        doc.dump(path)
+        model = ModelFile.load(path).to_model()
+        seqs = write(tmp_path / "s.txt", "o0\no1 o0\n\no1\no0 o1 o1\no1 o1\n")
+        assert main(["decode", path, seqs, "--tile"]) == EXIT_PARSE
+        marginals = crf_posterior_marginals if kind == "crf" else hmc_posterior_marginals
+        labels = [model.hidden.symbol(marginals(model, (y,)).mpm_labels()[0]) for y in (0, 1)]
+        message = "--tile cannot extend a length-1 model (no pairwise table to repeat)"
+        assert capsys.readouterr() == (
+            f"{labels[0]}\n{labels[1]}\n",
+            "".join(f"line {i}: {message}\n" for i in (2, 5, 6)),
+        )
+        with pytest.raises(ValidationError, match="cannot extend a length-1 model"):
+            _tiled_model(model, 3)
+
 
 def per_line_decode(model, lines, tile: bool, with_columns: bool = True):
     """``decode`` output as (stdout, stderr, exit code), one marginals call and one "%.6f" per value.

@@ -101,27 +101,29 @@ class TestBuildPhi:
                     assert phi[i][a, b] == pytest.approx(want, abs=1e-12)
 
 
-def paper_beta(phi, num_states=None) -> Table2:
+def paper_beta(phi) -> Table2:
     """The unshifted beta: build_beta's rows plus the suffix sums of its per-position shifts."""
-    rows, shifts = build_beta(phi, num_states)
+    rows, shifts = build_beta(phi)
     return Table2(rows + np.cumsum(shifts[::-1])[::-1, None])
 
 
 class TestBuildBeta:
     def test_unit_factors(self):
         m = symmetric_two_step()
-        beta = paper_beta(build_phi(m, build_psi(m)), num_states=2)
+        beta = paper_beta(build_phi(m, build_psi(m)))
         np.testing.assert_allclose(beta[1].log_values, 0.0, atol=1e-15)
         np.testing.assert_allclose(beta[0].log_values, math.log(2), atol=1e-15)
 
     def test_length_one_base_case(self):
-        beta = paper_beta((), num_states=3)
+        beta = paper_beta(np.empty((0, 3, 3)))
         assert len(beta) == 1
         np.testing.assert_allclose(beta[0].log_values, 0.0)
 
-    def test_empty_phi_needs_num_states(self):
+    @pytest.mark.parametrize("phi", [(), np.zeros((2, 2)), np.zeros((1, 2, 2, 2)), np.zeros((1, 2, 3))],
+                             ids=["empty", "2d", "4d", "not-square"])
+    def test_phi_must_be_a_stack_of_tables(self, phi):
         with pytest.raises(ValidationError):
-            build_beta(())
+            build_beta(phi)
 
     def test_matches_suffix_path_enumeration(self):
         m = random_crf_model(4, 3, 2, seed=41)
@@ -180,6 +182,8 @@ class TestConstruction:
     def test_length_one_construction(self):
         m = model_of([], [np.array([[math.log(1), math.log(3)], [math.log(2), math.log(2)]])])
         hmc, trace = crf_to_hmc(m)
+        assert trace.phi.shape == (0, 2, 2)
+        assert (trace.beta.log_values == 0.0).all() and trace.beta.shape == (1, 2)
         # init proportional to the per-state emission totals (4, 4)
         np.testing.assert_allclose(hmc.init.probabilities(), [0.5, 0.5], atol=1e-12)
         for y in ((0,), (1,)):
@@ -187,15 +191,14 @@ class TestConstruction:
             b = hmc_posterior_marginals(hmc, y).probabilities()
             np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_strict_entry_point_rejects_generalized_models(self):
-        m = random_crf_model(3, 2, 2, seed=0, mode="generalized")
-        with pytest.raises(ValidationError):
-            crf_to_hmc(m)
+    def test_generalized_entry_point_is_crf_to_hmc(self):
+        # crf_to_hmc converts both modes; TestGeneralizedMode runs it on generalized models.
+        assert crf_to_hmc_generalized is crf_to_hmc
 
     def test_trace_beta_recomputable_from_phi(self):
         m = random_crf_model(6, 4, 3, seed=7)
         _, trace = crf_to_hmc(m)
-        again = paper_beta(trace.phi, num_states=4)
+        again = paper_beta(trace.phi)
         for a, b in zip(trace.beta, again):
             assert np.abs(a.log_values - b.log_values).max() <= 1e-12
 
@@ -289,14 +292,14 @@ class TestGeneralizedMode:
         v = np.zeros((2, 2))
         v[0, 1] = LOG_ZERO
         m = model_of([v], [np.zeros((2, 1)), np.zeros((2, 1))], mode="generalized")
-        hmc, _ = crf_to_hmc_generalized(m)
+        hmc, _ = crf_to_hmc(m)
         assert hmc.transitions[0][0, 1] == LOG_ZERO
         assert hmc.transitions[0].probabilities()[0, 1] == 0.0
 
     def test_forbidden_symbol_gives_zero_evidence(self):
         u = np.array([[0.0, LOG_ZERO], [0.0, LOG_ZERO]])
         m = model_of([np.zeros((2, 2))], [u, u], mode="generalized")
-        hmc, _ = crf_to_hmc_generalized(m)
+        hmc, _ = crf_to_hmc(m)
         assert hmc_log_evidence(hmc, (0, 1)) == LOG_ZERO
         assert hmc_log_evidence(hmc, (0, 0)) > LOG_ZERO
 
@@ -305,7 +308,7 @@ class TestGeneralizedMode:
         for seed in range(12):
             m = random_crf_model(4, 3, 2, seed=seed, mode="generalized")
             try:
-                hmc, _ = crf_to_hmc_generalized(m)
+                hmc, _ = crf_to_hmc(m)
             except DegenerateModel:
                 continue
             for y in itertools.product(range(2), repeat=4):
@@ -322,7 +325,7 @@ class TestGeneralizedMode:
         for seed in (0, 3, 9):
             m = random_crf_model(3, 3, 2, seed=seed, mode="generalized")
             try:
-                hmc, _ = crf_to_hmc_generalized(m)
+                hmc, _ = crf_to_hmc(m)
             except DegenerateModel:
                 continue
             for y in itertools.product(range(2), repeat=3):
@@ -336,10 +339,10 @@ class TestGeneralizedMode:
         v1 = np.array([[0.0, 0.0], [LOG_ZERO, LOG_ZERO]])
         m = model_of([v0, v1],
                      [np.zeros((2, 2))] * 3, mode="generalized")
-        hmc, trace = crf_to_hmc_generalized(m)
+        hmc, trace = crf_to_hmc(m)
         assert trace.beta[1][1] == LOG_ZERO
-        assert 1 in trace.unreachable[1]
-        np.testing.assert_allclose(hmc.transitions[1].probabilities()[1], 0.5, atol=1e-12)
+        assert trace.unreachable == (frozenset(), frozenset({1}), frozenset())
+        assert (hmc.transitions[1].log_values[1] == -math.log(2)).all()
         # the placebo never matters: no mass ever enters the dead state
         assert hmc.init[1] == LOG_ZERO or hmc.transitions[0][0, 1] == LOG_ZERO
         for y in itertools.product(range(2), repeat=3):
@@ -350,11 +353,11 @@ class TestGeneralizedMode:
         u = np.full((2, 2), LOG_ZERO)
         m = model_of([], [u], mode="generalized")
         with pytest.raises(DegenerateModel):
-            crf_to_hmc_generalized(m)
+            crf_to_hmc(m)
 
     def test_strict_models_also_accepted(self):
         m = random_crf_model(3, 2, 2, seed=5, mode="strict")
-        hmc, _ = crf_to_hmc_generalized(m)
+        hmc, _ = crf_to_hmc(m)
         y = (0, 1, 0)
         np.testing.assert_allclose(crf_posterior_marginals(m, y).probabilities(),
                                    hmc_posterior_marginals(hmc, y).probabilities(),
@@ -368,14 +371,14 @@ class TestHmcToCrf:
     def test_crf_hmc_crf_hmc_round_trip(self, seed, n, k, l, mode):
         m = random_crf_model(n, k, l, seed=seed, mode=mode)
         try:
-            first, first_trace = crf_to_hmc_generalized(m)
+            first, first_trace = crf_to_hmc(m)
         except DegenerateModel:
             assume(False)
         back = hmc_to_crf(first)
         finite = all(np.isfinite(t.log_values).all()
                      for t in (first.init, first.transitions, first.emissions))
         assert back.mode == (STRICT if finite else GENERALIZED)
-        second, second_trace = crf_to_hmc_generalized(back)
+        second, second_trace = crf_to_hmc(back)
 
         y = tuple(int(v) for v in np.random.default_rng(seed).integers(0, l, n))
         try:

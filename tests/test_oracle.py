@@ -7,7 +7,7 @@ import pytest
 from chainequiv.crf import DegenerateModel, default_alphabets, random_crf_model
 from chainequiv.crf import CrfModel, crf_posterior_marginals
 from chainequiv.crf import _factors as crf_factors
-from chainequiv.equivalence import crf_to_hmc, crf_to_hmc_generalized
+from chainequiv.equivalence import crf_to_hmc
 from chainequiv.hmc import HmcModel
 from chainequiv.hmc import _factors as hmc_factors
 from chainequiv.oracle import (
@@ -226,7 +226,7 @@ class TestScoreMatrixOrder:
         while True:  # a generalized draw can have zero total weight; take the next seed
             crf = random_crf_model(n, k, 3, seed, mode=mode, low=-high, high=high, zero_prob=0.3)
             try:
-                hmc = (crf_to_hmc if mode == "strict" else crf_to_hmc_generalized)(crf)[0]
+                hmc = crf_to_hmc(crf)[0]
                 break
             except DegenerateModel:
                 seed += 1000

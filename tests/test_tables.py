@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from chainequiv.tables import (
     LOG_ZERO,
     Alphabet,
-    AllZeroRow,
     LengthMismatch,
     PosteriorMarginals,
     Table1,
@@ -19,7 +18,6 @@ from chainequiv.tables import (
     ValidationError,
     hamming_loss,
     log_sum_exp,
-    normalize_log,
     normalize_rows,
 )
 
@@ -71,13 +69,20 @@ class TestLogSumExp:
         assert shifted == pytest.approx(log_sum_exp(values) + c, rel=1e-12, abs=1e-9)
 
 
-class TestNormalizeLog:
+def one_row(values) -> np.ndarray:
+    """``normalize_rows`` on a single 1-d row, which must not be dead."""
+    rows, dead = normalize_rows(values)
+    assert rows.shape == np.shape(values) and dead.shape == () and not dead
+    return rows
+
+
+class TestNormalizeRows:
     def test_symmetric_row(self):
-        row = normalize_log(Table1([math.log(2), math.log(2)]))
-        np.testing.assert_allclose(row.log_values, [math.log(0.5)] * 2, atol=1e-15)
+        row = one_row([math.log(2), math.log(2)])
+        np.testing.assert_allclose(row, [math.log(0.5)] * 2, atol=1e-15)
 
     def test_single_support_cell(self):
-        row = normalize_log(Table1([0.0, LOG_ZERO]))
+        row = one_row([0.0, LOG_ZERO])
         assert row[0] == pytest.approx(0.0, abs=1e-15)
         assert row[1] == LOG_ZERO
 
@@ -86,34 +91,46 @@ class TestNormalizeLog:
         values = [1.0, 2.0, 3.0]
         total = sum(Decimal(v).exp() for v in values)
         want = [float(Decimal(v).exp() / total) for v in values]
-        got = normalize_log(Table1(values)).probabilities()
+        got = np.exp(one_row(values))
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
-    def test_all_zero_row_rejected(self):
-        with pytest.raises(AllZeroRow):
-            normalize_log(Table1([LOG_ZERO, LOG_ZERO]))
+    def test_all_zero_row_is_flagged_dead(self):
+        rows, dead = normalize_rows([LOG_ZERO, LOG_ZERO])
+        assert dead.shape == () and dead
+        assert (rows == -math.log(2)).all()
 
     @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=8))
     def test_normalizes_and_preserves_argmax(self, values):
         arr = np.asarray(values)
         gaps = np.abs(arr - arr.max())
         assume((gaps[gaps > 0] > 1e-9).all())  # sub-ulp near-ties may collapse
-        row = normalize_log(Table1(values))
-        assert row.probabilities().sum() == pytest.approx(1.0, abs=1e-12)
-        assert int(np.argmax(row.log_values)) == int(np.argmax(arr))
+        row = one_row(values)
+        assert np.exp(row).sum() == pytest.approx(1.0, abs=1e-12)
+        assert int(np.argmax(row)) == int(np.argmax(arr))
 
     def test_exact_ties_stay_ties(self):
-        row = normalize_log(Table1([2.5, 2.5, 1.0]))
+        row = one_row([2.5, 2.5, 1.0])
         assert row[0] == row[1]
-        assert int(np.argmax(row.log_values)) == 0
+        assert int(np.argmax(row)) == 0
 
     @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=8))
     @example(values=[0.0, 0.0, 0.0, 0.0523167482295352, 0.0523167482295352,
                      -11.343629044070187, 0.0])
     def test_idempotent(self, values):
-        once = normalize_log(Table1(values))
-        twice = normalize_log(once)
-        assert np.abs(twice.log_values - once.log_values).max() <= 1e-15
+        once = one_row(values)
+        twice = one_row(once)
+        assert np.abs(twice - once).max() <= 1e-15
+
+    @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=8))
+    def test_normalized_row_is_a_fixed_point(self, values):
+        once = one_row(values)
+        assert one_row(once) is once
+
+    @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=8),
+           st.floats(min_value=-200, max_value=200))
+    def test_shift_invariance(self, values, c):
+        shifted = one_row([v + c for v in values])
+        np.testing.assert_allclose(shifted, one_row(values), rtol=0, atol=1e-12)
 
     # normalize_rows: the cases above as stacked (..., k) inputs, with rows
     # spanning 1e3 to 1e300 and rows of only -inf.
@@ -132,7 +149,7 @@ class TestNormalizeLog:
                 assert (stack[index] == LOG_ZERO).all()
                 assert (rows[index] == -math.log(stack.shape[-1])).all()
             else:
-                one = normalize_log(Table1(stack[index])).log_values
+                one = one_row(stack[index])
                 assert rows[index].tobytes() == one.tobytes()
                 assert int(np.argmax(rows[index])) == int(np.argmax(stack[index]))
                 assert np.exp(rows[index]).sum() == pytest.approx(1.0, abs=1e-15)
