@@ -4,8 +4,11 @@
 On models of lengths 1-4 in both modes it runs ``random``, ``convert --trace``,
 ``decode`` with and without ``--tile`` and ``--marginals`` on CRF and HMC files,
 time-varying and stationary, and ``verify --against --report`` and ``verify
---samples``, each in a forked child.  OUTDIR keeps every file written, and each
-command's stdout, stderr and exit code as ``NAME.out``, ``.err``, ``.code``.  Usage:
+--samples``, each in a forked child.  Then it runs each command's failures
+(:func:`failures`): bad options, files of the wrong kind, shape or syntax, a
+CRF of zero weight, outputs that cannot be written, and the budget and
+tolerance verdicts.  OUTDIR keeps every file written, and each command's
+stdout, stderr and exit code as ``NAME.out``, ``.err``, ``.code``.  Usage:
 
     python scripts/cli_differential.py OUTDIR
     diff -r OUTDIR OTHER   # OTHER written by a copy of this script in another checkout
@@ -53,6 +56,49 @@ def stationary(src: str, dst: str, keys: tuple[str, str]):
         Path(dst).write_text(json.dumps(doc, indent=2))
 
 
+def failures():
+    """Runs that end in an exit code other than 0, ``fail-*``, on the models ``main`` wrote.
+
+    A wrong length without ``--tile``, and ``--tile`` on a time-varying or a
+    length-1 model, are among ``main``'s decode runs.
+    """
+    doc = json.loads(Path("strict-n2-crf.json").read_text())
+    doc.update(mode="generalized", V=[[["-inf"] * 3] * 3])  # no labeling has weight
+    Path("zero.json").write_text(json.dumps(doc))
+    Path("bad.json").write_text('{"kind": "crf",')
+    crf, hmc, unwritable = "strict-n2-crf.json", "strict-n2-hmc.json", "missing-dir/out.json"
+    runs = {
+        "random-n0": ("random", "--n", "0", "--hidden", "2", "--obs", "2"),
+        "random-seed": ("random", "--n", "2", "--hidden", "2", "--obs", "2", "--seed", "-1"),
+        "random-output": ("random", "--n", "2", "--hidden", "2", "--obs", "2", "-o", unwritable),
+        "convert-hmc": ("convert", hmc),
+        "convert-missing": ("convert", "missing.json"),
+        "convert-bad-json": ("convert", "bad.json"),
+        "convert-zero": ("convert", "zero.json"),
+        "convert-output": ("convert", crf, "-o", unwritable),
+        "convert-trace": ("convert", crf, "-o", "fail-convert-trace-hmc.json", "--trace", unwritable),
+        "decode-stdin": ("decode", "-", "-"),
+        "verify-hmc": ("verify", hmc),
+        "verify-against-crf": ("verify", crf, "--against", crf),
+        "verify-against-shape": ("verify", crf, "--against", "strict-n3-hmc.json"),
+        "verify-zero": ("verify", "zero.json"),
+        "verify-zero-evidence": ("verify", "zero.json", "--against", hmc),
+        "verify-zero-evidence-samples": ("verify", "zero.json", "--against", hmc, "--samples", "4",
+                                         "--budget", "20"),
+        "verify-budget-0": ("verify", crf, "--budget", "0"),
+        "verify-samples-0": ("verify", crf, "--samples", "0"),
+        "verify-seed": ("verify", crf, "--seed", "-1"),
+        "verify-labelings": ("verify", "strict-n4-crf.json", "--budget", "80"),
+        "verify-enumerations": ("verify", "strict-n4-crf.json", "--budget", "100"),
+        "verify-report": ("verify", crf, "--report", unwritable),
+        "verify-tolerance-zero": ("verify", "strict-n4-crf.json", "--tolerance", "0"),
+    }
+    for tolerance in ("nan", "-1e-9", "inf", "-inf"):
+        runs[f"verify-tolerance={tolerance}"] = ("verify", crf, f"--tolerance={tolerance}")
+    for name, argv in runs.items():
+        run(f"fail-{name}", *argv)
+
+
 def main() -> int:
     os.makedirs(sys.argv[1], exist_ok=True)
     os.chdir(sys.argv[1])
@@ -72,6 +118,7 @@ def main() -> int:
             run(f"{m}-verify-against", "verify", f"{m}-crf.json", "--against", f"{m}-hmc.json",
                 "--report", f"{m}-report.json")
             run(f"{m}-verify-samples", "verify", f"{m}-crf.json", "--samples", "5", "--seed", "3", "--budget", "200")
+    failures()
     return 0
 
 

@@ -34,6 +34,7 @@ from .equivalence import crf_to_hmc
 from .hmc import ZERO_EVIDENCE, HmcModel
 from .oracle import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     all_sequences,
     enumerate_crf_posterior_batch,
     enumerate_hmc_posterior_batch,
@@ -58,7 +59,7 @@ NEG_INF_TOKEN = "-inf"
 
 
 class ParseError(ValueError):
-    """A model or sequence file was rejected, its CRF could not be converted, or an output not written.
+    """A file or an option was rejected, a CRF could not be converted, or an output not written.
 
     The message names the spot.
     """
@@ -719,25 +720,17 @@ def _marginal_columns(probs: np.ndarray, k: int) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def cmd_random(args) -> int:
-    try:
-        model = random_crf_model(args.n, args.hidden, args.obs, seed=args.seed, mode=args.mode)
-        ModelFile.from_crf(model).dump(args.output)
-    except (ValidationError, ParseError) as e:
-        return _fail(EXIT_PARSE, str(e))
+    model = random_crf_model(args.n, args.hidden, args.obs, seed=args.seed, mode=args.mode)
+    ModelFile.from_crf(model).dump(args.output)
     return EXIT_OK
 
 
-def _load_crf(path: str, command: str) -> CrfModel:
-    """The CRF in the model file at ``path``; ``command`` names the caller in errors."""
+def _load(path: str, kind: str, who: str):
+    """The model in the ``kind`` model file at ``path``; ``who`` names the command or option in errors."""
     mf = ModelFile.load(path)
-    if mf.kind != "crf":
-        raise ParseError(f'kind: {command} expects a "crf" model file')
+    if mf.kind != kind:
+        raise ParseError(f'kind: {who} expects {"an" if kind == "hmc" else "a"} "{kind}" model file')
     return mf.to_model()
 
 
@@ -756,50 +749,51 @@ def _to_hmc(model: CrfModel):
 
 
 def cmd_convert(args) -> int:
-    try:
-        model = _load_crf(args.model, "convert")
-        hmc, trace = _to_hmc(model)
-    except ParseError as e:
-        return _fail(EXIT_PARSE, str(e))
-    except DegenerateModel as e:
-        return _fail(EXIT_DEGENERATE, str(e))
+    model = _load(args.model, "crf", "convert")
+    hmc, trace = _to_hmc(model)
 
     def write_hmc():
         ModelFile.from_hmc(hmc, mode=model.mode).dump(args.output)
 
-    try:
-        if args.trace is None:
-            write_hmc()
-        else:
-            doc = {
-                "psi": trace.psi.log_values,
-                "phi": trace.phi.log_values,
-                "beta": trace.beta.log_values,
-                "unreachable": [sorted(u) for u in trace.unreachable],
-            }
-            cells = sum(doc[key].size for key in ("psi", "phi", "beta"))
-            _write_outputs([(args.output, write_hmc),
-                            (args.trace, functools.partial(_write_json, args.trace, doc))], cells)
-    except ParseError as e:
-        return _fail(EXIT_PARSE, str(e))
+    if args.trace is None:
+        write_hmc()
+    else:
+        doc = {
+            "psi": trace.psi.log_values,
+            "phi": trace.phi.log_values,
+            "beta": trace.beta.log_values,
+            "unreachable": [sorted(u) for u in trace.unreachable],
+        }
+        cells = sum(doc[key].size for key in ("psi", "phi", "beta"))
+        _write_outputs([(args.output, write_hmc),
+                        (args.trace, functools.partial(_write_json, args.trace, doc))], cells)
     return EXIT_OK
 
 
-def _tiled_model(model, length: int):
-    """Retile a time-homogeneous model to another sequence length; its tables stay bit for bit."""
+def _tile_error(model) -> str:
+    """Why ``--tile`` cannot extend ``model`` to other lengths, or "" when it can."""
     if isinstance(model, CrfModel):
         pairs, emits = model.pair_potentials, model.emit_potentials
     else:
         pairs, emits = model.transitions, model.emissions
     for group, name in ((pairs, "pairwise"), (emits, "emission")):
         if not (group.log_values == group.log_values[:1]).all():
-            raise ValidationError(f"--tile requires identical {name} tables at every position")
-    if not len(pairs):
-        raise ValidationError("--tile cannot extend a length-1 model (no pairwise table to repeat)")
+            return f"--tile requires identical {name} tables at every position"
+    return "" if len(pairs) else "--tile cannot extend a length-1 model (no pairwise table to repeat)"
+
+
+def _tiled_model(model, length: int):
+    """Retile a time-homogeneous model to another sequence length; its tables stay bit for bit.
+
+    Raises ValidationError with :func:`_tile_error`'s message when it cannot.
+    """
+    if error := _tile_error(model):
+        raise ValidationError(error)
     if isinstance(model, CrfModel):
-        return CrfModel.homogeneous(model.hidden, model.obs, length, pairs[0], emits[0],
-                                    mode=model.mode)
-    return HmcModel.homogeneous(model.hidden, model.obs, length, model.init, pairs[0], emits[0])
+        return CrfModel.homogeneous(model.hidden, model.obs, length, model.pair_potentials[0],
+                                    model.emit_potentials[0], mode=model.mode)
+    return HmcModel.homogeneous(model.hidden, model.obs, length, model.init, model.transitions[0],
+                                model.emissions[0])
 
 
 # ``decode`` works through its nonblank lines in blocks of at most
@@ -840,25 +834,24 @@ def cmd_decode(args) -> int:
 
     The file is read whole, then its nonblank lines are handled a block at a
     time (see DECODE_BLOCK_LINES).  A block's tokens become one flat index
-    array; a line with an unknown symbol, of the wrong length without
-    ``--tile``, or of a length the model cannot be retiled to is reported, in
-    that order of checks.  The valid lines are sorted by length, longest
-    first, and decoded in batch marginals calls of bounded size, each line a
-    ragged prefix of its call.  Each run of lines of one length is assembled
-    as arrays: its labels from one gather of the symbols, its marginal columns
-    as exact ``"%.6f"`` text from :func:`_marginal_columns`, its lines
-    scattered back to input order.  A block goes out in input order, one
-    ``writelines`` per run of lines bound for one stream: labelled lines to
-    stdout, bad and impossible ones to stderr.
+    array; a line with an unknown symbol, or of another length than the
+    model's without ``--tile`` or when ``--tile`` cannot extend the model, is
+    reported, in that order of checks.  Whether ``--tile`` can extend the
+    model is checked once, at the first line of another length.  The valid
+    lines are sorted by length, longest first, and decoded in batch
+    marginals calls of bounded size, each line a ragged prefix of its call
+    on the model tiled to the call's longest line.  Each run of lines of one
+    length is assembled as arrays: its labels from one gather of the
+    symbols, its marginal columns as exact ``"%.6f"`` text from
+    :func:`_marginal_columns`, its lines scattered back to input order.  A
+    block goes out in input order, one ``writelines`` per run of lines bound
+    for one stream: labelled lines to stdout, bad and impossible ones to
+    stderr.
     """
     if args.model == "-" and args.sequences == "-":
-        return _fail(EXIT_PARSE, "the model and the sequences cannot both come from stdin")
-    try:
-        mf = ModelFile.load(args.model)
-        model = mf.to_model()
-        lines = read_sequences(args.sequences)
-    except ParseError as e:
-        return _fail(EXIT_PARSE, str(e))
+        raise ParseError("the model and the sequences cannot both come from stdin")
+    model = ModelFile.load(args.model).to_model()
+    lines = read_sequences(args.sequences)
 
     # Looked up through the modules, where perfbench/tracing.py wraps them.
     if isinstance(model, CrfModel):
@@ -869,8 +862,8 @@ def cmd_decode(args) -> int:
     block = min(DECODE_BLOCK_LINES, max(1, DECODE_BLOCK_CELLS // k**2))
     symbols = np.array(model.hidden.symbols, dtype=object)
     index_type = np.min_scalar_type(model.obs.size)  # the batch call makes its own intp copy
-    tiled = {model.length: model}
-    untileable = {}  # line length -> the message of its failed retile
+    tiled = {model.length: model}  # by length, each the longest line of a chain call
+    tile_error = functools.cache(functools.partial(_tile_error, model))  # run at most once
     parse_errors = impossible = 0
 
     while block_lines := list(itertools.islice(lines, block)):
@@ -891,19 +884,12 @@ def cmd_decode(args) -> int:
                 errors[i] = str(e)
         valid = np.ones(len(tokens), dtype=bool)
         valid[list(errors)] = False
+        other = np.flatnonzero(valid & (counts != model.length)).tolist()
         if not args.tile:
-            for i in np.flatnonzero(valid & (counts != model.length)).tolist():
+            for i in other:
                 errors[i] = f"expected {model.length} symbols, got {counts[i]} (use --tile for other lengths)"
-        else:
-            for length in set(counts[valid].tolist()):
-                if length not in tiled and length not in untileable:
-                    try:
-                        tiled[length] = _tiled_model(model, length)
-                    except ValidationError as e:
-                        untileable[length] = str(e)
-                if length in untileable:
-                    for i in np.flatnonzero(valid & (counts == length)).tolist():
-                        errors[i] = untileable[length]
+        elif other and tile_error():
+            errors.update(dict.fromkeys(other, tile_error()))
         if errors:
             bad = list(errors)
             valid[bad], to_stderr[bad] = False, True
@@ -919,6 +905,8 @@ def cmd_decode(args) -> int:
             padded = np.arange(longest) < lengths[:, None]
             ys = np.zeros((len(rows), longest), dtype=index_type)  # padded with index 0
             ys[padded] = flat[(offsets[rows, None] + np.arange(longest))[padded]]
+            if longest not in tiled:
+                tiled[longest] = _tiled_model(model, longest)
             totals, log_marginals = marginals_batch(tiled[longest], ys, lengths)
             for lo, hi in _runs(lengths):
                 length, run_rows = int(lengths[lo]), rows[lo:hi]
@@ -949,45 +937,34 @@ def cmd_decode(args) -> int:
 
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        return _fail(EXIT_PARSE, f"--tolerance must be a finite number >= 0, got {args.tolerance}")
+        raise ParseError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     if args.budget < 1:
-        return _fail(EXIT_PARSE, f"--budget must be at least 1, got {args.budget}")
+        raise ParseError(f"--budget must be at least 1, got {args.budget}")
     if args.samples is not None and args.samples < 1:
-        return _fail(EXIT_PARSE, f"--samples must be at least 1, got {args.samples}")
+        raise ParseError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
-        return _fail(EXIT_PARSE, f"--seed must be at least 0, got {args.seed}")
-    try:
-        model = _load_crf(args.model, "verify")
-        against = None
-        if args.against is not None:
-            amf = ModelFile.load(args.against)
-            if amf.kind != "hmc":
-                raise ParseError('kind: --against expects an "hmc" model file')
-            against = amf.to_model()
-            if (against.hidden.symbols != model.hidden.symbols
-                    or against.obs.symbols != model.obs.symbols
-                    or against.length != model.length):
-                raise ParseError("--against model does not match the CRF's alphabets and length")
-        hmc = against if against is not None else _to_hmc(model)[0]
-    except ParseError as e:
-        return _fail(EXIT_PARSE, str(e))
-    except DegenerateModel as e:
-        return _fail(EXIT_DEGENERATE, str(e))
+        raise ParseError(f"--seed must be at least 0, got {args.seed}")
+    model = _load(args.model, "crf", "verify")
+    if args.against is None:
+        hmc = _to_hmc(model)[0]
+    else:
+        hmc = _load(args.against, "hmc", "--against")
+        if (hmc.hidden.symbols != model.hidden.symbols or hmc.obs.symbols != model.obs.symbols
+                or hmc.length != model.length):
+            raise ParseError("--against model does not match the CRF's alphabets and length")
 
     k, l, n = model.hidden.size, model.obs.size, model.length
     num_labelings = k**n
     if num_labelings > args.budget:
-        return _fail(EXIT_BUDGET,
-                     f"{k}^{n} = {num_labelings} labelings exceed the budget of {args.budget}")
+        raise BudgetExceeded(f"{k}^{n} = {num_labelings} labelings exceed the budget of {args.budget}")
     exhaustive = l**n * num_labelings <= args.budget
     if exhaustive:
         ys = all_sequences(l, n)
     elif args.samples is not None:
         ys = np.random.default_rng(args.seed).integers(0, l, size=(args.samples, n), dtype=np.intp)
     else:
-        return _fail(EXIT_BUDGET,
-                     f"exhaustive check needs {l}^{n} * {k}^{n} = {l**n * num_labelings} "
-                     f"enumerations, over the budget of {args.budget}; pass --samples")
+        raise BudgetExceeded(f"exhaustive check needs {l}^{n} * {k}^{n} = {l**n * num_labelings} "
+                             f"enumerations, over the budget of {args.budget}; pass --samples")
 
     chunk = max(1, args.budget // num_labelings)
     checked = skipped = 0
@@ -1017,7 +994,7 @@ def cmd_verify(args) -> int:
             worst_pos = int(np.argmax(np.abs(mc - mh).max(axis=2)))
 
     if checked == 0:
-        return _fail(EXIT_DEGENERATE, "every checked observation sequence has zero evidence")
+        raise DegenerateModel("every checked observation sequence has zero evidence")
 
     passed = worst <= args.tolerance
     report = {
@@ -1041,10 +1018,7 @@ def cmd_verify(args) -> int:
     print(f"worst y: {' '.join(report['worst_y'])} (position {worst_pos})")
     print("PASS" if passed else "FAIL")
     if args.report is not None:
-        try:
-            _write_json(args.report, report)
-        except ParseError as e:
-            return _fail(EXIT_PARSE, str(e))
+        _write_json(args.report, report)
     return EXIT_OK if passed else EXIT_MISMATCH
 
 
@@ -1091,7 +1065,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-9,
                    help="max allowed posterior discrepancy (default 1e-9)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="max total enumerated labelings (default 10^6)")
+                   help="max labelings enumerated at once (default 10^6)")
     p.add_argument("--samples", type=int, default=None,
                    help="check this many random y instead of all of them")
     p.add_argument("--seed", type=int, default=0, help="seed for --samples (default 0)")
@@ -1102,9 +1076,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command in ``argv``; an error it raises becomes one ``error:`` line and an exit code."""
     args = _parser().parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        return args.func(args)
+    except (ParseError, ValidationError) as e:
+        code, message = EXIT_PARSE, str(e)
+    except DegenerateModel as e:
+        code, message = EXIT_DEGENERATE, str(e)
+    except BudgetExceeded as e:
+        code, message = EXIT_BUDGET, str(e)
+    print(f"error: {message}", file=sys.stderr)
+    return code

@@ -848,11 +848,13 @@ class TestDecode:
         assert main(["decode", model, seqs]) == EXIT_PARSE
         assert "--tile" in capsys.readouterr().err
 
-    def test_tile_accepts_any_length(self, tmp_path, capsys):
+    def test_tile_accepts_any_length(self, tmp_path, capsys, monkeypatch):
         model = write(tmp_path / "h.json", pinning_hmc_json())
         seqs = write(tmp_path / "s.txt", "a b\nb a b a b\n")
+        tiled, leaders = spy_on_tiling(monkeypatch, "hmc")
         assert main(["decode", model, seqs, "--tile"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines() == ["A B", "B A B A B"]
+        assert tiled == leaders == [5]  # one call, on the model tiled to its longest line
 
     @pytest.mark.parametrize("space", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
                              ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"])
@@ -883,12 +885,35 @@ class TestDecode:
         with pytest.raises(ParseError, match="cannot read"):
             read_sequences(str(tmp_path / "missing.txt"))
 
-    def test_tile_rejects_time_varying_model(self, tmp_path, capsys):
-        doc = json.loads(pinning_hmc_json())
-        doc["emit"][2] = [[0.5, 0.5], [0.5, 0.5]]
-        model = write(tmp_path / "h.json", json.dumps(doc))
-        seqs = write(tmp_path / "s.txt", "a b\n")
-        assert main(["decode", model, seqs, "--tile"]) == EXIT_PARSE
+    def test_tile_rejects_time_varying_model(self, tmp_path, capsys, monkeypatch):
+        """Lines of the model's length decode; every other line gets the one ``--tile`` error line.
+
+        The model is checked once, so no model is tiled for a length that does
+        not lead a chain call.
+        """
+        for kind, table in (("crf", "pairwise"), ("hmc", "emission")):
+            path = str(tmp_path / f"{kind}.json")
+            if kind == "crf":
+                ModelFile.from_crf(random_crf_model(3, 2, 2, seed=5)).dump(path)
+            else:
+                doc = json.loads(pinning_hmc_json())
+                doc["emit"][2] = [[0.5, 0.5], [0.5, 0.5]]
+                write(Path(path), json.dumps(doc))
+            model = ModelFile.load(path).to_model()
+            a, b = model.obs.symbols
+            text = f"{a} {b} {a}\n{b}\n\n{a} {a} {b} {b}\n{b} {a} {b}\n{a} {b}\n"
+            seqs = write(tmp_path / "s.txt", text)
+            lines = [(i, line.split()) for i, line in enumerate(text.splitlines(), start=1) if line]
+            expected = per_line_decode(model, lines, tile=True)
+            message = f"--tile requires identical {table} tables at every position"
+            assert expected[1] == "".join(f"line {i}: {message}\n" for i in (2, 4, 6))
+            assert len(expected[0].splitlines()) == 2
+            with monkeypatch.context() as patch:
+                tiled, leaders = spy_on_tiling(patch, kind)
+                code = main(["decode", path, seqs, "--tile", "--marginals"])
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err, code) == expected, kind
+            assert leaders == [3] and tiled == [], kind
 
     @pytest.mark.parametrize("kind", ["crf", "hmc"])
     def test_tile_cannot_extend_a_length_one_model(self, tmp_path, capsys, kind):
@@ -909,6 +934,27 @@ class TestDecode:
         )
         with pytest.raises(ValidationError, match="cannot extend a length-1 model"):
             _tiled_model(model, 3)
+
+
+def spy_on_tiling(monkeypatch, kind: str) -> tuple[list[int], list[int]]:
+    """Lists that fill, as ``decode`` runs, with the lengths it tiles models to and
+    the longest line of each chain call."""
+    tiled, leaders = [], []
+    module, name = (cli._crf, "crf_posterior_marginals_batch") if kind == "crf" else (
+        cli._hmc, "hmc_posterior_marginals_batch")
+    batch, tile = getattr(module, name), cli._tiled_model
+
+    def batch_spy(model, ys, lengths):
+        leaders.append(int(lengths[0]))
+        return batch(model, ys, lengths)
+
+    def tile_spy(model, length):
+        tiled.append(length)
+        return tile(model, length)
+
+    monkeypatch.setattr(module, name, batch_spy)
+    monkeypatch.setattr(cli, "_tiled_model", tile_spy)
+    return tiled, leaders
 
 
 def per_line_decode(model, lines, tile: bool, with_columns: bool = True):
@@ -1156,6 +1202,7 @@ class TestLengthSortedDecode:
             return batch(model, ys, lengths)
 
         monkeypatch.setattr(module, name, spy)
+        tiled, _ = spy_on_tiling(monkeypatch, kind)
         argv = ["decode", models[kind], seqs, "--marginals"] + ["--tile"] * tile
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1174,6 +1221,8 @@ class TestLengthSortedDecode:
         assert seams  # a run of one length spans two calls
         if tile:
             assert len({n for _, lengths in calls for n in lengths}) > 10
+        # each length that leads a call and is not the model's own is tiled once
+        assert sorted(tiled) == sorted({longest for longest, _ in calls} - {self.N})
 
 
 class TestDecodeBlockSeams:
@@ -1459,6 +1508,30 @@ class TestVerify:
         path = write(tmp_path / "h.json", pinning_hmc_json())
         assert main(["verify", str(tmp_path / "m.json"),
                      "--against", str(tmp_path / "h.json")]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["convert", "h.json"], EXIT_PARSE, 'kind: convert expects a "crf" model file'),
+    (["verify", "h.json"], EXIT_PARSE, 'kind: verify expects a "crf" model file'),
+    (["verify", "m.json", "--against", "m.json"], EXIT_PARSE, 'kind: --against expects an "hmc" model file'),
+    (["verify", "m.json", "--against", "h3.json"], EXIT_PARSE,
+     "--against model does not match the CRF's alphabets and length"),
+    (["verify", "m.json", "--budget", "10"], EXIT_BUDGET,
+     "exhaustive check needs 2^2 * 2^2 = 16 enumerations, over the budget of 10; pass --samples"),
+    (["verify", "zero.json", "--against", "h.json", "--samples", "3", "--budget", "10"], EXIT_DEGENERATE,
+     "every checked observation sequence has zero evidence"),
+], ids=["convert-kind", "verify-kind", "against-kind", "against-shape", "pass-samples", "zero-evidence"])
+def test_error_is_one_line_and_its_exit_code(tmp_path, monkeypatch, capsys, argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    for n, crf, hmc in ((2, "m.json", "h.json"), (3, "m3.json", "h3.json")):
+        assert main(["random", "--n", str(n), "--hidden", "2", "--obs", "2", "--seed", "1", "-o", crf]) == 0
+        assert main(["convert", crf, "-o", hmc]) == 0
+    doc = json.loads((tmp_path / "m.json").read_text())
+    doc.update(mode="generalized", V=[[["-inf"] * 2] * 2])  # no labeling has weight
+    write(tmp_path / "zero.json", json.dumps(doc))
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_module_entry_point(tmp_path):
