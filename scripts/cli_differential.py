@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write a fixed corpus of CLI runs, to compare two checkouts byte for byte.
+"""Write a fixed corpus of CLI runs, and compare two checkouts' corpora file by file.
 
 On models of lengths 1-4 in both modes it runs ``random``, ``convert --trace``,
 ``decode`` with and without ``--tile`` and ``--marginals`` on CRF and HMC files,
@@ -8,14 +8,23 @@ time-varying and stationary, and ``verify --against --report`` and ``verify
 (:func:`failures`): bad options, files of the wrong kind, shape or syntax, a
 CRF of zero weight, outputs that cannot be written, and the budget and
 tolerance verdicts.  OUTDIR keeps every file written, and each command's
-stdout, stderr and exit code as ``NAME.out``, ``.err``, ``.code``.  Usage:
+stdout, stderr and exit code as ``NAME.out``, ``.err``, ``.code``.
+
+``--compare A B`` compares two such directories (:func:`compare`): a file
+matches when its bytes are the same in both, or when it is a ``.json`` file
+whose two copies parse to the same tree with every float bit-equal, so a
+change of number text alone (``2e-05`` against ``0.00002``) still matches.
+It prints each file that does not match and exits 1 if there is one.
+Usage:
 
     python scripts/cli_differential.py OUTDIR
-    diff -r OUTDIR OTHER   # OTHER written by a copy of this script in another checkout
+    python scripts/cli_differential.py --compare OUTDIR OTHER   # OTHER from a copy in another checkout
 """
 
+import argparse
 import json
 import os
+import struct
 import sys
 import traceback
 from pathlib import Path
@@ -99,9 +108,62 @@ def failures():
         run(f"fail-{name}", *argv)
 
 
+def same_tree(a, b) -> bool:
+    """Whether two parsed JSON values are equal, with the same types, key order and float bits."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_tree, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_tree(a[key], b[key]) for key in a)
+    return a == b
+
+
+def same_value(name: str, a: bytes, b: bytes) -> bool:
+    """Whether ``name`` is a ``.json`` file and its texts ``a`` and ``b`` parse to the same tree."""
+    if not name.endswith(".json"):
+        return False
+    try:
+        return same_tree(json.loads(a), json.loads(b))
+    except ValueError:  # not JSON, or not UTF-8
+        return False
+
+
+def compare(a: str, b: str) -> int:
+    """Print the files of the corpora ``a`` and ``b`` that do not match, then a count; 1 if any."""
+    names = {str(p.relative_to(root)) for root in map(Path, (a, b)) for p in root.rglob("*") if p.is_file()}
+    failed, by_value = [], 0
+    for name in sorted(names):
+        paths = Path(a, name), Path(b, name)
+        if not all(p.is_file() for p in paths):
+            failed.append(f"{name}: only in {a if paths[0].is_file() else b}")
+            continue
+        texts = [p.read_bytes() for p in paths]
+        if texts[0] == texts[1]:
+            continue
+        if same_value(name, *texts):
+            by_value += 1
+        else:
+            failed.append(f"{name}: differs")
+    for line in failed:
+        print(line)
+    print(f"{len(names)} files: {len(names) - len(failed)} match, {by_value} of them by value only; "
+          f"{len(failed)} do not match")
+    return 1 if failed else 0
+
+
 def main() -> int:
-    os.makedirs(sys.argv[1], exist_ok=True)
-    os.chdir(sys.argv[1])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    target = parser.add_mutually_exclusive_group(required=True)
+    target.add_argument("outdir", nargs="?", help="directory to write the corpus to")
+    target.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two corpora")
+    args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    os.makedirs(args.outdir, exist_ok=True)
+    os.chdir(args.outdir)
     Path("seqs.txt").write_text(SEQUENCES)
     for mode in ("strict", "generalized"):
         for n in range(1, 5):

@@ -5,7 +5,9 @@ Model files are JSON documents.  Common keys: ``kind`` ("crf" or "hmc"),
 "generalized").  CRF files carry ``V`` (n-1 pairwise tables) and ``U``
 (n emission tables) as nested row-major arrays of natural-log potentials;
 the string ``"-inf"`` denotes log of zero.  HMC files carry ``init``,
-``trans`` and ``emit`` as probability-domain rows.
+``trans`` and ``emit`` as probability-domain rows.  Files are written in the
+layout of ``json.dumps(doc, indent=2)``, each array cell in orjson's shortest
+round-trip number text (``1e16``, ``2.19e-6``), which reads back bit for bit.
 
 Exit codes: 0 ok, 2 parse error, 3 degenerate model, 4 impossible
 observation, 5 equivalence failure, 6 budget exceeded.
@@ -77,44 +79,28 @@ def _read_text(path: str) -> str:
 # JSON output
 #
 # Every JSON document the CLI writes has the layout of ``json.dumps(doc,
-# indent=2)``, which runs the pure-Python encoder.  An array is written one
-# block of its leading axis at a time, at most JSON_BLOCK_CELLS cells (one
-# item when an item is larger), by ``orjson.dumps(block,
-# OPT_SERIALIZE_NUMPY | OPT_INDENT_2)``.  orjson prints the same shortest
-# round-trip digits as ``float.__repr__``, which ``json`` calls, and the
-# ``indent=2`` layout of a nested list at level 0; one replacement of "\n"
-# moves it to the array's level.  Its number text differs from ``repr`` in
-# three layout rules, each rewritten in the block text:
-#
-# - a positive exponent has no sign: ``1e16`` becomes ``1e+16``;
-# - a one-digit negative exponent has no leading zero: ``2.19e-6`` becomes
-#   ``2.19e-06``;
-# - a cell with 1e-5 <= |x| < 1e-4 is printed positionally:
-#   ``0.00002005762503325462`` becomes ``2.005762503325462e-05``.
-#
-# The first two are one regular expression each, with a constant
-# replacement, run when the block text holds an ``e``.  A cell of the third
-# kind, or a ``-inf`` cell (orjson writes it as ``null``), is a hole: the
-# block is printed with NaN there, which orjson also writes as ``null``; the
-# holes are printed by one more orjson call, their digits are moved into the
-# ``repr`` layout by array operations (_hole_texts), and the block text is
-# split at ``null`` and joined with them.  No step runs per cell: ``repr`` of
-# a cell in that band takes about 2 us, some 25 times orjson's time a cell.
-# The rest of a document (symbols, counts, the report) is small and keeps
-# ``json.dumps(..., indent=2)``.  Pieces are written as they are made.
+# indent=2)``.  An array is written one block of its leading axis at a time,
+# at most JSON_BLOCK_CELLS cells (one item when an item is larger), by
+# ``orjson.dumps(block, OPT_SERIALIZE_NUMPY | OPT_INDENT_2)``: the ``indent=2``
+# layout of a nested list at level 0, which one replacement of "\n" moves to
+# the array's level.  Each cell is orjson's shortest round-trip text
+# (``1e16``, ``2.19e-6``, ``0.00002005762503325462``), which ``json.loads``
+# and orjson read back to the same double.  NaN and ``+inf`` are refused
+# before the first piece, so every ``null`` orjson writes is a ``-inf`` cell
+# and becomes the ``"-inf"`` token.  The rest of a document (symbols, counts,
+# the report) is small and keeps ``json.dumps(..., indent=2)``.  Pieces are
+# written as they are made.
 # ---------------------------------------------------------------------------
 
 JSON_BLOCK_CELLS = 2**14
 # ``convert --trace`` writes a trace of at least FORK_CELLS cells from a forked
 # process while this one writes the HMC (see _write_outputs).  The writer
-# takes about 0.15-0.35 us a cell, and fork plus wait about 4 ms.  On a 2-vCPU
-# Xeon, converting k = 16 models in one process, forking cost 4.4 ms at
-# 11,264 trace cells, broke even within about 1 ms from 23,000 to 46,000,
-# and saved 4-7 ms at 69,000 and 19 ms at 138,000.
+# takes about 0.14-0.25 us a cell, and fork plus wait about 4 ms.  On a 2-vCPU
+# Xeon, converting k = 16 models in one process, forking cost 1.9-2.4 ms at
+# 11,264 trace cells, broke even within about 1 ms from 17,000 to 34,000,
+# and saved 2-5 ms at 46,000-69,000 and 10-15 ms at 138,000.
 FORK_CELLS = 2**15
 
-_POSITIVE_EXPONENT = re.compile(rb"e(?=\d)")
-_ONE_DIGIT_EXPONENT = re.compile(rb"e-(?=\d[,\n])")
 _NEG_INF_JSON = f'"{NEG_INF_TOKEN}"'.encode()
 
 
@@ -122,43 +108,16 @@ def _indent(level: int) -> str:
     return "\n" + "  " * level
 
 
-def _hole_texts(cells: np.ndarray) -> list[bytes]:
-    """The ``json`` text of each of ``cells``, a 1-d array of ``-inf`` and of cells with 1e-5 <= |x| < 1e-4.
-
-    orjson writes ``-inf`` as ``null``, and a cell in that band as ``0.0000``
-    and its shortest digits D, after a ``-`` when negative; ``repr`` writes
-    D[0], then ``.`` and D[1:] when D has more than one digit, then ``e-05``.
-    The digits are moved in place by array operations over all cells at once.
-    """
-    text = np.frombuffer(bytearray(orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)), np.uint8)
-    point = np.flatnonzero(text == ord("."))  # in 0.0000D, one per cell in the band
-    single = (text[point + 6] == ord(",")) | (text[point + 6] == ord("]"))  # D is one digit
-    text[point + 4] = text[point + 5]
-    text[point + 5] = np.where(single, 0, ord("."))
-    for k in range(-1, 4):
-        text[point + k] = 0  # 0.000
-    text = text[text != 0].tobytes()[1:-1].replace(b",", b"e-05,") + b"e-05"
-    return text.replace(b"nulle-05", _NEG_INF_JSON).split(b",")
-
-
 def _block_text(block: np.ndarray, indent: bytes) -> str:
-    """The items of the float array ``block`` as ``json.dumps(block.tolist(), indent=2)`` lays them out.
+    """The items of the float array ``block`` in the ``indent=2`` layout, each cell in orjson's number text.
 
     The text is moved to the level of ``indent``: it starts with ``indent``
-    + "  " and the first item, and ends with the last item.
+    + "  " and the first item, and ends with the last item.  ``block`` holds
+    no NaN or ``+inf``.
     """
-    magnitude = np.abs(block)
-    holes = ((1e-5 <= magnitude) & (magnitude < 1e-4)) | (block == -math.inf)
-    has_holes = holes.any()
-    text = orjson.dumps(np.where(holes, math.nan, block) if has_holes else np.ascontiguousarray(block),
-                        option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2)
-    if b"e" in text:
-        text = _ONE_DIGIT_EXPONENT.sub(b"e-0", _POSITIVE_EXPONENT.sub(b"e+", text))
-    if has_holes:
-        tokens = _hole_texts(block[holes])
-        pieces = [b""] * (2 * len(tokens) + 1)
-        pieces[::2], pieces[1::2] = text.split(b"null"), tokens
-        text = b"".join(pieces)
+    text = orjson.dumps(np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2)
+    if (block == -math.inf).any():  # cheaper than a search of the text for "null"
+        text = text.replace(b"null", _NEG_INF_JSON)
     return text[1:-2].replace(b"\n", indent).decode()  # no outer brackets
 
 
@@ -180,12 +139,13 @@ def _array_pieces(a: np.ndarray, level: int):
 
 
 def _json_pieces(doc: dict):
-    """Check ``doc`` whole, then return its pieces: ``json.dumps(doc, indent=2) + "\\n"``.
+    """Check ``doc`` whole, then return its pieces: the layout of ``json.dumps(doc, indent=2) + "\\n"``.
 
     ``doc`` maps names to numpy arrays, written by :func:`_array_pieces`, or
     to other JSON values, each run of which is one ``json.dumps`` of its
-    items.  A NaN or infinite number, other than ``-inf`` in an array,
-    raises ValueError here, before any piece exists.
+    items; array cells are in orjson's number text (:func:`_block_text`).
+    A NaN or infinite number, other than ``-inf`` in an array, raises
+    ValueError here, before any piece exists.
     """
     runs = []  # the text of a run of other items, or (quoted key, array)
     for is_array, items in itertools.groupby(doc.items(), lambda item: isinstance(item[1], np.ndarray)):

@@ -136,9 +136,15 @@ def crf_to_hmc(model: CrfModel) -> tuple[HmcModel, ConstructionTrace]:
 
     hmc = HmcModel(model.hidden, model.obs, Table1(init), transitions, emissions)
     beta = Table2(rows + np.cumsum(shifts[::-1])[::-1, None])
-    trace = ConstructionTrace(psi, phi, beta,
-                              tuple(frozenset(np.flatnonzero(u).tolist()) for u in unreachable))
-    return hmc, trace
+    return hmc, ConstructionTrace(psi, phi, beta, _row_sets(unreachable))
+
+
+def _row_sets(mask: np.ndarray) -> tuple[frozenset[int], ...]:
+    """The columns set in each row of the boolean (rows, cols) ``mask``, one frozenset a row."""
+    rows, cols = np.nonzero(mask)
+    cols = cols.tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=len(mask))).tolist()
+    return tuple(frozenset(cols[start:end]) for start, end in zip([0, *ends], ends))
 
 
 # The name of the generalized-mode entry point before the two were one

@@ -349,6 +349,24 @@ class TestGeneralizedMode:
             pm = hmc_posterior_marginals(hmc, y).probabilities()
             assert pm[1, 1] == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unreachable_sets_match_a_per_position_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k, l = 30, 4, 2
+        pairs = np.where(rng.random((n - 1, k, k)) < 0.3, LOG_ZERO, rng.normal(size=(n - 1, k, k)))
+        emits = np.where(rng.random((n, k, l)) < 0.3, LOG_ZERO, rng.normal(size=(n, k, l)))
+        _, trace = crf_to_hmc(model_of(pairs, emits, mode="generalized"))
+        want = []
+        for pos in range(n):
+            dead = {x for x in range(k) if (emits[pos][x] == LOG_ZERO).all()}
+            if pos < n - 1:
+                mass = trace.phi.log_values[pos] + trace.beta.log_values[pos + 1]
+                dead |= {x for x in range(k) if (mass[x] == LOG_ZERO).all()}
+            want.append(frozenset(dead))
+        assert trace.unreachable == tuple(want)
+        assert sum(map(len, want)) > 0
+        assert all(type(x) is int for u in trace.unreachable for x in u)
+
     def test_fully_degenerate_model_raises(self):
         u = np.full((2, 2), LOG_ZERO)
         m = model_of([], [u], mode="generalized")

@@ -1,16 +1,19 @@
-"""The CLI's JSON writer against the standard library's ``indent=2`` encoder.
+"""The CLI's JSON writer against the standard library's ``indent=2`` layout and orjson's number text.
 
 The writer prints each array a block of its leading axis at a time with
-orjson and rewrites the three layout rules in which orjson's number text
-differs from ``repr``.  The reference here is ``json.dumps(..., indent=2)``
-on plain nested lists, with every ``-inf`` cell replaced by the ``"-inf"``
-token.
+orjson.  The reference here is ``json.dumps(..., indent=2)`` of the document
+with every array cell replaced by a placeholder, then each placeholder
+replaced by ``orjson.dumps(float(cell))``, or by the ``"-inf"`` token for a
+``-inf`` cell.  Every written text is also read back, by ``json.loads`` and,
+for model files, by ``ModelFile.from_json``: each array must come back bit
+for bit, so that ``-0.0`` and ``5e-324`` count.
 """
 
 import json
 import math
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +25,8 @@ from chainequiv.cli import ModelFile
 SPECIAL = (1e-300, 1e300, -0.0, -math.inf, -1e-300, -1e300, 2.0, 0.1)
 # Both signs of the cells where orjson's text and ``repr`` differ in layout, and
 # of their neighbours: every decade from 5e-324 to 1e308, the 1e-5 band
-# (``0.00002`` against ``2e-05``) and its edges, the exponents from 1e16 on,
-# and tokens with ``0.0000`` inside.
+# (orjson's ``0.00002`` against ``repr``'s ``2e-05``) and its edges, the
+# exponents from 1e16 on, and tokens with ``0.0000`` inside.
 LAYOUTS = np.array([sign * v for sign in (1.0, -1.0) for v in (
     5e-324, *(10.0**e for e in range(-323, 309)),
     1e-05, 2e-05, 1.5e-05, 9.99e-05, 1e-4, 9.999999999999999e15, 1e16, 1e22,
@@ -31,15 +34,56 @@ LAYOUTS = np.array([sign * v for sign in (1.0, -1.0) for v in (
     10.00001, 100.00005, 0.0)])
 
 
-def reference(doc: dict) -> str:
-    def plain(value):
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        if isinstance(value, list):
-            return [plain(v) for v in value]
-        return "-inf" if value == -math.inf else value
+PLACEHOLDER = "<cell>"
 
-    return json.dumps({key: plain(v) for key, v in doc.items()}, indent=2, allow_nan=False) + "\n"
+
+def reference(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)``, each array cell spelled as ``orjson.dumps`` spells the float alone."""
+    cells = []
+
+    def placeholders(value):
+        if isinstance(value, list):
+            return [placeholders(v) for v in value]
+        cells.append(value)
+        return PLACEHOLDER
+
+    plain = {key: placeholders(v.tolist()) if isinstance(v, np.ndarray) else v for key, v in doc.items()}
+    pieces = json.dumps(plain, indent=2, allow_nan=False).split(json.dumps(PLACEHOLDER))
+    texts = ['"-inf"' if c == -math.inf else orjson.dumps(float(c)).decode() for c in cells]
+    assert len(pieces) == len(texts) + 1
+    return "".join(piece + text for piece, text in zip(pieces, [*texts, ""])) + "\n"
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray, key: str):
+    want = np.ascontiguousarray(want, dtype=float)
+    got = np.ascontiguousarray(got, dtype=float)
+    assert got.shape == want.shape, key
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), key
+
+
+def read_back(value):
+    """A nested list of floats and ``"-inf"`` tokens, as ``json.loads`` gives it, with the tokens as ``-inf``."""
+    if isinstance(value, list):
+        return [read_back(v) for v in value]
+    if value == "-inf":
+        return -math.inf
+    assert type(value) is float, value
+    return value
+
+
+def assert_writes(doc: dict) -> str:
+    """Write ``doc``; its text must equal the reference and read back to ``doc``, arrays bit for bit."""
+    text = written(doc)
+    assert text == reference(doc)
+    loaded = json.loads(text)
+    assert list(loaded) == list(doc)
+    for key, value in doc.items():
+        if isinstance(value, np.ndarray):
+            got = np.array(read_back(loaded[key]), dtype=float)
+            assert_same_bits(got.reshape(value.shape) if value.size == 0 else got, value, key)
+        else:
+            assert loaded[key] == value, key
+    return text
 
 
 def cells(shape, seed: int) -> np.ndarray:
@@ -67,14 +111,14 @@ def test_arrays_match_the_indenting_encoder(monkeypatch, shape, tables_per_block
     a = cells(shape, seed=len(shape) * 10 + shape[0])
     doc = {"kind": "x", "symbols": ["a", "b"], "none": [], "n": 3, "a": a,
            "nested": [[], [1, 2]], "first": a[:1]}
-    assert written(doc) == reference(doc)
+    assert_writes(doc)
 
 
 @pytest.mark.parametrize("block_cells", [1, 5, 7, 64])
 def test_block_sizes_that_are_not_whole_items(monkeypatch, block_cells):
     monkeypatch.setattr(cli, "JSON_BLOCK_CELLS", block_cells)
     doc = {"psi": cells((7, 4), 1), "phi": cells((6, 4, 4), 2), "beta": cells((7, 4), 3)}
-    assert written(doc) == reference(doc)
+    assert_writes(doc)
 
 
 @pytest.mark.parametrize("shape", [(-1,), (-1, 2), (-1, 2, 3)])
@@ -84,7 +128,14 @@ def test_layouts_where_orjson_and_repr_differ(monkeypatch, shape, block_cells):
         monkeypatch.setattr(cli, "JSON_BLOCK_CELLS", block_cells)
     a = LAYOUTS[:len(LAYOUTS) // 6 * 6].reshape(shape)
     doc = {"a": a, "with_inf": np.where(np.arange(a.size).reshape(a.shape) % 5 == 1, -math.inf, a)}
-    assert written(doc) == reference(doc)
+    assert_writes(doc)
+
+
+def test_cells_are_spelled_in_orjson_number_text():
+    a = np.array([1e16, 2.19e-6, 2.005762503325462e-05, 1e-4, -0.0, 5e-324, -math.inf, 2.0, 1e15])
+    assert assert_writes({"a": a}) == (
+        '{\n  "a": [\n    1e16,\n    2.19e-6,\n    0.00002005762503325462,\n    0.0001,\n    -0.0,\n'
+        '    5e-324,\n    "-inf",\n    2.0,\n    1000000000000000.0\n  ]\n}\n')
 
 
 CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e-4, 1e-4),
@@ -99,7 +150,7 @@ def test_any_finite_cells_and_block_seams(data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "JSON_BLOCK_CELLS", data.draw(st.integers(1, a.size + 1)))
         doc = {"a": a, "n": 1}
-        assert written(doc) == reference(doc)
+        assert_writes(doc)
 
 
 @pytest.mark.parametrize("tables_per_block", [1, 2, 3])
@@ -118,9 +169,12 @@ def test_model_files_match_the_indenting_encoder(monkeypatch, tmp_path, tables_p
         keys = ("V", "U") if mf.kind == "crf" else ("init", "trans", "emit")
         doc = {"kind": mf.kind, "hidden_symbols": list(hidden), "obs_symbols": list(obs),
                "n": mf.n, "mode": mf.mode} | {key: getattr(mf, key) for key in keys}
-        assert mf.to_json() == reference(doc)
+        assert mf.to_json() == assert_writes(doc)
         mf.dump(str(tmp_path / "m.json"))
         assert (tmp_path / "m.json").read_text() == reference(doc)
+        back = ModelFile.from_json((tmp_path / "m.json").read_text())
+        for key in keys:
+            assert_same_bits(getattr(back, key), getattr(mf, key), key)
     assert '"V": []' in crf1.to_json()
 
 

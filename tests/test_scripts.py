@@ -39,3 +39,33 @@ def test_cli_differential_corpus_is_reproducible(tmp_path):
     assert (runs[0] / "strict-n4-verify-against.code").read_text() == "0\n"
     assert "PASS" in (runs[0] / "generalized-n4-verify-samples.out").read_text()
     assert "cannot extend a length-1 model" in (runs[0] / "strict-n1-decode-hmc--tile.err").read_text()
+    same = run_script("cli_differential.py", "--compare", *map(str, runs))
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert same.stdout == f"{len(files)} files: {len(files)} match, 0 of them by value only; 0 do not match\n"
+
+
+def test_cli_differential_compare_accepts_only_the_same_values(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "sub").mkdir(parents=True)
+        (root / "same.out").write_text("0.5\n")
+    (a / "sub" / "m.json").write_text('{"x": [2e-05, "-inf", -0.0, 1e+16], "n": 2}\n')
+    (b / "sub" / "m.json").write_text('{\n  "x": [0.00002, "-inf", -0.0, 1e16],\n  "n": 2\n}\n')
+    result = run_script("cli_differential.py", "--compare", str(a), str(b))
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout == "2 files: 2 match, 1 of them by value only; 0 do not match\n"
+
+    (b / "sub" / "m.json").write_text('{"x": [0.000020000000000000005, "-inf", -0.0, 1e16], "n": 2}\n')  # one ulp
+    (b / "same.out").write_text("0.50\n")  # a number, but not a .json file
+    (b / "extra.code").write_text("0\n")
+    for name, old, new in (("sign.json", "[0.0]", "[-0.0]"), ("type.json", "[2.0]", "[2]"),
+                           ("token.json", '["-inf"]', "[-1e308]"), ("order.json", '{"a": 1, "b": 2}',
+                                                                    '{"b": 2, "a": 1}')):
+        (a / name).write_text(old)
+        (b / name).write_text(new)
+    result = run_script("cli_differential.py", "--compare", str(a), str(b))
+    assert result.returncode == 1
+    assert result.stdout.splitlines() == [
+        f"extra.code: only in {b}", "order.json: differs", "same.out: differs", "sign.json: differs",
+        "sub/m.json: differs", "token.json: differs", "type.json: differs",
+        "7 files: 0 match, 0 of them by value only; 7 do not match"]
