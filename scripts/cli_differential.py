@@ -90,6 +90,7 @@ def failures():
         "verify-hmc": ("verify", hmc),
         "verify-against-crf": ("verify", crf, "--against", crf),
         "verify-against-shape": ("verify", crf, "--against", "strict-n3-hmc.json"),
+        "verify-stdin": ("verify", "-", "--against", "-"),
         "verify-zero": ("verify", "zero.json"),
         "verify-zero-evidence": ("verify", "zero.json", "--against", hmc),
         "verify-zero-evidence-samples": ("verify", "zero.json", "--against", hmc, "--samples", "4",

@@ -19,23 +19,21 @@ from chainequiv import (
     cli,
     crf_posterior_marginals,
     crf_to_hmc,
+    decode,
     hmc_posterior_marginals,
+    modelfile,
 )
 from chainequiv.cli import (
-    DECODE_BLOCK_CELLS,
-    DECODE_BLOCK_LINES,
     EXIT_BUDGET,
     EXIT_DEGENERATE,
     EXIT_IMPOSSIBLE,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PARSE,
-    ModelFile,
-    ParseError,
-    _tiled_model,
     main,
-    read_sequences,
 )
+from chainequiv.decode import DECODE_BLOCK_CELLS, DECODE_BLOCK_LINES, _tiled_model, read_sequences
+from chainequiv.modelfile import ModelFile, ParseError
 from chainequiv.crf import DegenerateModel, default_alphabets, random_crf_model
 from chainequiv.hmc import HmcModel, ImpossibleObservation
 from chainequiv.tables import Table1, ValidationError
@@ -165,15 +163,15 @@ class TestParseErrors:
         # The one-pass census hands such lists to the cell-by-cell checks,
         # with or without a "-inf" token elsewhere in the list.
         rows = [[0.5, cell], ["-inf" if with_token else 1.0, 2]]
-        assert cli._plain_array(rows, (2, 2), nonnegative=False) is None
+        assert modelfile._plain_array(rows, (2, 2), nonnegative=False) is None
         with pytest.raises(ParseError):
-            cli._parse_array(rows, (2, 2), "V")
+            modelfile._parse_array(rows, (2, 2), "V")
 
     def test_plain_array_reads_tokens_ints_and_floats(self):
-        a = cli._plain_array([[0.5, "-inf"], [3, -2]], (2, 2), nonnegative=False)
+        a = modelfile._plain_array([[0.5, "-inf"], [3, -2]], (2, 2), nonnegative=False)
         np.testing.assert_array_equal(a, [[0.5, -math.inf], [3.0, -2.0]])
-        assert cli._plain_array([[0.5, 1], [3, 2]], (2, 2), nonnegative=True).dtype == float
-        assert cli._plain_array([[0.5, "-inf"]], (1, 2), nonnegative=True) is None
+        assert modelfile._plain_array([[0.5, 1], [3, 2]], (2, 2), nonnegative=True).dtype == float
+        assert modelfile._plain_array([[0.5, "-inf"]], (1, 2), nonnegative=True) is None
 
     def test_strict_mode_rejects_neg_inf(self):
         doc = json.loads(symmetric_crf_json())
@@ -190,7 +188,7 @@ class TestParseErrors:
     def test_non_stochastic_row_rejected(self):
         doc = json.loads(pinning_hmc_json())
         doc["init"] = [0.7, 0.7]
-        with pytest.raises(ParseError, match="sums to"):
+        with pytest.raises(ValidationError, match="sums to"):
             ModelFile.from_json(json.dumps(doc)).to_model()
 
     def test_cli_exit_code_on_parse_error(self, tmp_path, capsys):
@@ -222,7 +220,7 @@ def json_reader_outcome(read, text):
 
 def read_with_json(text):
     """The reference: the model file in ``text`` as Python's json and the checks read it."""
-    return ModelFile._from_document(cli._json_object(text))
+    return ModelFile._from_document(modelfile._json_object(text))
 
 
 def set_text(doc: dict, spot: str, literal: str) -> str:
@@ -330,7 +328,7 @@ class TestReaderMatchesJson:
         def refuse(text):
             raise AssertionError("json read a file orjson can read")
 
-        monkeypatch.setattr(cli, "_json_object", refuse)
+        monkeypatch.setattr(modelfile, "_json_object", refuse)
         assert ModelFile.from_json(symmetric_crf_json()).n == 2
         assert ModelFile.from_json(pinning_hmc_json()).kind == "hmc"
 
@@ -348,12 +346,12 @@ class TestReaderMatchesJson:
 
         for text in (json.dumps(value), json.dumps(value, ensure_ascii=False)):
             for limit in range(depth(value) + 2):
-                assert cli._nests_deeper(text.encode(), limit) == (depth(value) > limit)
+                assert modelfile._nests_deeper(text.encode(), limit) == (depth(value) > limit)
 
     @pytest.mark.parametrize("text", ['"]]]]"' + "[" * 2000, '"\\\\"' + "[" * 2000, "[" * 2000 + '"\\"]]]]'],
                              ids=["closers-in-a-string", "escaped-backslash", "escaped-quote"])
     def test_depth_counts_only_brackets_outside_strings(self, text):
-        assert cli._nests_deeper(text.encode(), 1999) and not cli._nests_deeper(text.encode(), 2000)
+        assert modelfile._nests_deeper(text.encode(), 1999) and not modelfile._nests_deeper(text.encode(), 2000)
 
 
 class TestDeepNesting:
@@ -654,14 +652,14 @@ class TestForkedTraceWriter:
             os.waitpid(-1, os.WNOHANG)
 
     def test_child_failure_is_raised_in_the_parent(self, models, tmp_path, monkeypatch, forks):
-        pieces = cli._json_pieces
+        pieces = modelfile._json_pieces
 
         def failing(doc):
             if "psi" in doc:
                 raise ValueError("trace writer broke")
             return pieces(doc)
 
-        monkeypatch.setattr(cli, "_json_pieces", failing)
+        monkeypatch.setattr(modelfile, "_json_pieces", failing)
         monkeypatch.setattr(cli, "FORK_CELLS", 0)
         with pytest.raises(RuntimeError, match="trace writer broke"):
             main(["convert", models["strict"], "-o", str(tmp_path / "h.json"),
@@ -940,9 +938,9 @@ def spy_on_tiling(monkeypatch, kind: str) -> tuple[list[int], list[int]]:
     """Lists that fill, as ``decode`` runs, with the lengths it tiles models to and
     the longest line of each chain call."""
     tiled, leaders = [], []
-    module, name = (cli._crf, "crf_posterior_marginals_batch") if kind == "crf" else (
-        cli._hmc, "hmc_posterior_marginals_batch")
-    batch, tile = getattr(module, name), cli._tiled_model
+    module, name = (decode._crf, "crf_posterior_marginals_batch") if kind == "crf" else (
+        decode._hmc, "hmc_posterior_marginals_batch")
+    batch, tile = getattr(module, name), decode._tiled_model
 
     def batch_spy(model, ys, lengths):
         leaders.append(int(lengths[0]))
@@ -953,7 +951,7 @@ def spy_on_tiling(monkeypatch, kind: str) -> tuple[list[int], list[int]]:
         return tile(model, length)
 
     monkeypatch.setattr(module, name, batch_spy)
-    monkeypatch.setattr(cli, "_tiled_model", tile_spy)
+    monkeypatch.setattr(decode, "_tiled_model", tile_spy)
     return tiled, leaders
 
 
@@ -1131,7 +1129,7 @@ class TestDecodeAgainstPerLine:
         argv = ["decode", models[8, "generalized", "crf"], seqs, "--tile", "--marginals"]
         code = main(argv)
         expected = capsys.readouterr()
-        monkeypatch.setattr(cli, "MARGINAL_CHUNK_CELLS", chunk)
+        monkeypatch.setattr(decode, "MARGINAL_CHUNK_CELLS", chunk)
         assert main(argv) == code
         assert capsys.readouterr() == expected
 
@@ -1190,11 +1188,11 @@ class TestLengthSortedDecode:
         seqs, lines = self.sequences(tmp_path)
         model = ModelFile.load(models[kind]).to_model()
         expected = per_line_decode(model, lines, tile)
-        monkeypatch.setattr(cli, "DECODE_BLOCK_LINES", 23)
-        monkeypatch.setattr(cli, "DECODE_CALL_CELLS", 4 * 12 * self.K)
+        monkeypatch.setattr(decode, "DECODE_BLOCK_LINES", 23)
+        monkeypatch.setattr(decode, "DECODE_CALL_CELLS", 4 * 12 * self.K)
         calls = []
-        module, name = (cli._crf, "crf_posterior_marginals_batch") if kind == "crf" else (
-            cli._hmc, "hmc_posterior_marginals_batch")
+        module, name = (decode._crf, "crf_posterior_marginals_batch") if kind == "crf" else (
+            decode._hmc, "hmc_posterior_marginals_batch")
         batch = getattr(module, name)
 
         def spy(model, ys, lengths):
@@ -1214,7 +1212,7 @@ class TestLengthSortedDecode:
         assert "symbol 'zz' is not in the alphabet" in captured.err
         for longest, lengths in calls:
             assert lengths == sorted(lengths, reverse=True) and longest == lengths[0]
-            assert len(lengths) * longest * self.K <= cli.DECODE_CALL_CELLS or len(lengths) == 1
+            assert len(lengths) * longest * self.K <= decode.DECODE_CALL_CELLS or len(lengths) == 1
         if tile:  # a retiled model has the loaded tables, so the model's own length shares calls
             assert any(self.N in lengths and len(set(lengths)) > 1 for _, lengths in calls)
         seams = [a[-1] for (_, a), (_, b) in zip(calls, calls[1:]) if a[-1] == b[0]]
@@ -1292,7 +1290,7 @@ class TestDecodeBlockSeams:
         model = ModelFile.load(paths[kind]).to_model()
         expected = per_line_decode(model, read_sequences(seqs), tile, marginals)
         if block is not None:
-            monkeypatch.setattr(cli, "DECODE_BLOCK_LINES", block)
+            monkeypatch.setattr(decode, "DECODE_BLOCK_LINES", block)
         argv = ["decode", paths[kind], seqs] + ["--tile"] * tile + ["--marginals"] * marginals
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1520,7 +1518,9 @@ class TestVerify:
      "exhaustive check needs 2^2 * 2^2 = 16 enumerations, over the budget of 10; pass --samples"),
     (["verify", "zero.json", "--against", "h.json", "--samples", "3", "--budget", "10"], EXIT_DEGENERATE,
      "every checked observation sequence has zero evidence"),
-], ids=["convert-kind", "verify-kind", "against-kind", "against-shape", "pass-samples", "zero-evidence"])
+    (["verify", "-", "--against", "-"], EXIT_PARSE, "the model and --against cannot both come from stdin"),
+], ids=["convert-kind", "verify-kind", "against-kind", "against-shape", "pass-samples", "zero-evidence",
+        "against-stdin"])
 def test_error_is_one_line_and_its_exit_code(tmp_path, monkeypatch, capsys, argv, code, message):
     monkeypatch.chdir(tmp_path)
     for n, crf, hmc in ((2, "m.json", "h.json"), (3, "m3.json", "h3.json")):

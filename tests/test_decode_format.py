@@ -1,7 +1,7 @@
 """``decode --marginals`` columns: the fixed-width digits equal ``"%.6f"`` text.
 
 The CLI writes marginal columns as fixed-width digits, a chunk of cells at a
-time (``cli._marginal_columns``).  These tests compare that text with
+time (``decode._marginal_columns``).  These tests compare that text with
 Python's ``"%.6f"`` cell by cell, near rounding ties and across chunk seams;
 ``tests/test_cli.py`` compares whole ``decode`` runs with a per-line decode.
 """
@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chainequiv import cli
+from chainequiv import decode
 
 
 def reference_columns(probs, k: int) -> list[str]:
@@ -27,7 +27,7 @@ def check_columns(probs, k: int):
     probs = np.asarray(probs, dtype=float)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli._marginal_columns(probs, k) == reference_columns(probs, k)
+        assert decode._marginal_columns(probs, k) == reference_columns(probs, k)
 
 
 def near_ties(count: int, seed: int) -> np.ndarray:
@@ -75,12 +75,12 @@ class TestMarginalColumns:
         check_columns(cells.reshape(-1, 4), 2)
 
     def test_no_lines(self):
-        assert cli._marginal_columns(np.empty((0, 6)), 3) == []
+        assert decode._marginal_columns(np.empty((0, 6)), 3) == []
 
     @pytest.mark.parametrize("chunk", ["1", "2", "k-1", "k+1"])
     def test_chunk_seams_inside_lines_and_positions(self, monkeypatch, chunk):
         k = 5
-        monkeypatch.setattr(cli, "MARGINAL_CHUNK_CELLS", {"1": 1, "2": 2, "k-1": k - 1, "k+1": k + 1}[chunk])
+        monkeypatch.setattr(decode, "MARGINAL_CHUNK_CELLS", {"1": 1, "2": 2, "k-1": k - 1, "k+1": k + 1}[chunk])
         rng = np.random.default_rng(3)
         cells = rng.random((9, 3 * k))
         ties = near_ties(4, seed=4)

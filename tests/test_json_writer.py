@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chainequiv import cli
-from chainequiv.cli import ModelFile
+from chainequiv import modelfile
+from chainequiv.modelfile import ModelFile
 
 SPECIAL = (1e-300, 1e300, -0.0, -math.inf, -1e-300, -1e300, 2.0, 0.1)
 # Both signs of the cells where orjson's text and ``repr`` differ in layout, and
@@ -97,7 +97,7 @@ def cells(shape, seed: int) -> np.ndarray:
 
 
 def written(doc: dict) -> str:
-    return "".join(cli._json_pieces(doc))
+    return "".join(modelfile._json_pieces(doc))
 
 
 SHAPES = [(9,), (1,), (4, 3), (1, 1), (6, 2, 3), (5, 1, 4), (0, 2, 2), (0, 3)]
@@ -107,7 +107,7 @@ SHAPES = [(9,), (1,), (4, 3), (1, 1), (6, 2, 3), (5, 1, 4), (0, 2, 2), (0, 3)]
 @pytest.mark.parametrize("tables_per_block", [1, 2, 3, None])
 def test_arrays_match_the_indenting_encoder(monkeypatch, shape, tables_per_block):
     if tables_per_block is not None:
-        monkeypatch.setattr(cli, "JSON_BLOCK_CELLS", tables_per_block * math.prod(shape[1:]))
+        monkeypatch.setattr(modelfile, "JSON_BLOCK_CELLS", tables_per_block * math.prod(shape[1:]))
     a = cells(shape, seed=len(shape) * 10 + shape[0])
     doc = {"kind": "x", "symbols": ["a", "b"], "none": [], "n": 3, "a": a,
            "nested": [[], [1, 2]], "first": a[:1]}
@@ -116,7 +116,7 @@ def test_arrays_match_the_indenting_encoder(monkeypatch, shape, tables_per_block
 
 @pytest.mark.parametrize("block_cells", [1, 5, 7, 64])
 def test_block_sizes_that_are_not_whole_items(monkeypatch, block_cells):
-    monkeypatch.setattr(cli, "JSON_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(modelfile, "JSON_BLOCK_CELLS", block_cells)
     doc = {"psi": cells((7, 4), 1), "phi": cells((6, 4, 4), 2), "beta": cells((7, 4), 3)}
     assert_writes(doc)
 
@@ -125,7 +125,7 @@ def test_block_sizes_that_are_not_whole_items(monkeypatch, block_cells):
 @pytest.mark.parametrize("block_cells", [1, 7, 64, None])
 def test_layouts_where_orjson_and_repr_differ(monkeypatch, shape, block_cells):
     if block_cells is not None:
-        monkeypatch.setattr(cli, "JSON_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(modelfile, "JSON_BLOCK_CELLS", block_cells)
     a = LAYOUTS[:len(LAYOUTS) // 6 * 6].reshape(shape)
     doc = {"a": a, "with_inf": np.where(np.arange(a.size).reshape(a.shape) % 5 == 1, -math.inf, a)}
     assert_writes(doc)
@@ -148,7 +148,7 @@ def test_any_finite_cells_and_block_seams(data):
     shape = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
     a = data.draw(arrays(np.float64, shape, elements=CELLS))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "JSON_BLOCK_CELLS", data.draw(st.integers(1, a.size + 1)))
+        patch.setattr(modelfile, "JSON_BLOCK_CELLS", data.draw(st.integers(1, a.size + 1)))
         doc = {"a": a, "n": 1}
         assert_writes(doc)
 
@@ -156,7 +156,7 @@ def test_any_finite_cells_and_block_seams(data):
 @pytest.mark.parametrize("tables_per_block", [1, 2, 3])
 def test_model_files_match_the_indenting_encoder(monkeypatch, tmp_path, tables_per_block):
     k, l = 3, 2
-    monkeypatch.setattr(cli, "JSON_BLOCK_CELLS", tables_per_block * k * l)
+    monkeypatch.setattr(modelfile, "JSON_BLOCK_CELLS", tables_per_block * k * l)
     hidden, obs = ("h0", "h1", "h2"), ("o0", "o1")
     crf1 = ModelFile("crf", hidden, obs, 1, "generalized", V=np.empty((0, k, k)), U=cells((1, k, l), 4))
     crf = ModelFile("crf", hidden, obs, 7, "generalized", V=cells((6, k, k), 5), U=cells((7, k, l), 6))
@@ -192,5 +192,5 @@ def test_nan_or_inf_cell_raises_and_writes_nothing(tmp_path, capsys, bad, where)
         mf.dump("-")
     assert capsys.readouterr().out == ""
     with pytest.raises(ValueError):
-        cli._write_json(str(path), {"first": cells((2, 2), 9), "last": [1.0, bad]})
+        modelfile._write_json(str(path), {"first": cells((2, 2), 9), "last": [1.0, bad]})
     assert not path.exists()
