@@ -4,11 +4,15 @@
 On models of lengths 1-4 in both modes it runs ``random``, ``convert --trace``,
 ``decode`` with and without ``--tile`` and ``--marginals`` on CRF and HMC files,
 time-varying and stationary, and ``verify --against --report`` and ``verify
---samples``, each in a forked child.  Then it runs each command's failures
+--samples``, each in a forked child.  In both modes it also runs ``random`` and
+``convert --trace`` on a model of 130 positions, 16 labels and 8 symbols, whose
+arrays span several writer blocks (``JSON_BLOCK_CELLS``) and whose trace is
+written by the forked writer.  Then it runs each command's failures
 (:func:`failures`): bad options, files of the wrong kind, shape or syntax, a
-CRF of zero weight, outputs that cannot be written, and the budget and
-tolerance verdicts.  OUTDIR keeps every file written, and each command's
-stdout, stderr and exit code as ``NAME.out``, ``.err``, ``.code``.
+CRF of zero weight, two inputs from stdin's one pipe, outputs that cannot be
+written, and the budget and tolerance verdicts.  OUTDIR keeps every file
+written, and each command's stdout, stderr and exit code as ``NAME.out``,
+``.err``, ``.code``.
 
 ``--compare A B`` compares two such directories (:func:`compare`): a file
 matches when its bytes are the same in both, or when it is a ``.json`` file
@@ -37,12 +41,21 @@ SEQUENCES = "o0\no1 o0\n\no0 o1 o1\no1 o1 o0 o0\no2 o0\no0 o0 o1 o1 o0\no1\n"
 DECODE_FLAGS = ((), ("--tile",), ("--marginals",), ("--tile", "--marginals"))
 
 
-def run(name: str, *argv: str):
-    """Run ``chainequiv argv``, its stdout, stderr and exit code saved under ``name``."""
+def run(name: str, *argv: str, stdin: str | None = None):
+    """Run ``chainequiv argv``, its stdout, stderr and exit code saved under ``name``.
+
+    With ``stdin``, the bytes of that file reach the command through a pipe;
+    the file must fit in the pipe's buffer.
+    """
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
+            if stdin is not None:
+                read_end, write_end = os.pipe()
+                os.write(write_end, Path(stdin).read_bytes())
+                os.close(write_end)
+                os.dup2(read_end, 0)
             for fd, suffix in ((1, "out"), (2, "err")):
                 os.dup2(os.open(f"{name}.{suffix}", os.O_WRONLY | os.O_CREAT | os.O_TRUNC), fd)
             code = cli.main(list(argv))
@@ -87,10 +100,14 @@ def failures():
         "convert-output": ("convert", crf, "-o", unwritable),
         "convert-trace": ("convert", crf, "-o", "fail-convert-trace-hmc.json", "--trace", unwritable),
         "decode-stdin": ("decode", "-", "-"),
+        "decode-dev-stdin-model": ("decode", "/dev/stdin", "-"),
+        "decode-dev-stdin-sequences": ("decode", "-", "/dev/stdin"),
         "verify-hmc": ("verify", hmc),
         "verify-against-crf": ("verify", crf, "--against", crf),
         "verify-against-shape": ("verify", crf, "--against", "strict-n3-hmc.json"),
         "verify-stdin": ("verify", "-", "--against", "-"),
+        "verify-dev-stdin-model": ("verify", "/dev/stdin", "--against", "-"),
+        "verify-dev-stdin-against": ("verify", "-", "--against", "/dev/stdin"),
         "verify-zero": ("verify", "zero.json"),
         "verify-zero-evidence": ("verify", "zero.json", "--against", hmc),
         "verify-zero-evidence-samples": ("verify", "zero.json", "--against", hmc, "--samples", "4",
@@ -106,7 +123,8 @@ def failures():
     for tolerance in ("nan", "-1e-9", "inf", "-inf"):
         runs[f"verify-tolerance={tolerance}"] = ("verify", crf, f"--tolerance={tolerance}")
     for name, argv in runs.items():
-        run(f"fail-{name}", *argv)
+        piped = hmc if argv[0] == "decode" else crf
+        run(f"fail-{name}", *argv, stdin=piped if "/dev/stdin" in argv else None)
 
 
 def same_tree(a, b) -> bool:
@@ -181,6 +199,10 @@ def main() -> int:
             run(f"{m}-verify-against", "verify", f"{m}-crf.json", "--against", f"{m}-hmc.json",
                 "--report", f"{m}-report.json")
             run(f"{m}-verify-samples", "verify", f"{m}-crf.json", "--samples", "5", "--seed", "3", "--budget", "200")
+        m = f"{mode}-long"
+        run(f"{m}-random", "random", "--n", "130", "--hidden", "16", "--obs", "8", "--seed", "130", "--mode", mode,
+            "-o", f"{m}-crf.json")
+        run(f"{m}-convert", "convert", f"{m}-crf.json", "-o", f"{m}-hmc.json", "--trace", f"{m}-trace.json")
     failures()
     return 0
 

@@ -11,6 +11,7 @@ import argparse
 import functools
 import math
 import os
+import stat
 import sys
 import traceback
 
@@ -70,6 +71,25 @@ def _same_target(a: str, b: str) -> bool:
         return os.path.samefile(a, b)
     except OSError:  # a file that does not exist yet
         return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _both_stdin(a: str, b: str | None) -> bool:
+    """Whether the input paths ``a`` and ``b`` would both read stdin's stream.
+
+    They do when both are ``-``, and when one is ``-`` and the other stats as
+    stdin's own descriptor on a pipe, FIFO or terminal (``/dev/stdin``, say),
+    whose bytes only one read gets.  A regular file redirected to stdin is
+    not refused: opening its path gives an offset of its own.
+    """
+    if b is None or "-" not in (a, b):
+        return False
+    if a == b:
+        return True
+    try:
+        stdin = os.fstat(sys.stdin.fileno())
+        return os.path.samestat(stdin, os.stat(b if a == "-" else a)) and not stat.S_ISREG(stdin.st_mode)
+    except (OSError, ValueError):  # no descriptor, or a path that does not exist
+        return False
 
 
 def _write_outputs(writes, cells: int):
@@ -203,7 +223,7 @@ def cmd_convert(args) -> int:
 
 def cmd_decode(args) -> int:
     """MPM labels per nonblank sequence line, and with ``--marginals`` its marginal columns."""
-    if args.model == "-" and args.sequences == "-":
+    if _both_stdin(args.model, args.sequences):
         raise ParseError("the model and the sequences cannot both come from stdin")
     model = ModelFile.load(args.model).to_model()
     bad, impossible = decode_lines(model, read_sequences(args.sequences), args.tile, args.marginals)
@@ -219,7 +239,7 @@ def cmd_verify(args) -> int:
         raise ParseError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
         raise ParseError(f"--seed must be at least 0, got {args.seed}")
-    if args.model == "-" and args.against == "-":
+    if _both_stdin(args.model, args.against):
         raise ParseError("the model and --against cannot both come from stdin")
     model = _load(args.model, "crf", "verify")
     if args.against is None:

@@ -92,17 +92,23 @@ def build_beta(phi) -> tuple[np.ndarray, np.ndarray]:
     log sum_{x'} exp(phi[n][x, x'] + beta[n+1][x'])``.  ``phi`` is a Table3
     or a (length - 1, k, k) array-like of its tables; a length-1 model's is
     empty, of shape (0, k, k), and gives the single zero row.  Any other
-    shape raises :class:`ValidationError`.
+    shape raises :class:`ValidationError`.  Each step runs the arithmetic
+    of ``log_sum_exp(a, axis=1)`` inline, bit for bit, with one ``errstate``
+    for the whole loop.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 3 or phi.shape[1] != phi.shape[2]:
         raise ValidationError(f"phi must be a (length - 1, k, k) stack of tables, got shape {phi.shape}")
     rows = np.zeros((len(phi) + 1, phi.shape[1]))
     shifts = np.zeros(len(phi) + 1)
-    for n in range(len(phi) - 1, -1, -1):
-        row = log_sum_exp(phi[n] + rows[n + 1], axis=1)
-        shifts[n] = _finite_or_zero(row.max())
-        rows[n] = row - shifts[n]
+    with np.errstate(divide="ignore"):
+        for n in range(len(phi) - 1, -1, -1):
+            a = phi[n] + rows[n + 1]  # log_sum_exp(a, axis=1), its steps inline
+            m = a.max(axis=1)
+            m[~np.isfinite(m)] = 0
+            row = np.log(np.exp(a - m[:, None]).sum(axis=1)) + m
+            shifts[n] = _finite_or_zero(row.max())
+            rows[n] = row - shifts[n]
     return rows, shifts
 
 

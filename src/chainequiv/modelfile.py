@@ -10,6 +10,7 @@ layout of ``json.dumps(doc, indent=2)``, each array cell in orjson's shortest
 round-trip number text (``1e16``, ``2.19e-6``), which reads back bit for bit.
 """
 
+import gc
 import itertools
 import json
 import math
@@ -48,15 +49,16 @@ def _read_text(path: str) -> str:
 # Every JSON document the CLI writes has the layout of ``json.dumps(doc,
 # indent=2)``.  An array is written one block of its leading axis at a time,
 # at most JSON_BLOCK_CELLS cells (one item when an item is larger), by
-# ``orjson.dumps(block, OPT_SERIALIZE_NUMPY | OPT_INDENT_2)``: the ``indent=2``
-# layout of a nested list at level 0, which one replacement of "\n" moves to
-# the array's level.  Each cell is orjson's shortest round-trip text
-# (``1e16``, ``2.19e-6``, ``0.00002005762503325462``), which ``json.loads``
-# and orjson read back to the same double.  NaN and ``+inf`` are refused
-# before the first piece, so every ``null`` orjson writes is a ``-inf`` cell
-# and becomes the ``"-inf"`` token.  The rest of a document (symbols, counts,
-# the report) is small and keeps ``json.dumps(..., indent=2)``.  Pieces are
-# written as they are made.
+# ``orjson.dumps(OPT_SERIALIZE_NUMPY | OPT_INDENT_2)`` of the block wrapped in
+# one-item lists, one per level of the array: orjson writes the block's items
+# at the array's own indentation, and fixed-length slices drop the wrappers'
+# brackets, so no pass over the text moves it.  Each cell is orjson's
+# shortest round-trip text (``1e16``, ``2.19e-6``,
+# ``0.00002005762503325462``), which ``json.loads`` and orjson read back to
+# the same double.  NaN and ``+inf`` are refused before the first piece, so
+# every ``null`` orjson writes is a ``-inf`` cell and becomes the ``"-inf"``
+# token.  The rest of a document (symbols, counts, the report) is small and
+# keeps ``json.dumps(..., indent=2)``.  Pieces are written as they are made.
 # ---------------------------------------------------------------------------
 
 JSON_BLOCK_CELLS = 2**14
@@ -68,17 +70,24 @@ def _indent(level: int) -> str:
     return "\n" + "  " * level
 
 
-def _block_text(block: np.ndarray, indent: bytes) -> str:
-    """The items of the float array ``block`` in the ``indent=2`` layout, each cell in orjson's number text.
+def _block_text(block: np.ndarray, level: int) -> str:
+    """The items of the float array ``block`` in the ``indent=2`` layout of an array at ``level``.
 
-    The text is moved to the level of ``indent``: it starts with ``indent``
-    + "  " and the first item, and ends with the last item.  ``block`` holds
-    no NaN or ``+inf``.
+    Each cell is in orjson's number text.  The text starts with a newline,
+    ``level + 1`` indents and the first item, and ends with the last item.
+    orjson writes ``block`` inside ``level`` one-item lists, so its items
+    are already at that depth; the slice drops the wrappers' lines and the
+    block's own brackets: ``1 + sum(2 i + 2)`` bytes over i = 1..level
+    before the first item, and ``sum(2 i + 2)`` over i = 0..level after
+    the last.  ``block`` holds no NaN or ``+inf``.
     """
-    text = orjson.dumps(np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2)
+    wrapped = np.ascontiguousarray(block)
+    for _ in range(level):
+        wrapped = [wrapped]
+    text = orjson.dumps(wrapped, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2)
     if (block == -math.inf).any():  # cheaper than a search of the text for "null"
         text = text.replace(b"null", _NEG_INF_JSON)
-    return text[1:-2].replace(b"\n", indent).decode()  # no outer brackets
+    return text[level * level + 3 * level + 1:-(level + 1) * (level + 2)].decode()
 
 
 def _array_pieces(a: np.ndarray, level: int):
@@ -91,10 +100,9 @@ def _array_pieces(a: np.ndarray, level: int):
         yield "[]"
         return
     rows = max(1, JSON_BLOCK_CELLS // math.prod(a.shape[1:]))
-    indent = _indent(level).encode()
     yield "["
     for start in range(0, len(a), rows):
-        yield ("," if start else "") + _block_text(a[start:start + rows], indent)
+        yield ("," if start else "") + _block_text(a[start:start + rows], level)
     yield _indent(level) + "]"
 
 
@@ -283,16 +291,18 @@ def _nests_deeper(raw: bytes, limit: int) -> bool:
     return bool(np.cumsum((brackets & 2).astype(np.intp) - 1).max(initial=0) > limit)  # [{ have bit 1, ]} not
 
 
-def _orjson_object(text: str) -> dict | None:
-    """The JSON object in ``text`` as orjson reads it.
+def _orjson_object(data: str | bytes) -> dict | None:
+    """The JSON object in ``data``, text or its UTF-8 bytes, as orjson reads it.
 
-    None when orjson refuses ``text``, when it may nest deeper than
-    ORJSON_DEPTH, or when it holds a value other than an object.
+    None when orjson refuses ``data`` (bytes that are not UTF-8 among it),
+    when it may nest deeper than ORJSON_DEPTH, or when it holds a value
+    other than an object.
     """
     try:
-        if _nests_deeper(text.encode(), ORJSON_DEPTH):
+        raw = data.encode() if isinstance(data, str) else data
+        if _nests_deeper(raw, ORJSON_DEPTH):
             return None
-        doc = orjson.loads(text)
+        doc = orjson.loads(raw)
     except (UnicodeEncodeError, orjson.JSONDecodeError):  # a lone surrogate, or what orjson refuses
         return None
     return doc if isinstance(doc, dict) else None
@@ -318,23 +328,43 @@ class ModelFile:
     emit: np.ndarray | None = None     # (n, k, l)
 
     @classmethod
-    def from_json(cls, text: str) -> "ModelFile":
-        """The model file in ``text``, as Python's ``json`` and the checks below read it.
+    def from_json(cls, data: str | bytes) -> "ModelFile":
+        """The model file in ``data``, as Python's ``json`` and the checks below read it.
 
-        orjson reads the text first, some three times as fast.  A text it
+        ``data`` is the text, or the file's bytes, which ``json`` reads as
+        ``Path.read_text`` would: UTF-8, with ``\\r\\n`` and ``\\r`` line ends
+        read as ``\\n``; bytes that are not UTF-8 raise UnicodeDecodeError.
+        orjson reads ``data`` first, some three times as fast.  A text it
         refuses (``1e999``, ``NaN``, a lone surrogate, a BOM, bad syntax),
         a value other than an object, or a document the checks reject
         (orjson reads an integer of 2^64 or more as a float) is read again
         by ``json``, so the files accepted, their arrays bit for bit, and
         every message are ``json``'s.
+
+        The cyclic garbage collector is paused while the parsed document
+        exists, and left as it was found: the document's lists hold no
+        cycles, yet their tens of thousands of allocations would start
+        collections that walk it all and free none of it.
         """
-        doc = _orjson_object(text)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cls._from_json(data)  # the document is freed when this returns
+        finally:
+            if enabled:
+                gc.enable()
+
+    @classmethod
+    def _from_json(cls, data: str | bytes) -> "ModelFile":
+        doc = _orjson_object(data)
         if doc is not None:
             try:
                 return cls._from_document(doc)
             except (ParseError, RecursionError):  # the repr of a deep value in a message can recurse too far
                 doc = None  # freed before json reads the text again
-        return cls._from_document(_json_object(text))
+        if isinstance(data, bytes):
+            data = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return cls._from_document(_json_object(data))
 
     @classmethod
     def _from_document(cls, doc: dict) -> "ModelFile":
@@ -389,7 +419,19 @@ class ModelFile:
 
     @classmethod
     def load(cls, path: str) -> "ModelFile":
-        return cls.from_json(_read_text(path))
+        """The model file at ``path`` (``"-"`` for stdin), by :meth:`from_json`.
+
+        A file is handed over as its bytes, with no decode on the way; stdin
+        as its text.  A file that cannot be read, or whose bytes are not
+        UTF-8, raises ParseError ``cannot read PATH: reason``, as for any
+        text file.
+        """
+        if path == "-":
+            return cls.from_json(_read_text(path))
+        try:
+            return cls.from_json(Path(path).read_bytes())
+        except (OSError, UnicodeDecodeError) as e:  # the read, or json's decode of the bytes
+            raise ParseError(f"cannot read {path}: {e}") from None
 
     def dump(self, path: str):
         _write_json(path, self._document())

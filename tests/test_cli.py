@@ -1,8 +1,10 @@
 import errno
+import gc
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -352,6 +354,91 @@ class TestReaderMatchesJson:
                              ids=["closers-in-a-string", "escaped-backslash", "escaped-quote"])
     def test_depth_counts_only_brackets_outside_strings(self, text):
         assert modelfile._nests_deeper(text.encode(), 1999) and not modelfile._nests_deeper(text.encode(), 2000)
+
+
+def text_reader_error(path: str) -> str:
+    """The ParseError text a model file gave when it was read as text first, as ``Path.read_text`` reads it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        return f"cannot read {path}: {e}"
+    with pytest.raises(ParseError) as e:
+        ModelFile.from_json(text)
+    return str(e.value)
+
+
+class TestBytesReader:
+    """``ModelFile.load`` hands a file's bytes to the reader, with no decode; the outcome is the text reader's."""
+
+    @pytest.mark.parametrize("raw", [
+        b'{\r\n  "kind": "crf",\r\n  "n": 2,\r\n  x\r\n}',
+        b'{\r  "kind": "crf",\r  "n": 2,\r  x\r}',
+        b'{\r\n  "kind": "crf",\r  "n": 2,\n\r  "V": [1,, 2]}',
+        b'{"kind": "crf", "hidden_symbols": ["caf\xe9"]}',
+        b'{"kind": "crf",\n "n": 2}\xff',
+        b"\xef\xbb\xbf" + symmetric_crf_json().encode(),
+        symmetric_crf_json().replace(", ", ",\r").encode() + b"\r\r x",
+    ], ids=["crlf", "lone-cr", "mixed-ends", "latin-1", "invalid-utf8-at-end", "bom", "cr-then-trailing-word"])
+    def test_same_error_line_as_the_text_reader(self, tmp_path, capsys, raw):
+        path = tmp_path / "m.json"
+        path.write_bytes(raw)
+        message = text_reader_error(str(path))
+        with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+            ModelFile.load(str(path))
+        assert main(["convert", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("ends", ["\r\n", "\r"])
+    def test_line_ends_read_as_a_text_file(self, tmp_path, ends):
+        path = tmp_path / "m.json"
+        path.write_bytes(json.dumps(json.loads(symmetric_crf_json()), indent=2).replace("\n", ends).encode())
+        read = json_reader_outcome(ModelFile.load, str(path))
+        assert read[0] == "model"
+        assert read == json_reader_outcome(ModelFile.from_json, path.read_text(encoding="utf-8"))
+
+
+class TestGcPause:
+    """Reading a model file pauses the cyclic collector and leaves it as it was found."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("text, outcome", [
+        (symmetric_crf_json(), "model"),
+        ('{"kind": "markov"}', "error"),
+        (set_text(json.loads(symmetric_crf_json()), "cell", str(2**64)), "model"),  # json reads it again
+        (set_text(json.loads(symmetric_crf_json()), "cell", "NaN"), "error"),  # orjson refuses, json rejects
+    ], ids=["valid", "parse-error", "json-fallback", "json-fallback-error"])
+    @pytest.mark.parametrize("source", ["text", "file"])
+    def test_state_is_restored(self, tmp_path, gc_state, text, outcome, source):
+        seen = []  # the collector's state at each step of the read
+
+        def spy(step):
+            def run(*args):
+                seen.append(gc.isenabled())
+                return step(*args)
+            return run
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_orjson_object", "_json_object"):
+                patch.setattr(modelfile, name, spy(getattr(modelfile, name)))
+            patch.setattr(ModelFile, "_from_document", staticmethod(spy(ModelFile._from_document)))
+            if source == "file":
+                read, data = ModelFile.load, write(tmp_path / "m.json", text)
+            else:
+                read, data = ModelFile.from_json, text
+            assert json_reader_outcome(read, data)[0] == outcome
+        assert len(seen) >= 2 and not any(seen)
+        assert gc.isenabled() == gc_state
+
+    def test_state_is_restored_after_a_failed_read(self, tmp_path, gc_state):
+        with pytest.raises(ParseError, match="cannot read"):
+            ModelFile.load(str(tmp_path / "missing.json"))
+        assert gc.isenabled() == gc_state
 
 
 class TestDeepNesting:
@@ -1532,6 +1619,56 @@ def test_error_is_one_line_and_its_exit_code(tmp_path, monkeypatch, capsys, argv
     capsys.readouterr()
     assert main(argv) == code
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+class TestOneStdinStream:
+    """``-`` and a path naming stdin's own pipe or FIFO are one stream: refused before any read, exit 2.
+
+    Such a stream gives its bytes to one read only, so the second input
+    would be read empty.  A regular file redirected to stdin is not one
+    stream with its path: opening the path reads the file from its start.
+    """
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        crf, hmc = tmp_path / "m.json", tmp_path / "h.json"
+        assert main(["random", "--n", "2", "--hidden", "2", "--obs", "2", "--seed", "1", "-o", str(crf)]) == 0
+        assert main(["convert", str(crf), "-o", str(hmc)]) == 0
+        return {"decode": hmc, "verify": crf}
+
+    @staticmethod
+    def cli(argv, **stdin):
+        return subprocess.run([sys.executable, "-m", "chainequiv", *argv], capture_output=True, timeout=120,
+                              env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}, **stdin)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["decode", "/dev/stdin", "-"], "the model and the sequences cannot both come from stdin"),
+        (["decode", "-", "/dev/stdin"], "the model and the sequences cannot both come from stdin"),
+        (["verify", "/dev/stdin", "--against", "-"], "the model and --against cannot both come from stdin"),
+        (["verify", "-", "--against", "/dev/stdin"], "the model and --against cannot both come from stdin"),
+    ], ids=["decode-model", "decode-sequences", "verify-model", "verify-against"])
+    def test_a_pipe_is_refused(self, files, argv, message):
+        done = self.cli(argv, input=files[argv[0]].read_bytes())
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_PARSE, b"", f"error: {message}\n".encode())
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="opens a FIFO read-write, which only Linux defines")
+    def test_a_fifo_named_by_its_path_is_refused(self, files, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        end = os.open(fifo, os.O_RDWR)  # holds a writer, so a read would wait: the refusal comes first
+        try:
+            done = self.cli(["decode", str(fifo), "-"], stdin=end)
+        finally:
+            os.close(end)
+        assert (done.returncode, done.stderr) == (
+            EXIT_PARSE, b"error: the model and the sequences cannot both come from stdin\n")
+
+    def test_a_regular_file_is_read_from_its_start_twice(self, files):
+        with open(files["decode"], "rb") as stdin:
+            done = self.cli(["decode", "/dev/stdin", "-"], stdin=stdin)
+        # the model comes through the path; the sequences are the same file, read from stdin
+        assert (done.returncode, done.stdout) == (EXIT_PARSE, b"")
+        assert done.stderr.startswith(b"line 1: symbol '{' is not in the alphabet\n")
 
 
 def test_module_entry_point(tmp_path):

@@ -30,7 +30,7 @@ from chainequiv.oracle import (
     enumerate_crf_posterior,
     enumerate_hmc_posterior,
 )
-from chainequiv.tables import LOG_ZERO, Table1, Table2, ValidationError
+from chainequiv.tables import LOG_ZERO, Table1, Table2, ValidationError, log_sum_exp
 
 from conftest import (
     brute_crf_posterior,
@@ -124,6 +124,22 @@ class TestBuildBeta:
     def test_phi_must_be_a_stack_of_tables(self, phi):
         with pytest.raises(ValidationError):
             build_beta(phi)
+
+    @pytest.mark.parametrize("length", [1, 2, 2000])
+    @pytest.mark.parametrize("scale", [5.0, 500.0, 1e4])
+    @pytest.mark.parametrize("mode", [STRICT, GENERALIZED])
+    def test_rows_and_shifts_are_those_of_a_log_sum_exp_loop(self, mode, scale, length):
+        for seed in range(3):
+            m = random_crf_model(length, 16 if length > 2 else 4, 3, seed, mode=mode, low=-scale, high=scale)
+            phi = build_phi(m, build_psi(m)).log_values
+            rows, shifts = build_beta(phi)
+            want_rows, want_shifts = np.zeros_like(rows), np.zeros_like(shifts)
+            for n in range(length - 2, -1, -1):
+                row = log_sum_exp(phi[n] + want_rows[n + 1], axis=1)
+                want_shifts[n] = row.max() if np.isfinite(row.max()) else 0.0
+                want_rows[n] = row - want_shifts[n]
+            assert np.array_equal(rows.view(np.uint64), want_rows.view(np.uint64))
+            assert np.array_equal(shifts.view(np.uint64), want_shifts.view(np.uint64))
 
     def test_matches_suffix_path_enumeration(self):
         m = random_crf_model(4, 3, 2, seed=41)
