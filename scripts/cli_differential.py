@@ -7,12 +7,15 @@ time-varying and stationary, and ``verify --against --report`` and ``verify
 --samples``, each in a forked child.  In both modes it also runs ``random`` and
 ``convert --trace`` on a model of 130 positions, 16 labels and 8 symbols, whose
 arrays span several writer blocks (``JSON_BLOCK_CELLS``) and whose trace is
-written by the forked writer.  Then it runs each command's failures
-(:func:`failures`): bad options, files of the wrong kind, shape or syntax, a
-CRF of zero weight, two inputs from stdin's one pipe, outputs that cannot be
-written, and the budget and tolerance verdicts.  OUTDIR keeps every file
-written, and each command's stdout, stderr and exit code as ``NAME.out``,
-``.err``, ``.code``.
+written by the forked writer, and ``verify --against --report`` on a model of 6
+positions, 3 labels and 3 symbols, whose exhaustive check spans several
+enumeration blocks (``ENUMERATION_BLOCK_CELLS``).  Then it runs each command's
+failures (:func:`failures`): bad options, files of the wrong kind, shape or
+syntax, a CRF of zero weight, two inputs from stdin's one pipe or from one
+FIFO, outputs that cannot be written, and the budget and tolerance verdicts.
+OUTDIR keeps every file written, and each command's stdout, stderr and exit
+code as ``NAME.out``, ``.err``, ``.code``.  A run still going after
+``TIMEOUT`` seconds is killed by SIGALRM, and its code is recorded as -14.
 
 ``--compare A B`` compares two such directories (:func:`compare`): a file
 matches when its bytes are the same in both, or when it is a ``.json`` file
@@ -28,6 +31,7 @@ Usage:
 import argparse
 import json
 import os
+import signal
 import struct
 import sys
 import traceback
@@ -37,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from chainequiv import cli
 
+TIMEOUT = 10
 SEQUENCES = "o0\no1 o0\n\no0 o1 o1\no1 o1 o0 o0\no2 o0\no0 o0 o1 o1 o0\no1\n"
 DECODE_FLAGS = ((), ("--tile",), ("--marginals",), ("--tile", "--marginals"))
 
@@ -50,6 +55,7 @@ def run(name: str, *argv: str, stdin: str | None = None):
     pid = os.fork()
     if pid == 0:
         code = 1
+        signal.alarm(TIMEOUT)
         try:
             if stdin is not None:
                 read_end, write_end = os.pipe()
@@ -88,6 +94,7 @@ def failures():
     doc.update(mode="generalized", V=[[["-inf"] * 3] * 3])  # no labeling has weight
     Path("zero.json").write_text(json.dumps(doc))
     Path("bad.json").write_text('{"kind": "crf",')
+    os.mkfifo("fifo")  # removed after the runs: a corpus holds regular files only
     crf, hmc, unwritable = "strict-n2-crf.json", "strict-n2-hmc.json", "missing-dir/out.json"
     runs = {
         "random-n0": ("random", "--n", "0", "--hidden", "2", "--obs", "2"),
@@ -102,12 +109,16 @@ def failures():
         "decode-stdin": ("decode", "-", "-"),
         "decode-dev-stdin-model": ("decode", "/dev/stdin", "-"),
         "decode-dev-stdin-sequences": ("decode", "-", "/dev/stdin"),
+        "decode-dev-stdin-both": ("decode", "/dev/stdin", "/dev/stdin"),
+        "decode-fifo-both": ("decode", "fifo", "fifo"),
         "verify-hmc": ("verify", hmc),
         "verify-against-crf": ("verify", crf, "--against", crf),
         "verify-against-shape": ("verify", crf, "--against", "strict-n3-hmc.json"),
         "verify-stdin": ("verify", "-", "--against", "-"),
         "verify-dev-stdin-model": ("verify", "/dev/stdin", "--against", "-"),
         "verify-dev-stdin-against": ("verify", "-", "--against", "/dev/stdin"),
+        "verify-dev-stdin-both": ("verify", "/dev/stdin", "--against", "/dev/stdin"),
+        "verify-fifo-both": ("verify", "fifo", "--against", "fifo"),
         "verify-zero": ("verify", "zero.json"),
         "verify-zero-evidence": ("verify", "zero.json", "--against", hmc),
         "verify-zero-evidence-samples": ("verify", "zero.json", "--against", hmc, "--samples", "4",
@@ -125,6 +136,7 @@ def failures():
     for name, argv in runs.items():
         piped = hmc if argv[0] == "decode" else crf
         run(f"fail-{name}", *argv, stdin=piped if "/dev/stdin" in argv else None)
+    os.remove("fifo")
 
 
 def same_tree(a, b) -> bool:
@@ -203,6 +215,12 @@ def main() -> int:
         run(f"{m}-random", "random", "--n", "130", "--hidden", "16", "--obs", "8", "--seed", "130", "--mode", mode,
             "-o", f"{m}-crf.json")
         run(f"{m}-convert", "convert", f"{m}-crf.json", "-o", f"{m}-hmc.json", "--trace", f"{m}-trace.json")
+        m = f"{mode}-n6"
+        run(f"{m}-random", "random", "--n", "6", "--hidden", "3", "--obs", "3", "--seed", "6", "--mode", mode,
+            "-o", f"{m}-crf.json")
+        run(f"{m}-convert", "convert", f"{m}-crf.json", "-o", f"{m}-hmc.json")
+        run(f"{m}-verify-against", "verify", f"{m}-crf.json", "--against", f"{m}-hmc.json",
+            "--report", f"{m}-report.json")
     failures()
     return 0
 

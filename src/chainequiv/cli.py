@@ -25,6 +25,7 @@ from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     all_sequences,
+    block_rows,
     enumerate_crf_posterior_batch,
     enumerate_hmc_posterior_batch,
     posterior_matrix_marginals,
@@ -73,23 +74,36 @@ def _same_target(a: str, b: str) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
-def _both_stdin(a: str, b: str | None) -> bool:
-    """Whether the input paths ``a`` and ``b`` would both read stdin's stream.
+def _one_stream(a: str, b: str | None) -> str | None:
+    """Where the input paths ``a`` and ``b`` would both read one stream from: "stdin", "one pipe" or None.
 
-    They do when both are ``-``, and when one is ``-`` and the other stats as
-    stdin's own descriptor on a pipe, FIFO or terminal (``/dev/stdin``, say),
-    whose bytes only one read gets.  A regular file redirected to stdin is
-    not refused: opening its path gives an offset of its own.
+    They do when both are ``-``, and when both stat as one file that is not
+    regular (a pipe, FIFO or terminal, ``-`` standing for stdin's own
+    descriptor), whose bytes only one read gets.  The stream is stdin's when
+    one path is ``-`` or it is stdin's descriptor (``/dev/stdin``, say).  A
+    regular file, stdin's or not, is never refused: each open of its path
+    reads it from its start.
     """
-    if b is None or "-" not in (a, b):
-        return False
-    if a == b:
-        return True
+    if b is None:
+        return None
+    if a == b == "-":
+        return "stdin"
+
+    def status(path):
+        return os.fstat(sys.stdin.fileno()) if path == "-" else os.stat(path)
+
     try:
-        stdin = os.fstat(sys.stdin.fileno())
-        return os.path.samestat(stdin, os.stat(b if a == "-" else a)) and not stat.S_ISREG(stdin.st_mode)
+        shared = status(a)
+        if stat.S_ISREG(shared.st_mode) or not os.path.samestat(shared, status(b)):
+            return None
     except (OSError, ValueError):  # no descriptor, or a path that does not exist
-        return False
+        return None
+    if "-" in (a, b):
+        return "stdin"
+    try:
+        return "stdin" if os.path.samestat(shared, status("-")) else "one pipe"
+    except (OSError, ValueError):
+        return "one pipe"
 
 
 def _write_outputs(writes, cells: int):
@@ -223,11 +237,28 @@ def cmd_convert(args) -> int:
 
 def cmd_decode(args) -> int:
     """MPM labels per nonblank sequence line, and with ``--marginals`` its marginal columns."""
-    if _both_stdin(args.model, args.sequences):
-        raise ParseError("the model and the sequences cannot both come from stdin")
+    stream = _one_stream(args.model, args.sequences)
+    if stream:
+        raise ParseError(f"the model and the sequences cannot both come from {stream}")
     model = ModelFile.load(args.model).to_model()
     bad, impossible = decode_lines(model, read_sequences(args.sequences), args.tile, args.marginals)
     return EXIT_PARSE if bad else EXIT_IMPOSSIBLE if impossible else EXIT_OK
+
+
+def _exhaustive_blocks(symbols: int, length: int, rows: int):
+    """Every observation sequence in lexicographic order, in blocks of at most ``rows`` (at least one).
+
+    A block is one prefix followed by all its ``symbols**j`` continuations,
+    the largest such count within ``rows``, whose emission partial sums the
+    enumeration shares; it is built from its prefix, so only one block of
+    sequences exists at a time.
+    """
+    j = 0
+    while j < length and symbols ** (j + 1) <= rows:
+        j += 1
+    tails = all_sequences(symbols, j)
+    for head in all_sequences(symbols, length - j):
+        yield np.column_stack((np.broadcast_to(head, (len(tails), length - j)), tails))
 
 
 def cmd_verify(args) -> int:
@@ -239,8 +270,9 @@ def cmd_verify(args) -> int:
         raise ParseError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
         raise ParseError(f"--seed must be at least 0, got {args.seed}")
-    if _both_stdin(args.model, args.against):
-        raise ParseError("the model and --against cannot both come from stdin")
+    stream = _one_stream(args.model, args.against)
+    if stream:
+        raise ParseError(f"the model and --against cannot both come from {stream}")
     model = _load(args.model, "crf", "verify")
     if args.against is None:
         hmc = crf_to_hmc(model)[0]
@@ -255,21 +287,20 @@ def cmd_verify(args) -> int:
     if num_labelings > args.budget:
         raise BudgetExceeded(f"{k}^{n} = {num_labelings} labelings exceed the budget of {args.budget}")
     exhaustive = l**n * num_labelings <= args.budget
+    rows = block_rows(num_labelings, args.budget)
     if exhaustive:
-        ys = all_sequences(l, n)
+        blocks = _exhaustive_blocks(l, n, rows)
     elif args.samples is not None:
         ys = np.random.default_rng(args.seed).integers(0, l, size=(args.samples, n), dtype=np.intp)
+        blocks = (ys[start:start + rows] for start in range(0, len(ys), rows))
     else:
         raise BudgetExceeded(f"exhaustive check needs {l}^{n} * {k}^{n} = {l**n * num_labelings} "
                              f"enumerations, over the budget of {args.budget}; pass --samples")
 
-    chunk = max(1, args.budget // num_labelings)
     checked = skipped = 0
     worst = -1.0
-    worst_y = None
-    worst_pos = 0
-    for start in range(0, len(ys), chunk):
-        block = ys[start:start + chunk]
+    worst_y = worst_rows = None
+    for block in blocks:
         pc, log_kappa = enumerate_crf_posterior_batch(model, block, budget=args.budget)
         ph, _ = enumerate_hmc_posterior_batch(hmc, block, budget=args.budget)
         valid = ~np.isneginf(log_kappa)
@@ -286,12 +317,12 @@ def cmd_verify(args) -> int:
         if diffs[i] > worst:
             worst = float(diffs[i])
             worst_y = tuple(int(v) for v in block[i])
-            mc = posterior_matrix_marginals(pc[i:i + 1], k, n)
-            mh = posterior_matrix_marginals(np.nan_to_num(ph[i:i + 1], nan=0.0), k, n)
-            worst_pos = int(np.argmax(np.abs(mc - mh).max(axis=2)))
+            worst_rows = pc[i:i + 1].copy(), np.nan_to_num(ph[i:i + 1], nan=0.0)
 
     if checked == 0:
         raise DegenerateModel("every checked observation sequence has zero evidence")
+    mc, mh = (posterior_matrix_marginals(p, k, n) for p in worst_rows)
+    worst_pos = int(np.argmax(np.abs(mc - mh).max(axis=2)))
 
     passed = worst <= args.tolerance
     report = {

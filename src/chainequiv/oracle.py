@@ -5,8 +5,11 @@ observation sequence.  It is deliberately independent of the forward-backward
 code: scores come straight from table lookups over the full path matrix and
 are normalized by direct summation.  The pairwise part of every path score is
 the same for all observation rows, so it is summed once per call and shared;
-each score adds its pairwise entries in step order, then its emission entries
-in position order, starting from 0.0 (see :func:`_score_matrix`).
+so are the emission partial sums of rows that are one observation prefix and
+all its continuations, the blocks in which ``verify`` enumerates every
+observation sequence.  Either way each score adds its pairwise entries in step
+order, then its emission entries in position order, starting from 0.0, so
+sharing changes no bit (see :func:`_score_matrix`).
 """
 
 from dataclasses import dataclass
@@ -21,6 +24,9 @@ from .hmc import _factors as _hmc_factors
 from .tables import LabelSeq, index_rows
 
 DEFAULT_BUDGET = 10**6
+# Labeling cells scored at once by ``verify``: 2**16 float64 cells are
+# 0.5 MB, so a block's arrays stay in a core's L2 cache.
+ENUMERATION_BLOCK_CELLS = 2**16
 
 
 class BudgetExceeded(ValueError):
@@ -95,9 +101,17 @@ class EnumeratedPosterior:
 @lru_cache(maxsize=16)
 def all_sequences(size: int, length: int) -> np.ndarray:
     """Every index sequence of the given length, one per row, lexicographic; read-only and cached."""
-    paths = np.indices((size,) * length).reshape(length, -1).T
+    paths = np.indices((size,) * length).reshape(length, size**length).T
     paths.setflags(write=False)
     return paths
+
+
+def block_rows(labelings: int, budget: int) -> int:
+    """Observation rows to enumerate at once, each with ``labelings`` cells.
+
+    At most ENUMERATION_BLOCK_CELLS and ``budget`` cells, and at least one row.
+    """
+    return max(1, min(ENUMERATION_BLOCK_CELLS, budget) // labelings)
 
 
 def _table_shape(size: int, length: int, pos: int, width: int):
@@ -110,6 +124,26 @@ def _table_shape(size: int, length: int, pos: int, width: int):
     return (1,) * (pos + 1) + (size,) * width + (1,) * (length - pos - width)
 
 
+def _continuation_width(obs: np.ndarray, symbols: int) -> int | None:
+    """j when the rows of ``obs`` are one prefix followed by all its ``symbols**j`` continuations.
+
+    That is, the rows agree on their first n - j positions and their last j
+    positions run through every sequence of ``symbols`` symbols in
+    lexicographic order, as an aligned block of :func:`all_sequences` does.
+    A single row has j = 0; any other set of rows gives None.
+    """
+    count, n = obs.shape
+    j, rows = 0, 1
+    while rows < count and j < n and symbols > 1:
+        j, rows = j + 1, rows * symbols
+    if rows != count:
+        return None
+    if j and not ((obs[:, n - j:] == all_sequences(symbols, j)).all()
+                  and (obs[:, :n - j] == obs[0, :n - j]).all()):
+        return None
+    return j
+
+
 def _score_matrix(pairs, emits, obs: np.ndarray) -> np.ndarray:
     """(num_sequences, num_labelings) log weight of every labeling of each row.
 
@@ -118,22 +152,44 @@ def _score_matrix(pairs, emits, obs: np.ndarray) -> np.ndarray:
     flattened in lexicographic order.  The pairwise tables do not depend on
     the observations, so they are summed once, in step order starting from
     0.0, into a (1, label, label, ...) path tensor; the emission entries of
-    each row are then added in position order, the first add making the
-    (sequences, label, label, ...) tensor.  Every cell therefore adds its
+    each row are then added in position order.  Every cell therefore adds its
     entries in one fixed order: pairwise by step, then emissions by position.
+
+    Rows that are one prefix and all its continuations (an aligned block of
+    :func:`all_sequences`, or a single row; see :func:`_continuation_width`)
+    share their partial sums: the prefix's emission entries are added once
+    to the path, and each later position then multiplies the rows by the
+    number of symbols with one broadcast add of that position's
+    (symbols, labelings) emission table.  The emission work falls from about
+    n passes over the result to about l / (l - 1), and the order of the adds,
+    hence every bit of the result, is that of any other set of rows, whose
+    emission entries are added to all rows at once, one position at a time.
     """
     k, n, c = len(emits[0]), len(emits), len(obs)
     path = np.zeros((1,) + (k,) * n)
     for step, t in enumerate(pairs):
         path += t.reshape(_table_shape(k, n, step, 2))
 
-    def picked(pos):  # the rows' emission entries at ``pos``, (sequences, labels) broadcast
-        return emits[pos][:, obs[:, pos]].T.reshape((c,) + _table_shape(k, n, pos, 1)[1:])
+    symbols = emits[0].shape[1]
+    j = _continuation_width(obs, symbols)
+    if j is None:
+        def picked(pos):  # the rows' emission entries at ``pos``, (sequences, labels) broadcast
+            return emits[pos][:, obs[:, pos]].T.reshape((c,) + _table_shape(k, n, pos, 1)[1:])
 
-    scores = path + picked(0)
-    for pos in range(1, n):
-        scores += picked(pos)
-    return scores.reshape(c, k**n)
+        scores = path + picked(0)
+        for pos in range(1, n):
+            scores += picked(pos)
+        return scores.reshape(c, k**n)
+
+    for pos in range(n - j):
+        path += emits[pos][:, obs[0, pos]].reshape(_table_shape(k, n, pos, 1))
+    scores = path.reshape(1, k**n)
+    if j:
+        table = np.empty((symbols,) + (k,) * n)  # one position's emissions, at most the result's size
+        for pos in range(n - j, n):
+            table[...] = emits[pos].T.reshape((symbols,) + _table_shape(k, n, pos, 1)[1:])
+            scores = (scores[:, None, :] + table.reshape(1, symbols, k**n)).reshape(-1, k**n)
+    return scores
 
 
 def _enumerate(model, factors, ys, budget: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from chainequiv import (
     decode,
     hmc_posterior_marginals,
     modelfile,
+    oracle,
 )
 from chainequiv.cli import (
     EXIT_BUDGET,
@@ -1470,6 +1472,64 @@ class TestVerify:
         assert rep["sequences_checked"] == 40 - dead
         assert rep["exhaustive"] is False and rep["passed"] is True
 
+    @pytest.mark.parametrize("kind", ["strict", "dead-rows", "one-symbol"])
+    def test_exhaustive_blocks_leave_the_report_unchanged(self, tmp_path, monkeypatch, capsys, kind):
+        """The exhaustive twin of the chunked sampling test: one report at every block size."""
+        if kind == "dead-rows":  # symbol o2 is impossible at position 1: 27 of 81 y have no weight
+            model = random_crf_model(4, 2, 3, seed=8, mode="generalized")
+            emits = np.array(model.emit_potentials.log_values)
+            emits[1][:, 2] = float("-inf")
+            model = CrfModel(model.hidden, model.obs, model.pair_potentials.log_values, emits,
+                             mode="generalized")
+        else:
+            model = random_crf_model(4, 3, 3, seed=5) if kind == "strict" else random_crf_model(3, 3, 1, seed=2)
+        crf, hmc = str(tmp_path / "m.json"), str(tmp_path / "h.json")
+        ModelFile.from_crf(model).dump(crf)
+        assert main(["convert", crf, "-o", hmc]) == EXIT_OK
+        k, l, n = model.hidden.size, model.obs.size, model.length
+        labelings, rows = k**n, l**n
+        calls = []
+        original = cli.enumerate_crf_posterior_batch
+        monkeypatch.setattr(cli, "enumerate_crf_posterior_batch",
+                            lambda m, ys, budget: calls.append(len(ys)) or original(m, ys, budget))
+        runs = [(cells, "1000000") for cells in (1, labelings, l * labelings, oracle.ENUMERATION_BLOCK_CELLS)]
+        runs.append((oracle.ENUMERATION_BLOCK_CELLS, str(rows * labelings)))  # the smallest exhaustive budget
+        outputs, blocks = [], []
+        for cells, budget in runs:
+            monkeypatch.setattr(oracle, "ENUMERATION_BLOCK_CELLS", cells)
+            report = tmp_path / "r.json"
+            calls.clear()
+            assert main(["verify", crf, "--against", hmc, "--budget", budget,
+                         "--report", str(report)]) == EXIT_OK
+            outputs.append((capsys.readouterr(), report.read_bytes()))
+            blocks.append(len(calls))
+            assert sum(calls) == rows
+        assert all(output == outputs[0] for output in outputs)
+        assert blocks == [rows, rows, max(1, rows // l), 1, 1]
+        rep = json.loads(outputs[0][1])
+        assert rep["exhaustive"] is True and rep["passed"] is True
+        assert rep["sequences_skipped_zero_evidence"] == (27 if kind == "dead-rows" else 0)
+
+    @pytest.mark.parametrize("n, k, l", [(3, 10, 10), (6, 1, 10)])
+    def test_exhaustive_memory_does_not_grow_with_the_check(self, tmp_path, n, k, l):
+        # At the default budget's edge.  10^3 observation rows of 10^3
+        # labelings: whole score matrices took about 30 MB.  10^6 rows of one
+        # labeling: all observation sequences at once took about 48 MB.
+        # Blocks of 2^16 cells, built one at a time, take under 2 MB.
+        crf, hmc = str(tmp_path / "m.json"), str(tmp_path / "h.json")
+        assert main(["random", "--n", str(n), "--hidden", str(k), "--obs", str(l), "--seed", "1",
+                     "-o", crf]) == EXIT_OK
+        assert main(["convert", crf, "-o", hmc]) == EXIT_OK
+        tracemalloc.start()
+        try:
+            code = main(["verify", crf, "--against", hmc, "--report", str(tmp_path / "r.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert json.loads((tmp_path / "r.json").read_text())["sequences_checked"] == l**n
+        assert peak < 4e6
+
     def test_dead_hmc_row_worst_position_uses_zero_marginals(self, tmp_path):
         # The HMC forbids symbol o1, so its posterior for the first y holding
         # o1 is dead (discrepancy 1) while the strict CRF's is not; the worst
@@ -1622,11 +1682,12 @@ def test_error_is_one_line_and_its_exit_code(tmp_path, monkeypatch, capsys, argv
 
 
 class TestOneStdinStream:
-    """``-`` and a path naming stdin's own pipe or FIFO are one stream: refused before any read, exit 2.
+    """Two inputs that stat as one pipe, FIFO or terminal are one stream: refused before any read, exit 2.
 
     Such a stream gives its bytes to one read only, so the second input
-    would be read empty.  A regular file redirected to stdin is not one
-    stream with its path: opening the path reads the file from its start.
+    would be read empty, or its open would wait for a writer.  A regular
+    file is not one stream with its path, nor with itself named twice:
+    each open of a path reads the file from its start.
     """
 
     @pytest.fixture
@@ -1646,22 +1707,41 @@ class TestOneStdinStream:
         (["decode", "-", "/dev/stdin"], "the model and the sequences cannot both come from stdin"),
         (["verify", "/dev/stdin", "--against", "-"], "the model and --against cannot both come from stdin"),
         (["verify", "-", "--against", "/dev/stdin"], "the model and --against cannot both come from stdin"),
-    ], ids=["decode-model", "decode-sequences", "verify-model", "verify-against"])
+        (["decode", "/dev/stdin", "/dev/stdin"], "the model and the sequences cannot both come from stdin"),
+        (["verify", "/dev/stdin", "--against", "/dev/stdin"], "the model and --against cannot both come from stdin"),
+    ], ids=["decode-model", "decode-sequences", "verify-model", "verify-against", "decode-both", "verify-both"])
     def test_a_pipe_is_refused(self, files, argv, message):
         done = self.cli(argv, input=files[argv[0]].read_bytes())
         assert (done.returncode, done.stdout, done.stderr) == (EXIT_PARSE, b"", f"error: {message}\n".encode())
 
     @pytest.mark.skipif(sys.platform != "linux", reason="opens a FIFO read-write, which only Linux defines")
-    def test_a_fifo_named_by_its_path_is_refused(self, files, tmp_path):
+    @pytest.mark.parametrize("argv, on_stdin, message", [
+        (["decode", "FIFO", "-"], True, "the model and the sequences cannot both come from stdin"),
+        (["decode", "FIFO", "FIFO"], True, "the model and the sequences cannot both come from stdin"),
+        (["decode", "FIFO", "FIFO"], False, "the model and the sequences cannot both come from one pipe"),
+        (["verify", "FIFO", "--against", "FIFO"], True, "the model and --against cannot both come from stdin"),
+        (["verify", "FIFO", "--against", "FIFO"], False, "the model and --against cannot both come from one pipe"),
+    ], ids=["decode-stdin", "decode-twice-stdin", "decode-twice", "verify-twice-stdin", "verify-twice"])
+    def test_a_fifo_named_by_its_path_is_refused(self, tmp_path, argv, on_stdin, message):
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
         end = os.open(fifo, os.O_RDWR)  # holds a writer, so a read would wait: the refusal comes first
         try:
-            done = self.cli(["decode", str(fifo), "-"], stdin=end)
+            done = self.cli([str(fifo) if arg == "FIFO" else arg for arg in argv],
+                            stdin=end if on_stdin else subprocess.DEVNULL)
         finally:
             os.close(end)
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_PARSE, b"", f"error: {message}\n".encode())
+
+    def test_a_regular_file_named_twice_is_read_twice(self, files):
+        # stdin's own regular file through /dev/stdin, and one path named twice
+        with open(files["verify"], "rb") as stdin:
+            done = self.cli(["verify", "/dev/stdin", "--against", "/dev/stdin"], stdin=stdin)
         assert (done.returncode, done.stderr) == (
-            EXIT_PARSE, b"error: the model and the sequences cannot both come from stdin\n")
+            EXIT_PARSE, b'error: kind: --against expects an "hmc" model file\n')
+        done = self.cli(["decode", str(files["decode"]), str(files["decode"])], stdin=subprocess.DEVNULL)
+        assert (done.returncode, done.stdout) == (EXIT_PARSE, b"")
+        assert done.stderr.startswith(b"line 1: symbol '{' is not in the alphabet\n")
 
     def test_a_regular_file_is_read_from_its_start_twice(self, files):
         with open(files["decode"], "rb") as stdin:

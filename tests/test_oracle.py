@@ -11,17 +11,21 @@ from chainequiv.equivalence import crf_to_hmc
 from chainequiv.hmc import HmcModel
 from chainequiv.hmc import _factors as hmc_factors
 from chainequiv.oracle import (
+    ENUMERATION_BLOCK_CELLS,
     BudgetExceeded,
     ShapeMismatch,
     all_sequences,
+    block_rows,
     compare_posteriors,
     enumerate_crf_posterior,
     enumerate_crf_posterior_batch,
     enumerate_hmc_posterior,
     enumerate_hmc_posterior_batch,
     posterior_matrix_marginals,
+    _continuation_width,
     _score_matrix,
     _stable_total,
+    _table_shape,
 )
 from chainequiv.tables import LOG_ZERO, Table2
 
@@ -238,10 +242,110 @@ class TestScoreMatrixOrder:
             assert np.isneginf(got).any()
 
 
+def unshared_scores(pairs, emits, obs) -> np.ndarray:
+    """The score matrix as it was before rows shared emission partial sums.
+
+    Pairwise tables summed into one path tensor in step order, then each
+    position's emission entries added to every row at once.
+    """
+    k, n, c = len(emits[0]), len(emits), len(obs)
+    path = np.zeros((1,) + (k,) * n)
+    for step, t in enumerate(pairs):
+        path += t.reshape(_table_shape(k, n, step, 2))
+
+    def picked(pos):
+        return emits[pos][:, obs[:, pos]].T.reshape((c,) + _table_shape(k, n, pos, 1)[1:])
+
+    scores = path + picked(0)
+    for pos in range(1, n):
+        scores += picked(pos)
+    return scores.reshape(c, k**n)
+
+
+def both_factors(n, k, l, mode, seed):
+    """CRF and constructed-HMC factors of a random model; generalized draws have ``-inf`` cells."""
+    while True:  # a generalized draw can have zero total weight; take the next seed
+        crf = random_crf_model(n, k, l, seed, mode=mode, zero_prob=0.3)
+        try:
+            return crf_factors(crf), hmc_factors(crf_to_hmc(crf)[0])
+        except DegenerateModel:
+            seed += 1000
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSharedPrefixSums:
+    """Rows that are one prefix and all its continuations share partial sums, bit for bit."""
+
+    SHAPES = [(1, 2, 2), (2, 3, 1), (3, 2, 3), (4, 3, 2), (4, 2, 1), (5, 4, 3), (6, 3, 3), (6, 4, 2)]
+
+    @pytest.mark.parametrize("mode", ["strict", "generalized"])
+    @pytest.mark.parametrize("n, k, l", SHAPES)
+    def test_every_aligned_block_equals_the_unshared_sum(self, n, k, l, mode):
+        ys = all_sequences(l, n)
+        for pairs, emits in both_factors(n, k, l, mode, seed=n * 100 + k * 10 + l):
+            want = unshared_scores(pairs, emits, ys)
+            if mode == "generalized" and n > 1:
+                assert np.isneginf(want).any()
+            for j in range(n + 1):
+                size = l**j
+                for start in range(0, len(ys), size):
+                    block = ys[start:start + size]
+                    assert _continuation_width(block, l) == (j if l > 1 else 0)
+                    assert same_bits(_score_matrix(pairs, emits, block), want[start:start + size]), \
+                        (j, start)
+
+    @pytest.mark.parametrize("mode", ["strict", "generalized"])
+    @pytest.mark.parametrize("n, k, l", [(3, 2, 3), (4, 3, 2), (5, 4, 3), (6, 3, 3)])
+    def test_other_rows_equal_the_unshared_sum(self, n, k, l, mode):
+        ys = all_sequences(l, n)
+        rng = np.random.default_rng(n * 100 + k * 10 + l)
+        others = {
+            "misaligned": ys[1:1 + l],
+            "misaligned-long": ys[l:l + l**2],
+            "one-too-many": ys[:l**2 + 1],
+            "repeated": np.repeat(ys[5:6], l, axis=0),
+            "repeated-block": np.concatenate([ys[:l], ys[:l]]),
+            "reversed": ys[:l][::-1],
+            "random": rng.integers(0, l, size=(l**2, n)),
+            "single": ys[-1:],
+        }
+        for pairs, emits in both_factors(n, k, l, mode, seed=n * 100 + k * 10 + l):
+            for name, rows in others.items():
+                assert same_bits(_score_matrix(pairs, emits, rows), unshared_scores(pairs, emits, rows)), name
+        for name in ("misaligned", "misaligned-long", "one-too-many", "repeated", "repeated-block",
+                     "reversed"):
+            assert _continuation_width(others[name], l) is None, name
+
+    @pytest.mark.parametrize("mode", ["strict", "generalized"])
+    def test_more_labelings_than_a_block(self, mode):
+        n, k, l = 3, 41, 2
+        assert k**n > ENUMERATION_BLOCK_CELLS
+        ys = all_sequences(l, n)
+        for pairs, emits in both_factors(n, k, l, mode, seed=7):
+            for rows in (ys[3:4], ys[2:4], ys[1:3]):
+                assert same_bits(_score_matrix(pairs, emits, rows), unshared_scores(pairs, emits, rows))
+
+
+class TestBlockRows:
+    def test_within_the_block_and_the_budget(self):
+        assert block_rows(1000, 10**6) == ENUMERATION_BLOCK_CELLS // 1000
+        assert block_rows(729, 729 * 9) == 9  # the budget caps a block below ENUMERATION_BLOCK_CELLS
+
+    def test_at_least_one_row(self):
+        assert block_rows(ENUMERATION_BLOCK_CELLS + 1, 10**6) == 1
+        assert block_rows(8, 1) == 1
+
+
 class TestAllSequences:
     def test_lexicographic_order(self):
         got = [tuple(r) for r in all_sequences(2, 3)]
         assert got == list(itertools.product(range(2), repeat=3))
+
+    def test_length_zero_is_one_empty_sequence(self):
+        assert all_sequences(3, 0).shape == (1, 0)
 
     def test_sequence_accessor_agrees(self):
         ep = enumerate_crf_posterior(zero_crf(2, k=3), (0, 0))
