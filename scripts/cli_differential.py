@@ -9,10 +9,12 @@ time-varying and stationary, and ``verify --against --report`` and ``verify
 arrays span several writer blocks (``JSON_BLOCK_CELLS``) and whose trace is
 written by the forked writer, and ``verify --against --report`` on a model of 6
 positions, 3 labels and 3 symbols, whose exhaustive check spans several
-enumeration blocks (``ENUMERATION_BLOCK_CELLS``).  Then it runs each command's
-failures (:func:`failures`): bad options, files of the wrong kind, shape or
-syntax, a CRF of zero weight, two inputs from stdin's one pipe or from one
-FIFO, outputs that cannot be written, and the budget and tolerance verdicts.
+enumeration blocks (``ENUMERATION_BLOCK_CELLS``), and on it ``verify
+--samples`` of 3000 sequences, drawn in 34 blocks.  Then it runs each
+command's failures (:func:`failures`): bad options, files of the wrong kind,
+shape or syntax, a CRF of zero weight, two inputs from stdin's one pipe or
+from one FIFO, a model or sequence file on stdin that is not UTF-8, outputs
+that cannot be written, and the budget and tolerance verdicts.
 OUTDIR keeps every file written, and each command's stdout, stderr and exit
 code as ``NAME.out``, ``.err``, ``.code``.  A run still going after
 ``TIMEOUT`` seconds is killed by SIGALRM, and its code is recorded as -14.
@@ -94,6 +96,8 @@ def failures():
     doc.update(mode="generalized", V=[[["-inf"] * 3] * 3])  # no labeling has weight
     Path("zero.json").write_text(json.dumps(doc))
     Path("bad.json").write_text('{"kind": "crf",')
+    Path("bad-utf8.json").write_bytes(Path("strict-n2-hmc.json").read_bytes().replace(b'"o0"', b'"o\xff"', 1))
+    Path("bad-utf8.txt").write_bytes(b"o0 o1\n\xff o0\n")
     os.mkfifo("fifo")  # removed after the runs: a corpus holds regular files only
     crf, hmc, unwritable = "strict-n2-crf.json", "strict-n2-hmc.json", "missing-dir/out.json"
     runs = {
@@ -136,6 +140,8 @@ def failures():
     for name, argv in runs.items():
         piped = hmc if argv[0] == "decode" else crf
         run(f"fail-{name}", *argv, stdin=piped if "/dev/stdin" in argv else None)
+    run("fail-decode-stdin-model-not-utf8", "decode", "-", "seqs.txt", stdin="bad-utf8.json")
+    run("fail-decode-stdin-sequences-not-utf8", "decode", hmc, "-", stdin="bad-utf8.txt")
     os.remove("fifo")
 
 
@@ -221,6 +227,8 @@ def main() -> int:
         run(f"{m}-convert", "convert", f"{m}-crf.json", "-o", f"{m}-hmc.json")
         run(f"{m}-verify-against", "verify", f"{m}-crf.json", "--against", f"{m}-hmc.json",
             "--report", f"{m}-report.json")
+        run(f"{m}-verify-samples", "verify", f"{m}-crf.json", "--samples", "3000", "--budget", "65536",
+            "--report", f"{m}-samples-report.json")
     failures()
     return 0
 

@@ -261,6 +261,18 @@ def _exhaustive_blocks(symbols: int, length: int, rows: int):
         yield np.column_stack((np.broadcast_to(head, (len(tails), length - j)), tails))
 
 
+def _sampled_blocks(symbols: int, length: int, rows: int, samples: int, seed: int):
+    """``samples`` random observation sequences, drawn ``rows`` at a time from ``default_rng(seed)``.
+
+    numpy draws bounded integers one after another from the generator's
+    stream, so the blocks are the rows of one whole draw of ``samples``
+    sequences, while only one block of them exists at a time.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, rows):
+        yield rng.integers(0, symbols, size=(min(rows, samples - start), length), dtype=np.intp)
+
+
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ParseError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
@@ -291,8 +303,7 @@ def cmd_verify(args) -> int:
     if exhaustive:
         blocks = _exhaustive_blocks(l, n, rows)
     elif args.samples is not None:
-        ys = np.random.default_rng(args.seed).integers(0, l, size=(args.samples, n), dtype=np.intp)
-        blocks = (ys[start:start + rows] for start in range(0, len(ys), rows))
+        blocks = _sampled_blocks(l, n, rows, args.samples, args.seed)
     else:
         raise BudgetExceeded(f"exhaustive check needs {l}^{n} * {k}^{n} = {l**n * num_labelings} "
                              f"enumerations, over the budget of {args.budget}; pass --samples")

@@ -35,10 +35,20 @@ class ParseError(ValueError):
     """
 
 
+def _read_bytes(path: str) -> bytes:
+    """The bytes of ``path``, or of stdin for ``"-"``, with no decode on the way."""
+    return sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+
+
 def _read_text(path: str) -> str:
-    """The UTF-8 text of ``path`` (``"-"`` for stdin); failures raise ParseError."""
+    """The UTF-8 text of ``path`` (``"-"`` for stdin); failures raise ParseError.
+
+    stdin is decoded as strictly as a file, whatever error handler
+    ``sys.stdin`` has.  Line ends are left as they are: ``\r\n`` and
+    ``\r`` stay in the text.
+    """
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        return _read_bytes(path).decode("utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from None
 
@@ -421,15 +431,12 @@ class ModelFile:
     def load(cls, path: str) -> "ModelFile":
         """The model file at ``path`` (``"-"`` for stdin), by :meth:`from_json`.
 
-        A file is handed over as its bytes, with no decode on the way; stdin
-        as its text.  A file that cannot be read, or whose bytes are not
-        UTF-8, raises ParseError ``cannot read PATH: reason``, as for any
-        text file.
+        The file, or stdin, is handed over as its bytes (:func:`_read_bytes`).
+        One that cannot be read, or whose bytes are not UTF-8, raises
+        ParseError ``cannot read PATH: reason``, as for any text file.
         """
-        if path == "-":
-            return cls.from_json(_read_text(path))
         try:
-            return cls.from_json(Path(path).read_bytes())
+            return cls.from_json(_read_bytes(path))
         except (OSError, UnicodeDecodeError) as e:  # the read, or json's decode of the bytes
             raise ParseError(f"cannot read {path}: {e}") from None
 

@@ -7,13 +7,14 @@ are normalized by direct summation.  The pairwise part of every path score is
 the same for all observation rows, so it is summed once per call and shared;
 so are the emission partial sums of rows that are one observation prefix and
 all its continuations, the blocks in which ``verify`` enumerates every
-observation sequence.  Either way each score adds its pairwise entries in step
-order, then its emission entries in position order, starting from 0.0, so
-sharing changes no bit (see :func:`_score_matrix`).
+observation sequence.  One loop over the positions scores any set of rows:
+each score adds its pairwise entries in step order, then its emission entries
+in position order, starting from 0.0, so sharing changes no bit (see
+:func:`_score_matrix`).  No enumeration outlives the call that made it: a
+labeling is recovered from its index in lexicographic order.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -77,15 +78,13 @@ class EnumeratedPosterior:
 
     @property
     def entries(self) -> dict[LabelSeq, float]:
-        paths = all_sequences(self.hidden_size, self.length)
-        return {
-            tuple(int(v) for v in paths[i]): float(p)
-            for i, p in enumerate(self.probabilities)
-            if p != 0.0
-        }
+        nonzero = np.flatnonzero(self.probabilities)
+        labels = np.unravel_index(nonzero, (self.hidden_size,) * self.length)
+        return dict(zip(zip(*(axis.tolist() for axis in labels)), self.probabilities[nonzero].tolist()))
 
     def sequence(self, i: int) -> LabelSeq:
-        return tuple(int(v) for v in all_sequences(self.hidden_size, self.length)[i])
+        i = range(self.probabilities.size)[i]  # a negative index counts from the end, as in an array
+        return tuple(int(v) for v in np.unravel_index(i, (self.hidden_size,) * self.length))
 
     def probability(self, labels) -> float:
         labels = index_rows([labels], self.length, self.hidden_size, "label")[0]
@@ -98,12 +97,9 @@ class EnumeratedPosterior:
                                           self.length)[0]
 
 
-@lru_cache(maxsize=16)
 def all_sequences(size: int, length: int) -> np.ndarray:
-    """Every index sequence of the given length, one per row, lexicographic; read-only and cached."""
-    paths = np.indices((size,) * length).reshape(length, size**length).T
-    paths.setflags(write=False)
-    return paths
+    """Every index sequence of the given length, one per row, lexicographic; a new array each call."""
+    return np.indices((size,) * length).reshape(length, size**length).T
 
 
 def block_rows(labelings: int, budget: int) -> int:
@@ -124,24 +120,22 @@ def _table_shape(size: int, length: int, pos: int, width: int):
     return (1,) * (pos + 1) + (size,) * width + (1,) * (length - pos - width)
 
 
-def _continuation_width(obs: np.ndarray, symbols: int) -> int | None:
-    """j when the rows of ``obs`` are one prefix followed by all its ``symbols**j`` continuations.
+def _continuation_width(obs: np.ndarray, symbols: int) -> int:
+    """j when the rows of ``obs`` are one prefix followed by all its ``symbols**j`` continuations, else 0.
 
     That is, the rows agree on their first n - j positions and their last j
-    positions run through every sequence of ``symbols`` symbols in
-    lexicographic order, as an aligned block of :func:`all_sequences` does.
-    A single row has j = 0; any other set of rows gives None.
+    positions, read as base-``symbols`` numbers, count 0, 1, 2, ... in
+    order, as an aligned block of :func:`all_sequences` does.  A single row,
+    or any other set of rows, gives 0.
     """
     count, n = obs.shape
-    j, rows = 0, 1
-    while rows < count and j < n and symbols > 1:
-        j, rows = j + 1, rows * symbols
-    if rows != count:
-        return None
-    if j and not ((obs[:, n - j:] == all_sequences(symbols, j)).all()
-                  and (obs[:, :n - j] == obs[0, :n - j]).all()):
-        return None
-    return j
+    j = 0
+    while symbols > 1 and j < n and symbols**j < count:
+        j += 1
+    aligned = (j and symbols**j == count
+               and (obs[:, n - j:] @ symbols ** np.arange(j - 1, -1, -1) == np.arange(count)).all()
+               and (obs[:, :n - j] == obs[0, :n - j]).all())
+    return j if aligned else 0
 
 
 def _score_matrix(pairs, emits, obs: np.ndarray) -> np.ndarray:
@@ -151,45 +145,42 @@ def _score_matrix(pairs, emits, obs: np.ndarray) -> np.ndarray:
     scores every labeling by summing its table entries, with labelings
     flattened in lexicographic order.  The pairwise tables do not depend on
     the observations, so they are summed once, in step order starting from
-    0.0, into a (1, label, label, ...) path tensor; the emission entries of
-    each row are then added in position order.  Every cell therefore adds its
-    entries in one fixed order: pairwise by step, then emissions by position.
+    0.0, into a (1, label, label, ...) path tensor.  The emission entries
+    then come in position order: each cell adds its entries in one fixed
+    order, pairwise by step, then emissions by position.
 
-    Rows that are one prefix and all its continuations (an aligned block of
-    :func:`all_sequences`, or a single row; see :func:`_continuation_width`)
-    share their partial sums: the prefix's emission entries are added once
-    to the path, and each later position then multiplies the rows by the
-    number of symbols with one broadcast add of that position's
-    (symbols, labelings) emission table.  The emission work falls from about
-    n passes over the result to about l / (l - 1), and the order of the adds,
-    hence every bit of the result, is that of any other set of rows, whose
-    emission entries are added to all rows at once, one position at a time.
+    Rows that are one prefix and all its ``symbols**j`` continuations (an
+    aligned block of :func:`all_sequences`; see :func:`_continuation_width`)
+    share their partial sums.  The rows' heads, the one prefix of such a
+    block or else every row, have their emission entries added at the
+    first n - j positions; a single head adds its labels' entries in place
+    to the path.  Each of the last j positions then multiplies the rows by
+    the number of symbols with one broadcast add of that position's
+    (symbols, labelings) emission table.  The emission work of a block falls
+    from about n passes over the result to about l / (l - 1), and no add
+    changes its order, so every bit is that of the rows scored one by one.
     """
-    k, n, c = len(emits[0]), len(emits), len(obs)
+    k, n = len(emits[0]), len(emits)
     path = np.zeros((1,) + (k,) * n)
     for step, t in enumerate(pairs):
         path += t.reshape(_table_shape(k, n, step, 2))
 
     symbols = emits[0].shape[1]
     j = _continuation_width(obs, symbols)
-    if j is None:
-        def picked(pos):  # the rows' emission entries at ``pos``, (sequences, labels) broadcast
-            return emits[pos][:, obs[:, pos]].T.reshape((c,) + _table_shape(k, n, pos, 1)[1:])
-
-        scores = path + picked(0)
-        for pos in range(1, n):
-            scores += picked(pos)
-        return scores.reshape(c, k**n)
-
-    for pos in range(n - j):
-        path += emits[pos][:, obs[0, pos]].reshape(_table_shape(k, n, pos, 1))
-    scores = path.reshape(1, k**n)
-    if j:
-        table = np.empty((symbols,) + (k,) * n)  # one position's emissions, at most the result's size
-        for pos in range(n - j, n):
-            table[...] = emits[pos].T.reshape((symbols,) + _table_shape(k, n, pos, 1)[1:])
-            scores = (scores[:, None, :] + table.reshape(1, symbols, k**n)).reshape(-1, k**n)
-    return scores
+    heads = obs[:len(obs) // symbols**j]
+    # one position's emissions for the continuations, at most the result's size
+    table = np.empty((symbols,) + (k,) * n) if j else None
+    scores = path
+    for pos in range(n):
+        shape = _table_shape(k, n, pos, 1)[1:]
+        if pos < n - j:
+            entries = emits[pos][:, heads[:, pos] if len(heads) != 1 else heads[0, pos]]
+            entries = entries.T.reshape((-1,) + shape)
+            scores = np.add(scores, entries, out=scores if len(scores) == len(entries) else None)
+        else:
+            table[...] = emits[pos].T.reshape((symbols,) + shape)
+            scores = scores.reshape(-1, 1, k**n) + table.reshape(1, symbols, k**n)
+    return scores.reshape(len(obs), k**n)
 
 
 def _enumerate(model, factors, ys, budget: int) -> np.ndarray:

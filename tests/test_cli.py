@@ -283,10 +283,18 @@ class TestReaderMatchesJson:
             outcome, detail = self.check(text)
             assert outcome == "model" and detail["hidden_symbols"][0] == "\ud800"
 
-    def test_surrogate_from_stdin(self, monkeypatch):
+    def test_surrogate_from_stdin(self, monkeypatch, tmp_path):
+        """The byte a surrogateescape stdin reads as U+DCFF is not UTF-8: refused as from a file."""
         text = json.dumps(json.loads(set_text(self.CRF, "symbol", '"\\udcff"')), ensure_ascii=False)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-        assert json_reader_outcome(lambda _: ModelFile.load("-"), None) == self.check(text)
+        data = text.encode("utf-8", "surrogateescape")
+        assert b"\xff" in data
+        path = tmp_path / "m.json"
+        path.write_bytes(data)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), errors="surrogateescape"))
+        outcome, message = json_reader_outcome(lambda _: ModelFile.load("-"), None)
+        from_file = json_reader_outcome(ModelFile.load, str(path))[1]
+        assert (outcome, message) == ("error", from_file.replace(str(path), "-"))
+        assert message.startswith("cannot read -: 'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize("text", [
         "\ufeff" + symmetric_crf_json(),
@@ -1138,7 +1146,7 @@ class TestBatchedDecode:
         assert captured.err.startswith("error: ") and "stdin" in captured.err
 
     def test_model_from_stdin(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(pinning_hmc_json()))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(pinning_hmc_json().encode())))
         seqs = write(tmp_path / "s.txt", "a b a\n")
         assert main(["decode", "-", seqs]) == EXIT_OK
         assert capsys.readouterr().out == "A B A\n"
@@ -1530,6 +1538,32 @@ class TestVerify:
         assert json.loads((tmp_path / "r.json").read_text())["sequences_checked"] == l**n
         assert peak < 4e6
 
+    @pytest.mark.parametrize("symbols", [2, 3, 5, 256, 2**33])
+    def test_sampled_blocks_are_one_draw(self, symbols):
+        # ``verify --samples`` draws its rows a block at a time from one
+        # generator; joined, the blocks are one whole draw, as before.
+        for length, rows, samples in ((3, 7, 1000), (6, 89, 3000), (1, 1, 5)):
+            whole = np.random.default_rng(5).integers(0, symbols, size=(samples, length), dtype=np.intp)
+            blocks = list(cli._sampled_blocks(symbols, length, rows, samples, 5))
+            assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+            assert np.array_equal(np.concatenate(blocks), whole)
+
+    def test_sampled_memory_does_not_grow_with_the_samples(self, tmp_path, capsys):
+        # 2^2 labelings of 200^2 observation sequences, over a budget of 2^16:
+        # sampled, 2^14 rows a block.  10^6 rows drawn at once took 16 MB more.
+        crf = str(tmp_path / "m.json")
+        assert main(["random", "--n", "2", "--hidden", "2", "--obs", "200", "--seed", "1", "-o", crf]) == EXIT_OK
+        peaks = []
+        for samples in (10**4, 10**6):
+            tracemalloc.start()
+            try:
+                assert main(["verify", crf, "--samples", str(samples), "--budget", str(2**16)]) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert f"checked {10**6} observation sequence(s) (sampled)" in capsys.readouterr().out
+        assert peaks[1] - peaks[0] < 2e6
+
     def test_dead_hmc_row_worst_position_uses_zero_marginals(self, tmp_path):
         # The HMC forbids symbol o1, so its posterior for the first y holding
         # o1 is dead (discrepancy 1) while the strict CRF's is not; the worst
@@ -1742,6 +1776,24 @@ class TestOneStdinStream:
         done = self.cli(["decode", str(files["decode"]), str(files["decode"])], stdin=subprocess.DEVNULL)
         assert (done.returncode, done.stdout) == (EXIT_PARSE, b"")
         assert done.stderr.startswith(b"line 1: symbol '{' is not in the alphabet\n")
+
+    @pytest.mark.parametrize("piped", ["model", "sequences"])
+    def test_bytes_that_are_not_utf8_are_refused_from_stdin(self, files, tmp_path, piped):
+        """A model or sequence file that is not UTF-8 exits 2 from stdin as from its path.
+
+        stdin's own text would read the bad byte as a surrogate escape.
+        """
+        bad = tmp_path / "bad"
+        if piped == "model":
+            bad.write_bytes(files["decode"].read_bytes().replace(b'"o0"', b'"o\xff"', 1))
+            argv = ["decode", "-", write(tmp_path / "s.txt", "o0 o1\n")]
+        else:
+            bad.write_bytes(b"o0 o1\n\xff o0\n")
+            argv = ["decode", str(files["decode"]), "-"]
+        for name, args in (("-", argv), (str(bad), [str(bad) if a == "-" else a for a in argv])):
+            done = self.cli(args, input=bad.read_bytes() if name == "-" else b"")
+            assert (done.returncode, done.stdout) == (EXIT_PARSE, b"")
+            assert done.stderr.startswith(f"error: cannot read {name}: 'utf-8' codec can't decode byte 0xff".encode())
 
     def test_a_regular_file_is_read_from_its_start_twice(self, files):
         with open(files["decode"], "rb") as stdin:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,7 +318,7 @@ class TestSharedPrefixSums:
                 assert same_bits(_score_matrix(pairs, emits, rows), unshared_scores(pairs, emits, rows)), name
         for name in ("misaligned", "misaligned-long", "one-too-many", "repeated", "repeated-block",
                      "reversed"):
-            assert _continuation_width(others[name], l) is None, name
+            assert _continuation_width(others[name], l) == 0, name
 
     @pytest.mark.parametrize("mode", ["strict", "generalized"])
     def test_more_labelings_than_a_block(self, mode):
@@ -351,6 +352,26 @@ class TestAllSequences:
         ep = enumerate_crf_posterior(zero_crf(2, k=3), (0, 0))
         for i in (0, 4, 8):
             assert ep.sequence(i) == tuple(all_sequences(3, 2)[i])
+
+
+class TestNothingKept:
+    def test_sequence_and_entries_leave_no_enumeration_behind(self):
+        # n = 6, k = 10: the index rows of all 10^6 labelings took 48 MB, and stayed.
+        k, n = 10, 6
+        hidden, obs = default_alphabets(k, 2)
+        pinned = np.zeros((k, 2))
+        pinned[1:] = LOG_ZERO  # only label 0 has weight, at every position but the last
+        model = CrfModel(hidden, obs, tuple(Table2(np.zeros((k, k))) for _ in range(n - 1)),
+                         (Table2(pinned),) * (n - 1) + (Table2(np.zeros((k, 2))),), mode="generalized")
+        ep = enumerate_crf_posterior(model, (0,) * n)
+        tracemalloc.start()
+        try:
+            assert ep.sequence(0) == (0,) * n and ep.sequence(-1) == ep.sequence(k**n - 1) == (k - 1,) * n
+            assert ep.entries == pytest.approx({(0,) * (n - 1) + (label,): 1 / k for label in range(k)})
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert current < 1e6
 
 
 class TestStableTotal:
