@@ -10,7 +10,12 @@ arrays span several writer blocks (``JSON_BLOCK_CELLS``) and whose trace is
 written by the forked writer, and ``verify --against --report`` on a model of 6
 positions, 3 labels and 3 symbols, whose exhaustive check spans several
 enumeration blocks (``ENUMERATION_BLOCK_CELLS``), and on it ``verify
---samples`` of 3000 sequences, drawn in 34 blocks.  Then it runs each
+--samples`` of 3000 sequences, drawn in 34 blocks.  On a stationary CRF of 20
+positions, 8 labels and 4 symbols, on its converted HMC and on that HMC's
+stationary copy, it runs ``decode --marginals`` with and without ``--tile`` on
+120 lines of 20 symbols and with ``--tile`` on 150 lines of 10-30 symbols
+(:func:`decode_runs`), so each chain call spans several product blocks
+(``PRODUCT_BLOCK_ROWS``) and a padded tail.  Then it runs each
 command's failures (:func:`failures`): bad options, files of the wrong kind,
 shape or syntax, a CRF of zero weight, two inputs from stdin's one pipe or
 from one FIFO, a model or sequence file on stdin that is not UTF-8, outputs
@@ -38,6 +43,8 @@ import struct
 import sys
 import traceback
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -84,6 +91,31 @@ def stationary(src: str, dst: str, keys: tuple[str, str]):
         doc = json.loads(Path(src).read_text())
         doc.update({key: doc[key][:1] * len(doc[key]) for key in keys})
         Path(dst).write_text(json.dumps(doc, indent=2))
+
+
+def lines(path: str, lengths, symbols: int, seed: int):
+    """Write a sequence file of one line per entry of ``lengths``, of random symbols ``o0``, ``o1``, ..."""
+    rng = np.random.default_rng(seed)
+    Path(path).write_text("".join(" ".join(f"o{i}" for i in rng.integers(0, symbols, length)) + "\n"
+                                  for length in lengths))
+
+
+def decode_runs():
+    """``decode --marginals`` of many lines on a stationary 8-label CRF, its HMC and a stationary HMC."""
+    n, symbols = 20, 4
+    run("k8-random", "random", "--n", str(n), "--hidden", "8", "--obs", str(symbols), "--seed", "8",
+        "-o", "k8-crf.json")
+    stationary("k8-crf.json", "k8-scrf.json", ("V", "U"))
+    run("k8-convert", "convert", "k8-scrf.json", "-o", "k8-hmc.json")
+    stationary("k8-hmc.json", "k8-shmc.json", ("trans", "emit"))
+    lines("k8-fixed.txt", [n] * 120, symbols, seed=20)
+    lines("k8-ragged.txt", np.random.default_rng(30).integers(10, 31, 150), symbols, seed=30)
+    for model in ("scrf", "hmc"):
+        for flags in (("--marginals",), ("--tile", "--marginals")):
+            run(f"k8-decode-{model}-fixed{''.join(flags)}", "decode", f"k8-{model}.json", "k8-fixed.txt", *flags)
+    for model in ("scrf", "hmc", "shmc"):  # the converted HMC is not stationary: lines of other lengths fail
+        run(f"k8-decode-{model}-ragged--tile--marginals", "decode", f"k8-{model}.json", "k8-ragged.txt",
+            "--tile", "--marginals")
 
 
 def failures():
@@ -229,6 +261,7 @@ def main() -> int:
             "--report", f"{m}-report.json")
         run(f"{m}-verify-samples", "verify", f"{m}-crf.json", "--samples", "3000", "--budget", "65536",
             "--report", f"{m}-samples-report.json")
+    decode_runs()
     failures()
     return 0
 

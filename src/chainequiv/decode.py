@@ -86,6 +86,9 @@ def read_sequences(path: str):
 
 MARGINAL_CHUNK_CELLS = 2**14
 _CELL = np.dtype([("separator", "u1"), ("high", "<u4"), ("low", "<u4")])  # packed: 9 bytes
+# As unsigned integers, the bits of the doubles in [0, 9.5) are exactly those
+# below the bits of 9.5: NaN, infinities, negatives and -0.0 lie above.
+_BITS_OF_9_5 = np.float64(9.5).view(np.uint64)
 
 
 @functools.cache
@@ -121,7 +124,7 @@ def _marginal_columns(probs: np.ndarray, k: int) -> list[str]:
         scaled = p * 1e6
         millionths = np.rint(scaled)
         with np.errstate(invalid="ignore"):  # inf - inf
-            exact = (np.abs(scaled - millionths) != 0.5) & (p < 9.5) & ~np.signbit(p)
+            exact = (np.abs(scaled - millionths) != 0.5) & (p.view(np.uint64) < _BITS_OF_9_5)
         odd = np.flatnonzero(~exact)
         if odd.size:
             millionths[odd] = 0  # no NaN or inf reaches the integer cast

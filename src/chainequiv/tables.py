@@ -415,11 +415,18 @@ class PosteriorMarginals:
 #
 # A step is the scaled product of Rabiner (1989, sec. V.A) on a matrix
 # multiply.  With the message row at a maximum of 0 and each table column
-# shifted by its maximum, both exponentiate into [0, 1]; their product runs
-# as a stack of (1, k) @ (k, k) products, one per row, because BLAS rounds
-# each of those alone, while a 2-D product blocks rows together and can round
-# a row differently depending on its neighbours.  The log of the product plus
-# the column shift is the step's log-sum-exp.
+# shifted by its maximum, both exponentiate into [0, 1].  How BLAS rounds a
+# row of a 2-D product depends on the call's row count, not on the other
+# rows, so the product runs as GEMMs of exactly PRODUCT_BLOCK_ROWS rows: the
+# full blocks in one stacked matmul, and the rest of the rows in one block
+# padded with zero rows.  A row thus gets the same bits wherever it sits,
+# and the same on any thread count: verified on OpenBLAS 0.3.31 (Haswell
+# kernels) for k = 1..128 at 1, 2, 4 and 8 threads.  Two limits were
+# measured: 64-row blocks break from k = 126 with 2 threads, and 32-row
+# blocks break single-threaded from k = 193 (except at multiples of 8).
+# Above PRODUCT_MAX_STATES states a step runs as a stack of (1, k) @ (k, k)
+# products instead, one per row, which BLAS rounds alone.
+# The log of the product plus the column shift is the step's log-sum-exp.
 #
 # Subnormal floats, many times slower to compute with, are kept out of the
 # product: both factors are clamped from below at exp(-_CLAMP), about
@@ -435,6 +442,11 @@ class PosteriorMarginals:
 # message row or its table column is all ``-inf``: then it is exactly
 # ``-inf``.
 #
+# The backward pass normalizes each position as soon as it is final, on a
+# state-major (k, count) copy: max, shift, exp and sum run along the states,
+# and the sum adds them in order whatever the count (see
+# :func:`_normalize_position`).
+#
 # Each pass prepares the exponentiated tables a block of steps at a time,
 # at most FACTOR_BLOCK_CELLS pair cells per block, so a long model with a
 # different table at each position needs no prepared copy of all of them.
@@ -443,6 +455,8 @@ class PosteriorMarginals:
 
 SCALED_FLOOR = 1e-280
 FACTOR_BLOCK_CELLS = 2**16
+PRODUCT_BLOCK_ROWS = 32
+PRODUCT_MAX_STATES = 128
 _CLAMP = 699.0
 _LIFT = 2.0**996
 
@@ -482,17 +496,17 @@ def _finite_or_zero(a: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(a), a, 0.0)
 
 
-def _shifted_rows(m: np.ndarray):
+def _shifted_rows(m: np.ndarray, out: np.ndarray | None = None):
     """Move each row of the (count, k) ``m`` to a maximum of 0.
 
-    Returns ``(m - shift[:, None], row_max, shift)``; the shift of an all
-    ``-inf`` row is 0.
+    Returns ``(m - shift[:, None], row_max, shift)``, the first written into
+    ``out`` when given (it may be ``m``); the shift of an all ``-inf`` row is 0.
     """
     # A row-wise max over few states runs one short loop per row; the max of a
     # state-major copy runs along the rows instead, and a max is exact either way.
     row_max = np.ascontiguousarray(m.T).max(axis=0)
     shift = _finite_or_zero(row_max)
-    return m - shift[:, None], row_max, shift
+    return np.subtract(m, shift[:, None], out=out), row_max, shift
 
 
 def _step_factors(pairs, backward: bool = False):
@@ -531,18 +545,26 @@ def _log_product(rows, row_max, factor):
     ``rows`` is (count, k), each row shifted to a maximum of 0 (see
     :func:`_shifted_rows`, which also gives ``row_max``); ``factor`` is the
     table with what the product needs, from :func:`_step_factors`.  See the
-    comment above :func:`chain_parts` for the clamp, the floor and the exact
-    recompute.
+    comment above :func:`chain_parts` for the product blocks, the clamp, the
+    floor and the exact recompute.
     Entries that underflow to 0 take a log of 0, so the passes call this
     with divide warnings off.
     """
     table, maxima, shifts, lifted = factor
-    left = np.exp(np.maximum(rows, -_CLAMP))
-    scaled = np.matmul(left[:, None, :], lifted)[:, 0, :]
+    count, k = rows.shape
+    block = PRODUCT_BLOCK_ROWS if k <= PRODUCT_MAX_STATES else 1
+    padded = -(-count // block) * block
+    left = np.zeros((padded, k))  # zero rows fill the last block
+    np.maximum(rows, -_CLAMP, out=left[:count])
+    np.exp(left[:count], out=left[:count])
+    scaled = np.matmul(left.reshape(-1, block, k), lifted).reshape(padded, k)[:count]
     scaled /= _LIFT
-    out = np.log(scaled) + shifts
-    if scaled.min() < SCALED_FLOOR:
+    low = scaled.min() < SCALED_FLOOR
+    if low:
         r, c = np.nonzero(scaled < SCALED_FLOOR)
+    out = np.log(scaled, out=scaled)
+    out += shifts
+    if low:
         out[r, c] = LOG_ZERO
         live = np.isfinite(row_max[r]) & np.isfinite(maxima[c])
         if live.any():
@@ -595,12 +617,12 @@ def _forward_messages(first, pairs, unary, lengths=None):
     with np.errstate(divide="ignore"):
         for a, (t, factor) in zip(active, _step_factors(pairs[:len(active)])):
             live = len(msg)
-            rows, row_max, shift = _shifted_rows(msg)
-            fwd[:live, t] = rows
+            rows, row_max, shift = _shifted_rows(msg, out=fwd[:live, t])
             total_shift[:live] += shift
-            msg = _log_product(rows[:a], row_max[:a], factor) + unary[t].T[:a]
+            msg = _log_product(rows[:a], row_max[:a], factor)
+            msg += unary[t].T[:a]
     live = len(msg)
-    fwd[:live, len(active)], _, shift = _shifted_rows(msg)
+    _, _, shift = _shifted_rows(msg, out=fwd[:live, len(active)])
     total_shift[:live] += shift
     ends = fwd[:, -1] if lengths is None else fwd[np.arange(count), lengths - 1]
     return fwd, total_shift + log_sum_exp(ends, axis=1)
@@ -652,23 +674,39 @@ def chain_log_marginals(first: np.ndarray, pairs: np.ndarray, unary: np.ndarray,
 def _chain_marginals(first, pairs, unary, lengths):
     """:func:`chain_log_marginals` on checked ``lengths``, None or sorted longest first."""
     out, totals = _forward_messages(first, pairs, unary, lengths)
-    count, _, k = out.shape
+    count, n, k = out.shape
     active = _active_rows(lengths, count, len(pairs))
+    for t in range(len(active), n):  # no backward step reaches these positions
+        _normalize_position(out[:, t])
     bwd = np.zeros((active[-1] if active else 0, k))
     with np.errstate(divide="ignore"):
         for t, factor in _step_factors(pairs[:len(active)], backward=True):
             a = active[t]
             if a > len(bwd):  # the rows whose last position is t + 1 start here, at 0
                 bwd = np.concatenate((bwd, np.zeros((a - len(bwd), k))))
-            rows, row_max, _ = _shifted_rows(bwd + unary[t].T[:a])
+            bwd += unary[t].T[:a]
+            rows, row_max, _ = _shifted_rows(bwd, out=bwd)
             bwd = _log_product(rows, row_max, factor)
             out[:a, t] += bwd
-    # Normalize each row: shift it to a maximum of 0 (an all -inf row turns
-    # NaN here), then subtract the log of its sum.  The clamp keeps exp off
-    # subnormals; clamped terms are below 1e-303 and the sum is at least 1.
-    with np.errstate(invalid="ignore"):
-        out -= out.max(axis=2, keepdims=True)
-    terms = np.maximum(out, -_CLAMP)
-    np.exp(terms, out=terms)
-    out -= np.log(terms.sum(axis=2, keepdims=True))
+            _normalize_position(out[:, t])
     return totals, out
+
+
+def _normalize_position(rows: np.ndarray):
+    """Normalize in place each row of ``rows``, one position's (count, k) log weights.
+
+    A row is shifted to a maximum of 0 (an all ``-inf`` row turns NaN here),
+    then the log of its sum is subtracted.  The clamp keeps exp off
+    subnormals; clamped terms are below 1e-303 and the sum is at least 1.
+    """
+    states = np.ascontiguousarray(rows.T)
+    with np.errstate(invalid="ignore"):
+        states -= states.max(axis=0)
+    terms = np.maximum(states, -_CLAMP)
+    np.exp(terms, out=terms)
+    # numpy sums pairwise only along the fast axis in memory: over many
+    # columns it adds the states in order, but one column is a 1-d sum, which
+    # takes the scan, in order too but several times slower on many columns.
+    sums = terms.sum(axis=0) if terms.shape[1] > 1 else np.add.accumulate(terms)[-1]
+    states -= np.log(sums)
+    rows[...] = states.T

@@ -7,10 +7,18 @@ against the plain-Python enumeration of ``tests/conftest.py``, and a batch
 that mixes zero-weight and live columns against single-sequence calls.  The
 blocks in which the passes prepare their tables must not change a result.
 Ragged batches (``lengths``) must equal, row by row and bit for bit, single
-calls on the chain cut to each row's length.
+calls on the chain cut to each row's length.  The step product runs as GEMMs of
+``tables.PRODUCT_BLOCK_ROWS`` rows up to ``tables.PRODUCT_MAX_STATES`` states,
+and a row's bits must not depend on where in its block it sits, on the BLAS
+thread count, or on the padded tail.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,3 +292,94 @@ def test_bad_lengths_raise_validation_error(side, bad, error):
         model, batch = to_hmc(model), hmc_posterior_marginals_batch
     with pytest.raises(ValidationError, match=error):
         batch(model, ALL_YS[:4], bad)
+
+
+def product_case(k: int, count: int, seed: int = 0):
+    """``count`` message rows shifted to a maximum of 0, and a step's factor, over ``k`` states."""
+    rng = np.random.default_rng(seed)
+    factor = next(tables._step_factors(rng.uniform(-5.0, 5.0, (1, k, k))))[1]
+    rows = rng.uniform(-30.0, 0.0, (count, k))
+    rows[np.arange(count), rng.integers(0, k, count)] = 0.0
+    return rows, rows.max(axis=1), factor
+
+
+COUNTS = (1, 31, 32, 33, 100)
+
+
+@pytest.mark.parametrize("k", range(1, tables.PRODUCT_MAX_STATES + 2))
+def test_product_and_marginal_rows_do_not_depend_on_their_block(k):
+    """Each row of a product or of ``chain_log_marginals`` at any count equals the
+    single-row call bit for bit: at every place in its 32-row block, the padded tail too."""
+    rows, row_max, factor = product_case(k, max(COUNTS) + 7, seed=k)
+    with np.errstate(divide="ignore"):
+        single = np.concatenate([tables._log_product(rows[i:i + 1], row_max[i:i + 1], factor)
+                                 for i in range(len(rows))])
+        for count, start in itertools.product(COUNTS, (0, 7)):
+            window = slice(start, start + count)
+            assert np.array_equal(tables._log_product(rows[window], row_max[window], factor),
+                                  single[window])
+
+    rng = np.random.default_rng(k)
+    first, pairs = rng.uniform(-5.0, 5.0, (k, max(COUNTS))), rng.uniform(-5.0, 5.0, (2, k, k))
+    unary = rng.uniform(-5.0, 5.0, (2, max(COUNTS), k)).transpose(0, 2, 1)
+    singles = [tables.chain_log_marginals(first[:, i:i + 1], pairs, unary[:, :, i:i + 1])
+               for i in range(max(COUNTS))]
+    for count in COUNTS:
+        totals, log_marginals = tables.chain_log_marginals(first[:, :count], pairs, unary[:, :, :count])
+        for i in range(count):
+            assert totals[i] == singles[i][0][0]
+            assert np.array_equal(log_marginals[i], singles[i][1][0])
+
+
+@pytest.mark.parametrize("k, block", [(tables.PRODUCT_MAX_STATES, tables.PRODUCT_BLOCK_ROWS),
+                                      (tables.PRODUCT_MAX_STATES + 1, 1)])
+def test_product_block_shape(k, block, monkeypatch):
+    """Up to 128 states the product runs as 32-row GEMMs; above, one row per product."""
+    shapes = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b: shapes.append(a.shape) or matmul(a, b))
+    rows, row_max, factor = product_case(k, 40)
+    tables._log_product(rows, row_max, factor)
+    assert shapes == [(-(-40 // block), block, k)]
+
+
+BATCH_BITS = """
+import sys
+import numpy as np
+from chainequiv import tables
+for k in (8, 32, 128):
+    rng = np.random.default_rng(k)
+    first, pairs = rng.uniform(-5.0, 5.0, (k, 70)), rng.uniform(-5.0, 5.0, (3, k, k))
+    unary = rng.uniform(-5.0, 5.0, (3, 70, k)).transpose(0, 2, 1)
+    totals, log_marginals = tables.chain_log_marginals(first, pairs, unary)
+    sys.stdout.buffer.write(totals.tobytes() + log_marginals.tobytes())
+"""
+
+
+def test_batch_bits_do_not_depend_on_blas_threads():
+    """The same batches give the same bits on 1 and on 4 OpenBLAS threads, a
+    count OpenBLAS reads when it loads, hence one process each."""
+    src = str(Path(tables.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "4"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", BATCH_BITS], env=env, capture_output=True,
+                              check=True, timeout=120)
+        outputs.append(done.stdout)
+    assert len(outputs[0]) == 8 * 70 * (3 + 4 * (8 + 32 + 128))
+    assert outputs[0] == outputs[1]
+
+
+def test_marginals_need_little_memory_beyond_their_output():
+    """Positions are normalized one at a time, so no temporary of the output's size is made."""
+    count, n, k = 200, 100, 32
+    rng = np.random.default_rng(5)
+    first, pairs = rng.uniform(-5.0, 5.0, (k, count)), rng.uniform(-5.0, 5.0, (n - 1, k, k))
+    unary = rng.uniform(-5.0, 5.0, (n - 1, count, k)).transpose(0, 2, 1)
+    tracemalloc.start()
+    try:
+        _, log_marginals = tables.chain_log_marginals(first, pairs, unary)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * log_marginals.nbytes

@@ -209,7 +209,7 @@ class TestPosteriorMarginals:
             assert hmc_log_evidence(m, tuple(ys[i])) == evidences[i]
 
     @pytest.mark.parametrize("scale", [5.0, 500.0])
-    @pytest.mark.parametrize("k", [8, 33])
+    @pytest.mark.parametrize("k", [8, 33, 128, 129])
     def test_batch_rows_equal_single_calls_wide_labels(self, k, scale):
         m, _ = crf_to_hmc(random_crf_model(5, k, 3, seed=k, low=-scale, high=scale))
         ys = np.random.default_rng(k).integers(0, 3, (50, 5))
