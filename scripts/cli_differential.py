@@ -15,7 +15,10 @@ positions, 8 labels and 4 symbols, on its converted HMC and on that HMC's
 stationary copy, it runs ``decode --marginals`` with and without ``--tile`` on
 120 lines of 20 symbols and with ``--tile`` on 150 lines of 10-30 symbols
 (:func:`decode_runs`), so each chain call spans several product blocks
-(``PRODUCT_BLOCK_ROWS``) and a padded tail.  Then it runs each
+(``PRODUCT_BLOCK_ROWS``) and a padded tail.  On a stationary CRF of 64 labels
+with potentials of 0 and -700, and on its HMCs, it runs ``decode --tile
+--marginals`` on 300 lines of 2-6 symbols (:func:`wide_decode_runs`), which
+reach the kernel's exact recompute of underflowed entries.  Then it runs each
 command's failures (:func:`failures`): bad options, files of the wrong kind,
 shape or syntax, a CRF of zero weight, two inputs from stdin's one pipe or
 from one FIFO, a model or sequence file on stdin that is not UTF-8, outputs
@@ -115,6 +118,32 @@ def decode_runs():
             run(f"k8-decode-{model}-fixed{''.join(flags)}", "decode", f"k8-{model}.json", "k8-fixed.txt", *flags)
     for model in ("scrf", "hmc", "shmc"):  # the converted HMC is not stationary: lines of other lengths fail
         run(f"k8-decode-{model}-ragged--tile--marginals", "decode", f"k8-{model}.json", "k8-ragged.txt",
+            "--tile", "--marginals")
+
+
+def wide_decode_runs():
+    """``decode --tile --marginals`` of 300 lines of 2-6 symbols on a stationary 64-label CRF and its HMCs.
+
+    The CRF's pairwise table is 0 on the diagonal and -700 off it, and each
+    label emits one symbol at 0 and the others at -700, so most entries of a
+    step's scaled product fall below ``SCALED_FLOOR`` and are recomputed
+    exactly; the 300 lines are more than one decode block at 2**20 // 64**2
+    lines, a bound decode once had.
+    """
+    n, k, symbols = 6, 64, 4
+    run("k64-random", "random", "--n", str(n), "--hidden", str(k), "--obs", str(symbols), "--seed", "64",
+        "-o", "k64-random.json")
+    if os.path.exists("k64-random.json"):
+        doc = json.loads(Path("k64-random.json").read_text())
+        pair = np.where(np.eye(k, dtype=bool), 0.0, -700.0)
+        emit = np.where(np.arange(symbols) == np.arange(k)[:, None] % symbols, 0.0, -700.0)
+        doc.update(V=[pair.tolist()] * (n - 1), U=[emit.tolist()] * n)
+        Path("k64-scrf.json").write_text(json.dumps(doc, indent=2))
+    run("k64-convert", "convert", "k64-scrf.json", "-o", "k64-hmc.json")
+    stationary("k64-hmc.json", "k64-shmc.json", ("trans", "emit"))
+    lines("k64-ragged.txt", np.random.default_rng(64).integers(2, n + 1, 300), symbols, seed=64)
+    for model in ("scrf", "hmc", "shmc"):  # the converted HMC is not stationary: lines of other lengths fail
+        run(f"k64-decode-{model}-ragged--tile--marginals", "decode", f"k64-{model}.json", "k64-ragged.txt",
             "--tile", "--marginals")
 
 
@@ -262,6 +291,7 @@ def main() -> int:
         run(f"{m}-verify-samples", "verify", f"{m}-crf.json", "--samples", "3000", "--budget", "65536",
             "--report", f"{m}-samples-report.json")
     decode_runs()
+    wide_decode_runs()
     failures()
     return 0
 

@@ -1,12 +1,10 @@
 """Decoding: MPM labels per nonblank line of a sequence file, and its marginal columns.
 
 The file is read whole (:func:`read_sequences`), then :func:`decode_lines`
-handles its nonblank lines in blocks of at most DECODE_BLOCK_LINES, and of at
-most DECODE_BLOCK_CELLS // k**2 lines for wide label sets: the chain kernel's
-exact recompute of underflowed entries gathers up to lines * k**2 cells in one
-step, and this keeps that gather bounded.  A block takes block-level calls,
-with no Python step per line: its tokens become one flat index array by one
-``Alphabet.lookup``, and only lines that fail a check are visited one by one.
+handles its nonblank lines in blocks of DECODE_BLOCK_LINES.  A block takes
+block-level calls, with no Python step per line: its tokens become one flat
+index array by one ``Alphabet.lookup``, and only lines that fail a check are
+visited one by one.
 A line with an unknown symbol, or of another length than the model's without
 ``tile`` or when ``tile`` cannot extend the model, is reported, in that order
 of checks.  Whether ``tile`` can extend the model is checked once, at the
@@ -38,7 +36,6 @@ from .modelfile import _read_text
 from .tables import LOG_ZERO, ValidationError
 
 DECODE_BLOCK_LINES = 1024
-DECODE_BLOCK_CELLS = 2**20
 DECODE_CALL_CELLS = 160 * 2**10
 
 # One line with its end: a line ends at "\n", "\r\n" or "\r" only, as editors
@@ -69,8 +66,8 @@ def read_sequences(path: str):
 # a group of lines are fixed-width text, 9 bytes per cell: the separator, the
 # first four characters ``d.dd`` and the last four ``dddd``, each four taken
 # from a table by an integer index.  Cells are written into a packed record
-# array MARGINAL_CHUNK_CELLS at a time and decoded to text once per chunk;
-# no string is made per cell.
+# array and decoded to text a chunk of whole lines at a time, at most
+# MARGINAL_CHUNK_CELLS cells or one line; no string is made per cell.
 #
 # Why the digits are those of "%.6f": it prints the exact value p * 10**6
 # rounded to an integer (half to even) as millionths.  1e6 is exact in
@@ -108,42 +105,37 @@ def _marginal_columns(probs: np.ndarray, k: int) -> list[str]:
     is the correctly rounded number of millionths unless ``p * 1e6`` rounds
     to a half-integer, and such cells, like those outside [0, 9.5), are
     formatted by "%.6f" one by one (the argument is in full above).  Cells
-    are written a chunk at a time; a chunk may end inside a line.
+    are written a chunk of whole lines at a time.
     """
     width = probs.shape[1]
     line_chars = 9 * width
-    flat = probs.reshape(-1)
+    chunk = max(1, MARGINAL_CHUNK_CELLS // width)
     high_words, low_words = _digit_words()
-    # A chunk's worth from any column, filled in place: np.resize of one
-    # line's pattern makes a copy per repeat, about 20 us a call.
-    separators = np.full(MARGINAL_CHUNK_CELLS + width, ord(","), dtype=np.uint8)
+    separators = np.full(width, ord(","), dtype=np.uint8)
     separators[::k] = ord("\t")
-    tails, carry, fallback = [], "", []
-    for start in range(0, flat.size, MARGINAL_CHUNK_CELLS):
-        p = flat[start:start + MARGINAL_CHUNK_CELLS]
+    tails = []
+    for start in range(0, len(probs), chunk):
+        p = probs[start:start + chunk]
         scaled = p * 1e6
         millionths = np.rint(scaled)
         with np.errstate(invalid="ignore"):  # inf - inf
             exact = (np.abs(scaled - millionths) != 0.5) & (p.view(np.uint64) < _BITS_OF_9_5)
-        odd = np.flatnonzero(~exact)
-        if odd.size:
-            millionths[odd] = 0  # no NaN or inf reaches the integer cast
-            fallback.append(odd + start)
+        odd = np.flatnonzero(~exact).tolist()
+        millionths.flat[odd] = 0  # no NaN or inf reaches the integer cast
         millionths = millionths.astype(np.int32)
         hundredths = millionths // 10000
-        cells = np.empty(len(p), _CELL)
-        cells["separator"] = separators[start % width:][:len(p)]
+        cells = np.empty(p.shape, _CELL)
+        cells["separator"] = separators
         cells["high"] = high_words.take(hundredths)
         cells["low"] = low_words.take(millionths - 10000 * hundredths)
-        text = carry + cells.tobytes().decode("ascii")
-        whole = len(text) - len(text) % line_chars
-        tails += [text[j:j + line_chars] for j in range(0, whole, line_chars)]
-        carry = text[whole:]
-    # Right to left, so each patch leaves the offsets of the cells before it.
-    for f in reversed(np.concatenate(fallback).tolist() if fallback else []):
-        line, at = divmod(f, width)
-        at = 9 * at + 1
-        tails[line] = tails[line][:at] + "%.6f" % flat[f] + tails[line][at + 8:]
+        text = cells.tobytes().decode("ascii")
+        lines = [text[j:j + line_chars] for j in range(0, len(text), line_chars)]
+        # Right to left, so each patch leaves the offsets of the cells before it.
+        for f in reversed(odd):
+            line, at = divmod(f, width)
+            at = 9 * at + 1
+            lines[line] = lines[line][:at] + "%.6f" % p.flat[f] + lines[line][at + 8:]
+        tails += lines
     return tails
 
 
@@ -199,14 +191,12 @@ def decode_lines(model, lines, tile: bool, marginals: bool) -> tuple[int, int]:
     else:
         marginals_batch, zero_message = _hmc.hmc_posterior_marginals_batch, ZERO_EVIDENCE
     k = model.hidden.size
-    block = min(DECODE_BLOCK_LINES, max(1, DECODE_BLOCK_CELLS // k**2))
     symbols = np.array(model.hidden.symbols, dtype=object)
-    index_type = np.min_scalar_type(model.obs.size)  # the batch call makes its own intp copy
     tiled = {model.length: model}  # by length, each the longest line of a chain call
     tile_error = functools.cache(functools.partial(_tile_error, model))  # run at most once
     parse_errors = impossible = 0
 
-    while block_lines := list(itertools.islice(lines, block)):
+    while block_lines := list(itertools.islice(lines, DECODE_BLOCK_LINES)):
         line_numbers, tokens = zip(*block_lines)
         counts = np.fromiter(map(len, tokens), np.intp, len(tokens))
         offsets = np.zeros(len(tokens) + 1, dtype=np.intp)  # line i holds flat[offsets[i]:offsets[i + 1]]
@@ -243,7 +233,7 @@ def decode_lines(model, lines, tile: bool, marginals: bool) -> tuple[int, int]:
             rows, lengths = order[start:stop], all_lengths[start:stop]
             longest = int(lengths[0])
             padded = np.arange(longest) < lengths[:, None]
-            ys = np.zeros((len(rows), longest), dtype=index_type)  # padded with index 0
+            ys = np.zeros((len(rows), longest), dtype=np.intp)  # padded with index 0
             ys[padded] = flat[(offsets[rows, None] + np.arange(longest))[padded]]
             if longest not in tiled:
                 tiled[longest] = _tiled_model(model, longest)

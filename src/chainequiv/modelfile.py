@@ -60,10 +60,10 @@ def _read_text(path: str) -> str:
 # indent=2)``.  An array is written one block of its leading axis at a time,
 # at most JSON_BLOCK_CELLS cells (one item when an item is larger), by
 # ``orjson.dumps(OPT_SERIALIZE_NUMPY | OPT_INDENT_2)`` of the block wrapped in
-# one-item lists, one per level of the array: orjson writes the block's items
-# at the array's own indentation, and fixed-length slices drop the wrappers'
-# brackets, so no pass over the text moves it.  Each cell is orjson's
-# shortest round-trip text (``1e16``, ``2.19e-6``,
+# a one-item list: orjson writes the block's items at the indentation of a
+# value in the document's top-level object, where every array sits, and a
+# fixed slice drops the wrapper's brackets, so no pass over the text moves
+# it.  Each cell is orjson's shortest round-trip text (``1e16``, ``2.19e-6``,
 # ``0.00002005762503325462``), which ``json.loads`` and orjson read back to
 # the same double.  NaN and ``+inf`` are refused before the first piece, so
 # every ``null`` orjson writes is a ``-inf`` cell and becomes the ``"-inf"``
@@ -76,32 +76,23 @@ JSON_BLOCK_CELLS = 2**14
 _NEG_INF_JSON = f'"{NEG_INF_TOKEN}"'.encode()
 
 
-def _indent(level: int) -> str:
-    return "\n" + "  " * level
-
-
-def _block_text(block: np.ndarray, level: int) -> str:
-    """The items of the float array ``block`` in the ``indent=2`` layout of an array at ``level``.
+def _block_text(block: np.ndarray) -> str:
+    """The items of the float array ``block`` in the ``indent=2`` layout of a document's array.
 
     Each cell is in orjson's number text.  The text starts with a newline,
-    ``level + 1`` indents and the first item, and ends with the last item.
-    orjson writes ``block`` inside ``level`` one-item lists, so its items
-    are already at that depth; the slice drops the wrappers' lines and the
-    block's own brackets: ``1 + sum(2 i + 2)`` bytes over i = 1..level
-    before the first item, and ``sum(2 i + 2)`` over i = 0..level after
-    the last.  ``block`` holds no NaN or ``+inf``.
+    two indents and the first item, and ends with the last item: the slice
+    drops ``"[\\n  ["`` before it and ``"\\n  ]\\n]"`` after it, the brackets of
+    the one-item wrapper and of ``block``.  ``block`` holds no NaN or ``+inf``.
     """
-    wrapped = np.ascontiguousarray(block)
-    for _ in range(level):
-        wrapped = [wrapped]
+    wrapped = [np.ascontiguousarray(block)]
     text = orjson.dumps(wrapped, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2)
     if (block == -math.inf).any():  # cheaper than a search of the text for "null"
         text = text.replace(b"null", _NEG_INF_JSON)
-    return text[level * level + 3 * level + 1:-(level + 1) * (level + 2)].decode()
+    return text[5:-6].decode()
 
 
-def _array_pieces(a: np.ndarray, level: int):
-    """The ``indent=2`` text of the float array ``a`` in pieces, as a value on a line at ``level``.
+def _array_pieces(a: np.ndarray):
+    """The ``indent=2`` text of the float array ``a`` in pieces, as a top-level key's value.
 
     Cells are shortest round-trip decimals and ``-inf`` is its string token;
     ``a`` holds no NaN or ``+inf`` and only its leading axis may be empty.
@@ -112,8 +103,8 @@ def _array_pieces(a: np.ndarray, level: int):
     rows = max(1, JSON_BLOCK_CELLS // math.prod(a.shape[1:]))
     yield "["
     for start in range(0, len(a), rows):
-        yield ("," if start else "") + _block_text(a[start:start + rows], level)
-    yield _indent(level) + "]"
+        yield ("," if start else "") + _block_text(a[start:start + rows])
+    yield "\n  ]"
 
 
 def _json_pieces(doc: dict):
@@ -142,8 +133,8 @@ def _json_pieces(doc: dict):
             if isinstance(run, str):
                 yield run
             else:
-                yield _indent(1) + run[0] + ": "
-                yield from _array_pieces(run[1], 1)
+                yield "\n  " + run[0] + ": "
+                yield from _array_pieces(run[1])
         yield "\n}\n"
 
     return pieces()

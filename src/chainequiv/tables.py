@@ -447,10 +447,11 @@ class PosteriorMarginals:
 # and the sum adds them in order whatever the count (see
 # :func:`_normalize_position`).
 #
-# Each pass prepares the exponentiated tables a block of steps at a time,
-# at most FACTOR_BLOCK_CELLS pair cells per block, so a long model with a
-# different table at each position needs no prepared copy of all of them.
-# A tiled stack (stride 0 along the steps) has one table to prepare.
+# FACTOR_BLOCK_CELLS bounds both the prepared tables and the recompute gather.
+# Each pass prepares the exponentiated tables a block of at most that many
+# pair cells at a time; a tiled stack (stride 0 along the steps) has one table
+# to prepare.  The exact recompute gathers the k terms of at most
+# max(1, FACTOR_BLOCK_CELLS // k) entries at a time, each entry its own row.
 # ---------------------------------------------------------------------------
 
 SCALED_FLOOR = 1e-280
@@ -567,9 +568,11 @@ def _log_product(rows, row_max, factor):
     if low:
         out[r, c] = LOG_ZERO
         live = np.isfinite(row_max[r]) & np.isfinite(maxima[c])
-        if live.any():
-            r, c = r[live], c[live]
-            out[r, c] = log_sum_exp(rows[r] + table.T[c], axis=1)
+        r, c = r[live], c[live]
+        gather = max(1, FACTOR_BLOCK_CELLS // k)  # entries, of k terms each
+        for i in range(0, len(r), gather):
+            ri, ci = r[i:i + gather], c[i:i + gather]
+            out[ri, ci] = log_sum_exp(rows[ri] + table.T[ci], axis=1)
     return out
 
 
@@ -678,16 +681,14 @@ def _chain_marginals(first, pairs, unary, lengths):
     active = _active_rows(lengths, count, len(pairs))
     for t in range(len(active), n):  # no backward step reaches these positions
         _normalize_position(out[:, t])
-    bwd = np.zeros((active[-1] if active else 0, k))
+    bwd = np.zeros((active[0] if active else 0, k))  # a row stays 0 until its last step
     with np.errstate(divide="ignore"):
         for t, factor in _step_factors(pairs[:len(active)], backward=True):
             a = active[t]
-            if a > len(bwd):  # the rows whose last position is t + 1 start here, at 0
-                bwd = np.concatenate((bwd, np.zeros((a - len(bwd), k))))
-            bwd += unary[t].T[:a]
-            rows, row_max, _ = _shifted_rows(bwd, out=bwd)
-            bwd = _log_product(rows, row_max, factor)
-            out[:a, t] += bwd
+            bwd[:a] += unary[t].T[:a]
+            rows, row_max, _ = _shifted_rows(bwd[:a], out=bwd[:a])
+            bwd[:a] = _log_product(rows, row_max, factor)
+            out[:a, t] += bwd[:a]
             _normalize_position(out[:, t])
     return totals, out
 

@@ -31,6 +31,7 @@ from chainequiv.crf import (
     crf_log_normalizer,
     crf_posterior_marginals,
     crf_posterior_marginals_batch,
+    default_alphabets,
     random_crf_model,
 )
 from chainequiv.equivalence import crf_to_hmc
@@ -383,3 +384,75 @@ def test_marginals_need_little_memory_beyond_their_output():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * log_marginals.nbytes
+
+
+def diagonal_case(count: int = 625, k: int = 128, l: int = 4):
+    """A wide model whose every product entry off the live labels underflows, and its batch.
+
+    Pairwise 0 on the diagonal and -1000 off it; each label emits one symbol
+    at 0 and the others at -1000.  So each step has k - k/l live entries per
+    row below the floor, recomputed from k terms each.
+    """
+    pair = np.where(np.eye(k, dtype=bool), 0.0, -1000.0)
+    emit = np.full((k, l), -1000.0)
+    emit[np.arange(k), np.arange(k) % l] = 0.0
+    model = CrfModel.homogeneous(*default_alphabets(k, l), 2, Table2(pair), Table2(emit))
+    return model, np.random.default_rng(11).integers(0, l, (count, 2))
+
+
+def diagonal_batch(side: str):
+    """The diagonal case on one side: its model (the CRF or its HMC), batch call and rows."""
+    model, ys = diagonal_case()
+    if side == "crf":
+        return model, crf_posterior_marginals_batch, ys
+    return to_hmc(model), hmc_posterior_marginals_batch, ys
+
+
+@pytest.mark.parametrize("side", ["crf", "hmc"])
+def test_exact_recompute_gathers_a_bounded_block(side):
+    """The gather of underflowed entries holds at most FACTOR_BLOCK_CELLS terms,
+    so a wide batch needs memory of about its output, not count * k**2 terms."""
+    model, batch, ys = diagonal_batch(side)
+    tracemalloc.start()
+    try:
+        _, log_marginals = batch(model, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log_marginals.nbytes < 2**21
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("cells", ["1", "k", "k*k+1"])
+@pytest.mark.parametrize("side", ["crf", "hmc"])
+def test_gather_blocks_do_not_change_results(side, cells, monkeypatch, lse_rows):
+    """Each recomputed entry is its own log_sum_exp row: splitting the gather
+    moves no bit, and the default run does split it."""
+    model, batch, ys = diagonal_batch(side)
+    k = model.hidden.size
+    want_totals, want = batch(model, ys)
+    gathers = [rows for rows in lse_rows if rows != len(ys)]  # all but the totals' call
+    assert len(gathers) == len(lse_rows) - 1
+    assert len(gathers) > 2  # more than one per product, forward and backward
+    assert all(rows * k <= tables.FACTOR_BLOCK_CELLS for rows in gathers)
+    monkeypatch.setattr(tables, "FACTOR_BLOCK_CELLS", {"1": 1, "k": k, "k*k+1": k * k + 1}[cells])
+    totals, got = batch(model, ys)
+    assert np.isfinite(totals).all()
+    assert np.array_equal(totals, want_totals)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("side", ["crf", "hmc"])
+def test_ragged_rows_with_one_entry_per_gather(side, monkeypatch, lse_rows):
+    """A ragged batch whose gathers hold one entry each equals the default run bit
+    for bit: the backward rows that start late, at 0, take split gathers too."""
+    model, _, batch, ys, lengths = ragged_case(side, STRICT, seed=14)
+    want_totals, want = batch(model, ys, lengths)
+    monkeypatch.setattr(tables, "FACTOR_BLOCK_CELLS", K)
+    lse_rows.clear()
+    totals, got = batch(model, ys, lengths)
+    gathers = [rows for rows in lse_rows if rows != len(ys)]  # all but the totals' call
+    assert len(gathers) == len(lse_rows) - 1
+    assert len(gathers) > 2 and set(gathers) == {1}
+    assert np.array_equal(totals, want_totals)
+    assert np.array_equal(got, want, equal_nan=True)

@@ -36,7 +36,7 @@ from chainequiv.cli import (
     EXIT_PARSE,
     main,
 )
-from chainequiv.decode import DECODE_BLOCK_CELLS, DECODE_BLOCK_LINES, _tiled_model, read_sequences
+from chainequiv.decode import _tiled_model, read_sequences
 from chainequiv.modelfile import ModelFile, ParseError
 from chainequiv.crf import DegenerateModel, default_alphabets, random_crf_model
 from chainequiv.hmc import HmcModel, ImpossibleObservation
@@ -1093,6 +1093,7 @@ class TestBatchedDecode:
     """``decode`` batches lines by length; its bytes must match the per-line loop."""
 
     K, L, N = 64, 4, 4
+    BLOCK = 256  # decode's block, patched so that the lines cross one
 
     @pytest.fixture(scope="class")
     def models(self, tmp_path_factory):
@@ -1112,9 +1113,8 @@ class TestBatchedDecode:
             paths[mode, "hmc"] = str(tmp / f"{mode}-hmc.json")
             ModelFile.from_crf(crf).dump(paths[mode, "crf"])
             assert main(["convert", paths[mode, "crf"], "-o", paths[mode, "hmc"]]) == EXIT_OK
-        block = min(DECODE_BLOCK_LINES, DECODE_BLOCK_CELLS // self.K**2)
         lines = []
-        for i in range(block + 60):
+        for i in range(self.BLOCK + 60):
             length = (self.N, 1, self.N + 2, self.N, self.N - 1)[i % 5]
             tokens = [f"o{v}" for v in rng.integers(0, self.L, length)]
             if i % 97 == 5:
@@ -1128,8 +1128,9 @@ class TestBatchedDecode:
     @pytest.mark.parametrize("tile", [True, False])
     @pytest.mark.parametrize("kind", ["crf", "hmc"])
     @pytest.mark.parametrize("mode", ["strict", "generalized"])
-    def test_matches_per_line_decode(self, models, capsys, mode, kind, tile):
+    def test_matches_per_line_decode(self, models, capsys, monkeypatch, mode, kind, tile):
         paths, seqs = models
+        monkeypatch.setattr(decode, "DECODE_BLOCK_LINES", self.BLOCK)
         model = ModelFile.load(paths[mode, kind]).to_model()
         expected = per_line_decode(model, read_sequences(seqs), tile)
         code = main(["decode", paths[mode, kind], seqs, "--marginals"] + (["--tile"] if tile else []))

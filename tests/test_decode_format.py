@@ -86,3 +86,15 @@ class TestMarginalColumns:
         ties = near_ties(4, seed=4)
         cells.flat[rng.choice(cells.size, len(ties) + 3, replace=False)] = [*ties, np.nan, 2.0**-7, 10.0]
         check_columns(cells, k)
+
+    @pytest.mark.parametrize("chunk_cells, lines_per_chunk", [(11, 1), (36, 3)])
+    def test_fallback_cells_at_the_ends_of_chunks(self, monkeypatch, chunk_cells, lines_per_chunk):
+        # A chunk holds whole lines, one when a line has more than its cells;
+        # "%.6f" cells in the first line of the second chunk and in the last
+        # line of the last chunk are patched within their own chunk.
+        k, width = 4, 12
+        monkeypatch.setattr(decode, "MARGINAL_CHUNK_CELLS", chunk_cells)
+        cells = np.random.default_rng(5).random((8, width))
+        cells[lines_per_chunk, [0, 5, -1]] = [2.0**-7, 9.5, 2.0**-7]
+        cells[-1, [0, 6, -1]] = [10.0, 2.0**-7, 9.75]
+        check_columns(cells, k)

@@ -138,16 +138,15 @@ def test_cells_are_spelled_in_orjson_number_text():
         '    5e-324,\n    "-inf",\n    2.0,\n    1000000000000000.0\n  ]\n}\n')
 
 
-@pytest.mark.parametrize("level", [0, 1, 2, 3])
 @pytest.mark.parametrize("shape", [(5,), (2, 3), (2, 2, 3)])
-def test_block_text_at_every_level(level, shape):
-    # the reference moves orjson's level-0 text to the level by one replacement
+def test_block_text_of_a_document_array(shape):
+    # the reference moves orjson's top-level text one indent in, where a document's arrays sit
     a = np.where(np.arange(math.prod(shape)) % 4 == 1, -math.inf, np.linspace(-2, 3e-5, math.prod(shape)))
     a = a.reshape(shape)
     text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2).replace(b"null", b'"-inf"')
-    want = text[1:-2].replace(b"\n", b"\n" + b"  " * level).decode()
-    assert modelfile._block_text(a, level) == want
-    assert modelfile._block_text(np.asfortranarray(a), level) == want  # copied to C order before orjson reads it
+    want = text[1:-2].replace(b"\n", b"\n  ").decode()
+    assert modelfile._block_text(a) == want
+    assert modelfile._block_text(np.asfortranarray(a)) == want  # copied to C order before orjson reads it
 
 
 CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e-4, 1e-4),
