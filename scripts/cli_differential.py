@@ -18,7 +18,12 @@ stationary copy, it runs ``decode --marginals`` with and without ``--tile`` on
 (``PRODUCT_BLOCK_ROWS``) and a padded tail.  On a stationary CRF of 64 labels
 with potentials of 0 and -700, and on its HMCs, it runs ``decode --tile
 --marginals`` on 300 lines of 2-6 symbols (:func:`wide_decode_runs`), which
-reach the kernel's exact recompute of underflowed entries.  Then it runs each
+reach the kernel's exact recompute of underflowed entries.  On copies of the
+generalized 130-position CRF whose first hidden symbol has an escaped
+character or is spelled ``-inf``, which the reader must check cell by cell
+(:func:`checked_reader_runs`), it runs ``convert --trace`` and ``decode
+--marginals``; the unchanged CRF is read by the plain path, so both reader
+paths are compared.  Then it runs each
 command's failures (:func:`failures`): bad options, files of the wrong kind,
 shape or syntax, a CRF of zero weight, two inputs from stdin's one pipe or
 from one FIFO, a model or sequence file on stdin that is not UTF-8, outputs
@@ -145,6 +150,23 @@ def wide_decode_runs():
     for model in ("scrf", "hmc", "shmc"):  # the converted HMC is not stationary: lines of other lengths fail
         run(f"k64-decode-{model}-ragged--tile--marginals", "decode", f"k64-{model}.json", "k64-ragged.txt",
             "--tile", "--marginals")
+
+
+def checked_reader_runs():
+    """``convert --trace`` and ``decode --marginals`` of the long generalized CRF, first hidden symbol respelled.
+
+    A backslash anywhere in the text, or a symbol spelled ``-inf``, keeps the
+    model-file reader from proving its cells plain, so these files take the
+    type checks of every cell.
+    """
+    lines("long-seqs.txt", [130] * 4, 8, seed=131)
+    for name, symbol in (("escaped", 'h"0'), ("neg-inf", "-inf")):
+        if os.path.exists("generalized-long-crf.json"):
+            doc = json.loads(Path("generalized-long-crf.json").read_text())
+            doc["hidden_symbols"][0] = symbol
+            Path(f"{name}-crf.json").write_text(json.dumps(doc, indent=2))
+        run(f"{name}-convert", "convert", f"{name}-crf.json", "-o", f"{name}-hmc.json", "--trace", f"{name}-trace.json")
+        run(f"{name}-decode", "decode", f"{name}-crf.json", "long-seqs.txt", "--marginals")
 
 
 def failures():
@@ -292,6 +314,7 @@ def main() -> int:
             "--report", f"{m}-samples-report.json")
     decode_runs()
     wide_decode_runs()
+    checked_reader_runs()
     failures()
     return 0
 

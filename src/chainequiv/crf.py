@@ -11,6 +11,7 @@ per-position posterior marginals and the MPM (maximum posterior mode)
 decoding, all in O(length * num_labels^2).
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -136,13 +137,18 @@ def random_crf_model(length: int, hidden_size: int, obs_size: int, seed: int,
     Deterministic for a fixed seed; in generalized mode each cell is
     independently set to ``-inf`` with probability ``zero_prob``.  Pairwise
     tables are drawn first (in position order), then emission tables.
-    ``seed`` must be an integer >= 0.
+    ``seed`` must be an integer >= 0, ``low`` and ``high`` finite with
+    ``low <= high``, and ``zero_prob`` in [0, 1].
     """
     hidden, obs = default_alphabets(hidden_size, obs_size)
     if length < 1:
         raise ValidationError("length must be >= 1")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    if not -math.inf < low <= high < math.inf:
+        raise ValidationError(f"low and high must be finite with low <= high, got {low!r} and {high!r}")
+    if not 0 <= zero_prob <= 1:
+        raise ValidationError(f"zero_prob must be in [0, 1], got {zero_prob!r}")
     rng = np.random.default_rng(seed)
 
     def draw(shape):

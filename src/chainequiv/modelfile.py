@@ -175,7 +175,7 @@ def _parse_number(value, path: str) -> float:
     return v
 
 
-def _plain_array(value, shape: tuple[int, ...], nonnegative: bool) -> np.ndarray | None:
+def _plain_array(value, shape: tuple[int, ...], nonnegative: bool, plain: bool = False) -> np.ndarray | None:
     """``value`` as a float array if it is a valid nested list of ``shape``, else None.
 
     Checks every cell without a call per cell: one conversion of the whole
@@ -184,6 +184,10 @@ def _plain_array(value, shape: tuple[int, ...], nonnegative: bool) -> np.ndarray
     floats and ``"-inf"`` tokens; a non-finite number (``1e999`` parses to
     inf) or a bool, any other string (numpy reads ``"1.5"`` as a number) or
     a negative cell under ``nonnegative`` makes the result None.
+
+    With ``plain``, orjson read ``value`` from a text that holds no bool,
+    null, infinite number or string but headers and ``"-inf"`` tokens
+    (:meth:`ModelFile._from_document`), so the type census is skipped.
     """
     try:
         a = np.array(value, dtype=float)  # numpy reads the "-inf" token as -inf
@@ -191,6 +195,8 @@ def _plain_array(value, shape: tuple[int, ...], nonnegative: bool) -> np.ndarray
         return None
     if a.shape != shape:
         return None
+    if plain:
+        return a if (a < math.inf).all() and not (nonnegative and (a < 0).any()) else None
     cells = value
     for _ in shape[1:]:
         cells = list(itertools.chain.from_iterable(cells))
@@ -208,7 +214,8 @@ def _plain_array(value, shape: tuple[int, ...], nonnegative: bool) -> np.ndarray
     return a
 
 
-def _parse_array(value, shape: tuple[int, ...], path: str, nonnegative: bool = False) -> np.ndarray:
+def _parse_array(value, shape: tuple[int, ...], path: str, nonnegative: bool = False,
+                 plain: bool = False) -> np.ndarray:
     """A nested JSON list of the given ``shape`` as a float array.
 
     Each level must be a list of exactly ``shape[0]`` items; cells are parsed
@@ -216,9 +223,9 @@ def _parse_array(value, shape: tuple[int, ...], path: str, nonnegative: bool = F
     Valid input takes :func:`_plain_array`; otherwise the checks below run
     level by level and cell by cell, and the first failing one names its spot.
     """
-    plain = _plain_array(value, shape, nonnegative)
-    if plain is not None:
-        return plain
+    a = _plain_array(value, shape, nonnegative, plain)
+    if a is not None:
+        return a
     if not isinstance(value, list) or len(value) != shape[0]:
         unit = ("entries", "rows", "tables")[len(shape) - 1]
         raise ParseError(f"{path}: expected {shape[0]} {unit}")
@@ -267,46 +274,61 @@ def _json_object(text: str) -> dict:
 # on the C stack without a limit and crashes the process some 10^4-10^6
 # levels down.  A text that may nest deeper is left to json.
 ORJSON_DEPTH = 1024
-_NOT_BRACKET_OR_QUOTE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_NOT_MARK = bytes(sorted(set(range(256)) - set(b'[]{}"abcdfghijklmnopqrstuvwxyzABCDFGHIJKLMNOPQRSTUVWXYZ')))
+
+
+def _walk(raw: bytes, limit: int) -> tuple[bool, int | None]:
+    """Whether a JSON parser may nest more than ``limit`` levels deep in the UTF-8 text ``raw``, and its string count.
+
+    Escaped backslashes, then escaped quotes, are dropped, then every byte
+    but brackets, quotes and letters other than ``e`` and ``E``, so the
+    quotes left open and close strings; the depth is the running count of
+    the brackets outside them.  Up to the text's first error this is the
+    parser's own count, and past it a count can only raise the maximum.
+    No step runs per byte in Python, and a text of at most ``limit`` marks
+    is answered by their number, with no count (None).
+
+    The count, of the strings other than exact ``"-inf"`` tokens, is made
+    for a plain text: no backslash, and no letter outside strings but
+    ``e`` and ``E``, so no ``true``, ``false``, ``null`` or ``NaN``.  The
+    tokens are counted in ``raw`` only if the marks hold ``"inf"``.
+    """
+    plain = b"\\" not in raw
+    if not plain:
+        raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
+    kept = raw.translate(None, _NOT_MARK)
+    if len(kept) <= limit:
+        return False, None
+    marks = np.frombuffer(kept, np.uint8)
+    quotes = marks == ord('"')
+    outside = marks[~quotes & (np.cumsum(quotes) % 2 == 0)]
+    brackets = outside[(outside | 0x20) > ord("z")]  # letters fold to a-z, and [ ] to { }
+    deeper = bool(np.cumsum((brackets & 2).astype(np.intp) - 1).max(initial=0) > limit)  # [{ have bit 1, ]} not
+    if not plain or len(brackets) != len(outside):
+        return deeper, None
+    tokens = raw.count(_NEG_INF_JSON) if b'"inf"' in kept else 0
+    return deeper, int(quotes.sum()) // 2 - tokens
 
 
 def _nests_deeper(raw: bytes, limit: int) -> bool:
-    """Whether a JSON parser may nest more than ``limit`` levels deep in the UTF-8 text ``raw`` before its first error.
-
-    Escaped backslashes, then escaped quotes, are dropped, then every byte
-    but brackets and quotes, so the quotes left open and close strings;
-    the depth is the running count of the brackets outside them.  Up to
-    the text's first error this is the parser's own count, and past it a
-    count can only raise the maximum.  No step runs per byte in Python,
-    and a text of at most ``limit`` brackets and quotes is answered by
-    their number.
-    """
-    if b"\\" in raw:
-        raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
-    marks = raw.translate(None, _NOT_BRACKET_OR_QUOTE)
-    if len(marks) <= limit:
-        return False
-    marks = np.frombuffer(marks, np.uint8)
-    quotes = marks == ord('"')
-    brackets = marks[~quotes & (np.cumsum(quotes) % 2 == 0)]
-    return bool(np.cumsum((brackets & 2).astype(np.intp) - 1).max(initial=0) > limit)  # [{ have bit 1, ]} not
+    """Whether a JSON parser may nest more than ``limit`` levels deep in the UTF-8 text ``raw``; see :func:`_walk`."""
+    return _walk(raw, limit)[0]
 
 
-def _orjson_object(data: str | bytes) -> dict | None:
-    """The JSON object in ``data``, text or its UTF-8 bytes, as orjson reads it.
+def _orjson_object(data: str | bytes) -> tuple[dict | None, int | None]:
+    """The JSON object in ``data``, text or its UTF-8 bytes, as orjson reads it, and :func:`_walk`'s count of strings.
 
-    None when orjson refuses ``data`` (bytes that are not UTF-8 among it),
-    when it may nest deeper than ORJSON_DEPTH, or when it holds a value
-    other than an object.
+    The object is None when orjson refuses ``data`` (bytes that are not
+    UTF-8 among it), when it may nest deeper than ORJSON_DEPTH, or when it
+    holds a value other than an object.
     """
     try:
         raw = data.encode() if isinstance(data, str) else data
-        if _nests_deeper(raw, ORJSON_DEPTH):
-            return None
-        doc = orjson.loads(raw)
+        deeper, strings = _walk(raw, ORJSON_DEPTH)
+        doc = None if deeper else orjson.loads(raw)
     except (UnicodeEncodeError, orjson.JSONDecodeError):  # a lone surrogate, or what orjson refuses
-        return None
-    return doc if isinstance(doc, dict) else None
+        return None, None
+    return (doc, strings) if isinstance(doc, dict) else (None, None)
 
 
 @dataclass
@@ -357,10 +379,10 @@ class ModelFile:
 
     @classmethod
     def _from_json(cls, data: str | bytes) -> "ModelFile":
-        doc = _orjson_object(data)
+        doc, strings = _orjson_object(data)
         if doc is not None:
             try:
-                return cls._from_document(doc)
+                return cls._from_document(doc, strings)
             except (ParseError, RecursionError):  # the repr of a deep value in a message can recurse too far
                 doc = None  # freed before json reads the text again
         if isinstance(data, bytes):
@@ -368,7 +390,7 @@ class ModelFile:
         return cls._from_document(_json_object(data))
 
     @classmethod
-    def _from_document(cls, doc: dict) -> "ModelFile":
+    def _from_document(cls, doc: dict, strings: int | None = None) -> "ModelFile":
         kind = doc.get("kind")
         if kind not in ("crf", "hmc"):
             raise ParseError(f'kind: expected "crf" or "hmc", got {kind!r}')
@@ -381,13 +403,18 @@ class ModelFile:
         if mode not in MODES:
             raise ParseError(f"mode: expected one of {MODES}, got {mode!r}")
 
+        # The walk's count leaves out the "-inf" tokens: when it is just the header strings (these, kind
+        # and mode), none of them spelled "-inf", every other string is a token, and the cells are plain.
+        header = (*doc, *hidden, *obs)
+        plain = strings == len(header) + 1 + ("mode" in doc) and NEG_INF_TOKEN not in header
+
         k, l = len(hidden), len(obs)
         if kind == "crf":
             for key in ("init", "trans", "emit"):
                 if key in doc:
                     raise ParseError(f"{key}: not a CRF file key")
-            v = _parse_array(doc.get("V"), (n - 1, k, k), "V")
-            u = _parse_array(doc.get("U"), (n, k, l), "U")
+            v = _parse_array(doc.get("V"), (n - 1, k, k), "V", plain=plain)
+            u = _parse_array(doc.get("U"), (n, k, l), "U", plain=plain)
             if mode == STRICT:
                 for name, tables in (("V", v), ("U", u)):
                     zeros = ~np.isfinite(tables).all(axis=(1, 2))
@@ -399,9 +426,9 @@ class ModelFile:
         for key in ("V", "U"):
             if key in doc:
                 raise ParseError(f"{key}: not an HMC file key")
-        init = _parse_array(doc.get("init"), (k,), "init", nonnegative=True)
-        trans = _parse_array(doc.get("trans"), (n - 1, k, k), "trans", nonnegative=True)
-        emit = _parse_array(doc.get("emit"), (n, k, l), "emit", nonnegative=True)
+        init = _parse_array(doc.get("init"), (k,), "init", nonnegative=True, plain=plain)
+        trans = _parse_array(doc.get("trans"), (n - 1, k, k), "trans", nonnegative=True, plain=plain)
+        emit = _parse_array(doc.get("emit"), (n, k, l), "emit", nonnegative=True, plain=plain)
         return cls(kind, hidden, obs, n, mode, init=init, trans=trans, emit=emit)
 
     def _document(self) -> dict:

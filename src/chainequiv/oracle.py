@@ -35,7 +35,7 @@ class BudgetExceeded(ValueError):
 
 
 class ShapeMismatch(ValueError):
-    """Two enumerated posteriors do not live on the same label space."""
+    """Posteriors do not live on the label space they should: two enumerated ones differ, or a row's width is wrong."""
 
 
 def _check_budget(size: int, length: int, budget: int):
@@ -253,7 +253,15 @@ def enumerate_hmc_posterior_batch(model: HmcModel, ys,
 
 
 def posterior_matrix_marginals(posteriors: np.ndarray, size: int, length: int) -> np.ndarray:
-    """(count, length, size) per-position marginals of row-wise posteriors."""
+    """(count, length, size) per-position marginals of row-wise posteriors.
+
+    Each row must hold ``size**length`` entries, else ShapeMismatch.  Rows
+    are summed as given, so a row that is not normalized gives "marginals"
+    that are not either: one row of 8 ones at size 2 and length 3 gives 4s.
+    """
+    if posteriors.shape[-1:] != (size**length,):
+        raise ShapeMismatch(f"posterior rows must hold {size}^{length} = {size**length} entries, "
+                            f"got shape {posteriors.shape}")
     cube = posteriors.reshape((-1,) + (size,) * length)
     axes = tuple(range(1, length + 1))
     return np.stack(

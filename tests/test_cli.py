@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from chainequiv import (
@@ -364,6 +364,174 @@ class TestReaderMatchesJson:
                              ids=["closers-in-a-string", "escaped-backslash", "escaped-quote"])
     def test_depth_counts_only_brackets_outside_strings(self, text):
         assert modelfile._nests_deeper(text.encode(), 1999) and not modelfile._nests_deeper(text.encode(), 2000)
+
+
+def long_crf_doc(mode: str = "generalized") -> dict:
+    """A CRF document of 120 positions, 2 labels and 1 symbol: more than ORJSON_DEPTH marks, so the reader's walk
+    counts its strings.  In generalized mode V[3][0][1] and U[7][1][0] are ``"-inf"`` tokens."""
+    rng = np.random.default_rng(5)
+    doc = {"kind": "crf", "hidden_symbols": ["a", "b"], "obs_symbols": ["x"], "n": 120, "mode": mode,
+           "V": rng.uniform(-5, 5, (119, 2, 2)).tolist(), "U": rng.uniform(-5, 5, (120, 2, 1)).tolist()}
+    if mode == "generalized":
+        doc["V"][3][0][1] = doc["U"][7][1][0] = "-inf"
+    return doc
+
+
+def long_hmc_doc() -> dict:
+    """The HMC of the strict :func:`long_crf_doc`, as a document."""
+    return json.loads(ModelFile.from_hmc(crf_to_hmc(ModelFile.from_json(json.dumps(long_crf_doc("strict")))
+                                                    .to_model())[0]).to_json())
+
+
+class TestPlainReader:
+    """A model file whose walk proves it plain skips the type census; any other takes it.
+
+    Every case is checked through ``TestReaderMatchesJson.check``, so the
+    outcome is json's whichever path reads the arrays.
+    """
+
+    LONG = long_crf_doc()
+    check = staticmethod(TestReaderMatchesJson.check)
+
+    @staticmethod
+    def plain_flags(text) -> set:
+        """The ``plain`` flags of the array reads of ``text`` by ``ModelFile.from_json``."""
+        flags, real = set(), modelfile._plain_array
+
+        def spy(value, shape, nonnegative, plain=False):
+            flags.add(plain)
+            return real(value, shape, nonnegative, plain)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(modelfile, "_plain_array", spy)
+            try:
+                ModelFile.from_json(text)
+            except ParseError:
+                pass
+        return flags
+
+    @pytest.mark.parametrize("doc", [long_crf_doc("strict"), LONG, long_hmc_doc()],
+                             ids=["strict", "generalized", "hmc"])
+    def test_long_files_are_read_plain(self, doc):
+        text = json.dumps(doc)
+        assert self.check(text)[0] == "model"
+        assert self.plain_flags(text) == {True}
+
+    def test_short_files_take_the_census(self):
+        text = symmetric_crf_json()
+        assert self.check(text)[0] == "model"
+        assert self.plain_flags(text) == {False}
+
+    @pytest.mark.parametrize("literal", [literal for literal, _ in BAD_CELLS.values()]
+                             + ['"-inf "', '"-Inf"', '"-INF"', '"\u00a0-inf"', "null"],
+                             ids=[*BAD_CELLS.keys(), "token-space", "-Inf", "-INF", "nbsp-token", "null"])
+    def test_bad_cells_take_the_census(self, literal):
+        text = set_text(self.LONG, "cell", literal)
+        assert self.check(text)[0] == "error"
+        assert True not in self.plain_flags(text)
+
+    @pytest.mark.parametrize("doc, key, outcome", [
+        (long_crf_doc("strict"), "U", "error"), (LONG, "U", "model"), (long_hmc_doc(), "trans", "error"),
+    ], ids=["strict", "generalized", "hmc"])
+    def test_token_cell(self, doc, key, outcome):
+        """A ``"-inf"`` cell is read plain: strict mode and a probability table reject it afterwards."""
+        doc = json.loads(json.dumps(doc))
+        doc[key][1][0][0] = "-inf"
+        text = json.dumps(doc)
+        assert self.check(text)[0] == outcome
+        assert True in self.plain_flags(text)
+
+    @pytest.mark.parametrize("where", ["symbol", "key", "escaped-backslash"])
+    @pytest.mark.parametrize("cell, outcome", [(None, "model"), ('"1.5"', "error"), ('"2"', "error")],
+                             ids=["valid", "numeric-string", "integer-string"])
+    def test_header_string_spelled_token(self, where, cell, outcome):
+        """A numeric string cell, which numpy reads, would pass the string count with a symbol or key spelled
+        ``-inf``, or with a symbol ``-inf\\``, whose text ``"-inf\\\\"`` holds ``"-inf"`` once escapes are dropped."""
+        doc = json.loads(json.dumps(self.LONG))
+        if where != "key":
+            doc["hidden_symbols"][0] = "-inf" if where == "symbol" else "-inf\\"
+        else:
+            doc["-inf"] = 1
+        text = json.dumps(doc) if cell is None else set_text(doc, "cell", cell)
+        assert self.check(text)[0] == outcome
+        assert True not in self.plain_flags(text)
+
+    @pytest.mark.parametrize("symbol", ['a\\"b', "a\\u00e9", "\u00e9"], ids=["escaped-quote", "escape", "raw-utf8"])
+    def test_symbols(self, symbol):
+        """A backslash anywhere takes the census; a raw UTF-8 symbol does not."""
+        text = set_text(self.LONG, "symbol", f'"{symbol}"')
+        assert self.check(text)[0] == "model"
+        assert self.plain_flags(text) == ({False} if "\\" in symbol else {True})
+
+    @pytest.mark.parametrize("extra, flags", [(["x", "y"], {False}), (["-inf"], {True}), ([1, 2], {True})],
+                             ids=["strings", "tokens", "numbers"])
+    def test_extra_key(self, extra, flags):
+        text = json.dumps(self.LONG | {"extra": extra})
+        assert self.check(text)[0] == "model"
+        assert self.plain_flags(text) == flags
+
+    def test_one_position(self):
+        """At n = 1, V is empty: its plain read misses numpy's shape, and the level-by-level checks build it."""
+        k = 600
+        doc = {"kind": "crf", "hidden_symbols": [f"h{i}" for i in range(k)], "obs_symbols": ["x"], "n": 1,
+               "mode": "generalized", "V": [], "U": [[[0.5]] * (k - 1) + [["-inf"]]]}
+        text = json.dumps(doc)
+        outcome, detail = self.check(text)
+        assert outcome == "model" and detail["V"][1] == (0, k, k)
+        assert self.plain_flags(text) == {True}
+
+    odd_cells = st.sampled_from([None, True, False, "-inf", " -inf", "-inf ", "-Inf", "\u00a0-inf", "1.5", "2", "x",
+                                 [], {}, [1.0], 1e308, -0.0])
+    odd_symbols = st.sampled_from(["-inf", " -inf", "inf", 'q"', "\\", "\u00a0", "\n"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_plain_reads_equal_the_census(self, data):
+        """On generated model documents, an array the plain path accepts is the census path's, bit for bit."""
+        kind = data.draw(st.sampled_from(["crf", "hmc"]))
+        mode = data.draw(st.sampled_from(["strict", "generalized"]))
+        n = data.draw(st.integers(1, 3))
+        plain_names = st.text(alphabet="ab\u00e9", min_size=1, max_size=2)
+        names = st.lists(st.one_of(plain_names, plain_names, plain_names, self.odd_symbols),
+                         min_size=1, max_size=3, unique=True)
+        hidden, obs = data.draw(names), data.draw(names)
+        k, l = len(hidden), len(obs)
+        if kind == "crf":
+            number = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-2**70, 2**70))
+            shapes = {"V": (n - 1, k, k), "U": (n, k, l)}
+        else:
+            number = st.floats(0, 1)
+            shapes = {"init": (k,), "trans": (n - 1, k, k), "emit": (n, k, l)}
+        cell = st.one_of(number, number, number, st.just("-inf")) if kind == "crf" else number
+        doc = {"kind": kind, "hidden_symbols": hidden, "obs_symbols": obs, "n": n, "mode": mode}
+        doc |= {key: data.draw(st.lists(cell, min_size=math.prod(shape), max_size=math.prod(shape))
+                               .map(lambda cells, shape=shape: np.array(cells, dtype=object).reshape(shape).tolist()))
+                for key, shape in shapes.items()}
+        if data.draw(st.integers(0, 2)) == 2:  # one odd cell or row
+            key = data.draw(st.sampled_from([key for key, shape in shapes.items() if math.prod(shape)]))
+            row = doc[key]
+            for _ in shapes[key][1:]:
+                row = row[data.draw(st.integers(0, len(row) - 1))]
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(self.odd_cells)
+        extra = data.draw(st.sampled_from([{}, {}, {"x": 1}, {"x": "-inf"}, {"x": ["-inf"]}, {"x": "y"},
+                                           {"x": ["y"]}, {"-inf": 1}, {"y\\z": 1}]))
+        doc = extra | doc | {"pad": [[]] * 520}  # 1040 brackets: the walk counts the strings
+        text = json.dumps(doc, ensure_ascii=data.draw(st.integers(0, 3)) == 3)  # ensure_ascii writes \u00e9 with a backslash
+
+        accepted, real = [], modelfile._plain_array
+
+        def spy(value, shape, nonnegative, plain=False):
+            got = real(value, shape, nonnegative, plain)
+            if plain and got is not None:
+                census = real(value, shape, nonnegative)
+                assert census is not None and census.shape == got.shape and census.tobytes() == got.tobytes()
+                accepted.append(shape)
+            return got
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(modelfile, "_plain_array", spy)
+            self.check(text)
+        event("plain read" if accepted else "census only")
 
 
 def text_reader_error(path: str) -> str:

@@ -5,6 +5,8 @@ Length errors raise ``LengthMismatch``; everything else raises
 never a silently wrong answer.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,8 @@ from chainequiv.oracle import (
     enumerate_crf_posterior_batch,
     enumerate_hmc_posterior,
     enumerate_hmc_posterior_batch,
+    posterior_matrix_marginals,
+    ShapeMismatch,
 )
 from chainequiv.tables import LengthMismatch, PosteriorMarginals, ValidationError
 
@@ -100,3 +104,37 @@ def test_integral_indices_of_any_numeric_dtype_are_accepted(call, form, plain):
     want = returned_values(call(plain, [plain]))
     for g, w in zip(got, want, strict=True):
         np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"low": 1.0, "high": -1.0},
+    {"high": math.inf},
+    {"low": -math.inf},
+    {"low": math.nan},
+    {"high": math.nan},
+    {"zero_prob": 2.0},
+    {"zero_prob": -0.5},
+    {"zero_prob": math.nan},
+], ids=["low>high", "high=inf", "low=-inf", "low=nan", "high=nan", "zero_prob=2", "zero_prob<0", "zero_prob=nan"])
+@pytest.mark.parametrize("mode", ["strict", "generalized"])
+def test_random_crf_model_rejects_bad_ranges(kwargs, mode):
+    with pytest.raises(ValidationError, match="low and high|zero_prob"):
+        random_crf_model(3, 2, 2, seed=0, mode=mode, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"low": 2.0, "high": 2.0}, {"zero_prob": 0.0}, {"zero_prob": 1.0}],
+                         ids=["low=high", "zero_prob=0", "zero_prob=1"])
+def test_random_crf_model_accepts_edge_ranges(kwargs):
+    model = random_crf_model(3, 2, 2, seed=0, mode="generalized", **kwargs)
+    assert model.length == 3
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (1, 4), (2, 4), ()], ids=["wide", "narrow", "two-half-rows", "scalar"])
+def test_posterior_matrix_marginals_rejects_wrong_row_widths(shape):
+    with pytest.raises(ShapeMismatch, match="2\\^3 = 8 entries"):
+        posterior_matrix_marginals(np.ones(shape), 2, 3)
+
+
+def test_posterior_matrix_marginals_sums_rows_as_given():
+    """An unnormalized row gives unnormalized "marginals": 8 ones at size 2 and length 3 give 4s."""
+    np.testing.assert_array_equal(posterior_matrix_marginals(np.ones((1, 8)), 2, 3), np.full((1, 3, 2), 4.0))
