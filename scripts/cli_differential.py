@@ -23,7 +23,10 @@ generalized 130-position CRF whose first hidden symbol has an escaped
 character or is spelled ``-inf``, which the reader must check cell by cell
 (:func:`checked_reader_runs`), it runs ``convert --trace`` and ``decode
 --marginals``; the unchanged CRF is read by the plain path, so both reader
-paths are compared.  Then it runs each
+paths are compared.  On a copy of that CRF with ``V[:, 0, 0]`` and ``V[:, -1,
+-1]`` set to ``-inf`` it runs ``convert --trace`` (:func:`token_edge_runs`), so
+every writer block of the trace's phi starts and ends on a ``"-inf"`` token.
+Then it runs each
 command's failures (:func:`failures`): bad options, files of the wrong kind,
 shape or syntax, a CRF of zero weight, two inputs from stdin's one pipe or
 from one FIFO, a model or sequence file on stdin that is not UTF-8, outputs
@@ -167,6 +170,21 @@ def checked_reader_runs():
             Path(f"{name}-crf.json").write_text(json.dumps(doc, indent=2))
         run(f"{name}-convert", "convert", f"{name}-crf.json", "-o", f"{name}-hmc.json", "--trace", f"{name}-trace.json")
         run(f"{name}-decode", "decode", f"{name}-crf.json", "long-seqs.txt", "--marginals")
+
+
+def token_edge_runs():
+    """``convert --trace`` of the long generalized CRF with its pairwise tables' first and last cells ``-inf``.
+
+    phi's first and last cells are then ``-inf`` at every position, so each
+    writer block of the trace's phi, a whole number of tables, starts and
+    ends on the ``"-inf"`` token.
+    """
+    if os.path.exists("generalized-long-crf.json"):
+        doc = json.loads(Path("generalized-long-crf.json").read_text())
+        for table in doc["V"]:
+            table[0][0] = table[-1][-1] = "-inf"
+        Path("edge-inf-crf.json").write_text(json.dumps(doc, indent=2))
+    run("edge-inf-convert", "convert", "edge-inf-crf.json", "-o", "edge-inf-hmc.json", "--trace", "edge-inf-trace.json")
 
 
 def failures():
@@ -315,6 +333,7 @@ def main() -> int:
     decode_runs()
     wide_decode_runs()
     checked_reader_runs()
+    token_edge_runs()
     failures()
     return 0
 

@@ -35,6 +35,7 @@ transition or emission row is undefined (zero over zero) and is replaced by
 a uniform placebo row, recorded in the trace as unreachable.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ import numpy as np
 from .crf import GENERALIZED, STRICT, CrfModel, DegenerateModel
 from .hmc import HmcModel
 from .hmc import _factors as _hmc_factors
-from .tables import Table1, Table2, Table3, ValidationError, _finite_or_zero, log_sum_exp, normalize_rows
+from .tables import Table2, Table3, ValidationError, log_sum_exp, normalize_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +77,12 @@ def build_phi(model: CrfModel, psi: Table2) -> Table3:
 
     The first factor absorbs both endpoint psi rows; later factors absorb
     only the right endpoint's, so each position's psi appears exactly once
-    along any path.  Empty for length-1 models.
+    along any path.  Empty for length-1 models.  A psi of any shape but
+    (length, num_states) raises :class:`ValidationError`.
     """
     psi = psi.log_values
+    if psi.shape != (model.length, model.hidden.size):
+        raise ValidationError(f"psi has shape {psi.shape}, expected {(model.length, model.hidden.size)}")
     phi = model.pair_potentials.log_values + psi[1:, None, :]
     phi[:1] += psi[0][:, None]
     return Table3(phi)
@@ -94,21 +98,29 @@ def build_beta(phi) -> tuple[np.ndarray, np.ndarray]:
     empty, of shape (0, k, k), and gives the single zero row.  Any other
     shape raises :class:`ValidationError`.  Each step runs the arithmetic
     of ``log_sum_exp(a, axis=1)`` inline, bit for bit, with one ``errstate``
-    for the whole loop.
+    for the whole loop, in four step buffers allocated once.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 3 or phi.shape[1] != phi.shape[2]:
         raise ValidationError(f"phi must be a (length - 1, k, k) stack of tables, got shape {phi.shape}")
-    rows = np.zeros((len(phi) + 1, phi.shape[1]))
+    k = phi.shape[1]
+    rows = np.zeros((len(phi) + 1, k))
     shifts = np.zeros(len(phi) + 1)
+    a, m_column, finite, row = np.empty((k, k)), np.empty((k, 1)), np.empty(k, dtype=bool), np.empty(k)
+    m = m_column[:, 0]
     with np.errstate(divide="ignore"):
         for n in range(len(phi) - 1, -1, -1):
-            a = phi[n] + rows[n + 1]  # log_sum_exp(a, axis=1), its steps inline
-            m = a.max(axis=1)
-            m[~np.isfinite(m)] = 0
-            row = np.log(np.exp(a - m[:, None]).sum(axis=1)) + m
-            shifts[n] = _finite_or_zero(row.max())
-            rows[n] = row - shifts[n]
+            np.add(phi[n], rows[n + 1], out=a)  # log_sum_exp(a, axis=1), its steps inline
+            a.max(axis=1, out=m)
+            if not np.isfinite(m, out=finite).all():
+                m[~finite] = 0
+            np.subtract(a, m_column, out=a)
+            np.exp(a, out=a)
+            np.log(a.sum(axis=1, out=row), out=row)
+            row += m
+            shift = float(row.max())
+            shifts[n] = shift = shift if math.isfinite(shift) else 0.0
+            np.subtract(row, shift, out=rows[n])
     return rows, shifts
 
 
@@ -140,7 +152,7 @@ def crf_to_hmc(model: CrfModel) -> tuple[HmcModel, ConstructionTrace]:
     emissions, unreachable = normalize_rows(model.emit_potentials.log_values)
     unreachable[:-1] |= dead_trans
 
-    hmc = HmcModel(model.hidden, model.obs, Table1(init), transitions, emissions)
+    hmc = HmcModel._from_normalized(model.hidden, model.obs, init, transitions, emissions)
     beta = Table2(rows + np.cumsum(shifts[::-1])[::-1, None])
     return hmc, ConstructionTrace(psi, phi, beta, _row_sets(unreachable))
 

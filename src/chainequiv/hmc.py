@@ -38,6 +38,7 @@ from .tables import (
 from .tables import log_sum_exp  # noqa: F401
 
 ROW_SUM_TOL = 1e-9
+_ROWS = ("init", "transitions", "emissions")
 ZERO_EVIDENCE = "observation sequence has probability zero under the model"
 
 
@@ -45,21 +46,23 @@ class ImpossibleObservation(ValueError):
     """The observation sequence has probability zero under the model."""
 
 
-def _check_stochastic(log_rows: np.ndarray, log_sums: np.ndarray, what: str):
+def _check_stochastic(log_rows: np.ndarray, what: str, log_sums: np.ndarray | None = None):
     """Check that the rows of a stack of tables, or of the init row, sum to one.
 
-    ``log_sums`` holds the log of each row's sum, as the normalizer computed
-    it.  When every one is within half the tolerance of zero, the rows pass
-    on that alone; otherwise they are summed here, so a failure names the
-    first table with a row off, and its worst row, by their direct sums.
+    ``log_sums``, when given, holds the log of each row's sum, as the
+    normalizer computed it.  When every one is within half the tolerance of
+    zero, the rows pass on that alone; otherwise they are summed here, so a
+    failure names the first table with a row off, and its worst row, by their
+    direct sums.  A row holding NaN or ``+inf`` sums to NaN or ``+inf`` and fails.
     """
-    if (np.abs(log_sums) <= ROW_SUM_TOL / 2).all():
+    if log_sums is not None and (np.abs(log_sums) <= ROW_SUM_TOL / 2).all():
         return
-    sums = np.atleast_2d(np.exp(log_rows).sum(axis=-1))
+    with np.errstate(over="ignore"):
+        sums = np.atleast_2d(np.exp(log_rows).sum(axis=-1))
     off = np.abs(sums - 1.0)
-    bad = (off > ROW_SUM_TOL).any(axis=1)
+    bad = ~(off <= ROW_SUM_TOL)  # a NaN sum is off too
     if bad.any():
-        i = int(np.argmax(bad))
+        i = int(np.argmax(bad.any(axis=1)))
         row = int(np.argmax(off[i]))
         label = what if log_rows.ndim == 1 else f"{what}[{i}] row {row}"
         raise ValidationError(
@@ -71,7 +74,7 @@ def _renormalized(table, what: str):
     """Normalize the rows of the init row or of a stack, after checking them; a tiled stack stays tiled."""
     a = distinct_tables(table.log_values)
     out, _, log_sums = _normalized_rows(a)
-    _check_stochastic(a, log_sums, what)
+    _check_stochastic(a, what, log_sums)
     return table if out is a else type(table)._view(np.broadcast_to(out, table.shape))
 
 
@@ -105,14 +108,37 @@ class HmcModel:
     emissions: Table3
 
     def __post_init__(self):
-        names = ("transitions", "emissions")
-        stacks = check_chain_shapes(self.transitions, self.emissions, self.hidden.size,
-                                    self.obs.size, names)
-        if len(self.init) != self.hidden.size:
-            raise ValidationError(f"init has size {len(self.init)}, expected {self.hidden.size}")
-
-        for name, table in zip(("init", *names), (self.init, *stacks)):
+        for name, table in zip(_ROWS, self._checked_shapes()):
             object.__setattr__(self, name, _renormalized(table, name))
+
+    def _checked_shapes(self) -> tuple[Table1, Table3, Table3]:
+        """``init`` and the two stacks, the stacks as Table3, after checking their shapes against the alphabets."""
+        stacks = check_chain_shapes(self.transitions, self.emissions, self.hidden.size,
+                                    self.obs.size, _ROWS[1:])
+        if self.init.shape != (self.hidden.size,):
+            raise ValidationError(f"init has size {len(self.init)}, expected {self.hidden.size}")
+        return self.init, *stacks
+
+    @classmethod
+    def _from_normalized(cls, hidden: Alphabet, obs: Alphabet, init: np.ndarray, transitions: np.ndarray,
+                         emissions: np.ndarray) -> "HmcModel":
+        """The HMC over rows that ``tables.normalize_rows`` returned, kept as they are: ``crf_to_hmc``'s hand-off.
+
+        The arrays are made read-only and kept without a copy, and the
+        constructor's normalizer, a no-op on its own output, does not run.
+        Every check of the constructor does: the shapes, and each row's
+        direct sum, one within ``ROW_SUM_TOL``, which a NaN or ``+inf``
+        entry fails.
+        """
+        model = object.__new__(cls)
+        object.__setattr__(model, "hidden", hidden)
+        object.__setattr__(model, "obs", obs)
+        for name, table_type, a in zip(_ROWS, (Table1, Table3, Table3), (init, transitions, emissions)):
+            a.setflags(write=False)
+            object.__setattr__(model, name, table_type._view(a))
+        for name, table in zip(_ROWS, model._checked_shapes()):
+            _check_stochastic(distinct_tables(table.log_values), name)
+        return model
 
     @property
     def length(self) -> int:

@@ -87,7 +87,7 @@ def _block_text(block: np.ndarray) -> str:
     wrapped = [np.ascontiguousarray(block)]
     text = orjson.dumps(wrapped, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2)
     if (block == -math.inf).any():  # cheaper than a search of the text for "null"
-        text = text.replace(b"null", _NEG_INF_JSON)
+        text = _NEG_INF_JSON.join(text.split(b"null"))  # faster than bytes.replace, the same bytes
     return text[5:-6].decode()
 
 

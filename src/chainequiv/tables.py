@@ -289,9 +289,13 @@ def log_sum_exp(values, axis: int | None = None):
 
     The empty sum (and a sum of only ``-inf`` terms) is ``-inf``.  With
     ``axis`` given, reduces a numpy array along that axis and returns an
-    array; otherwise flattens and returns a float.
+    array; otherwise flattens and returns a float.  Values that are not
+    numbers, or an ``axis`` out of range, raise :class:`ValidationError`.
     """
-    a = np.asarray(values, dtype=float)
+    try:
+        a = np.asarray(values, dtype=float)
+    except (ValueError, TypeError):
+        raise ValidationError("log_sum_exp expects an array of numbers") from None
     if axis is None:
         if a.size == 0:
             return LOG_ZERO
@@ -299,7 +303,10 @@ def log_sum_exp(values, axis: int | None = None):
         if m == LOG_ZERO:
             return LOG_ZERO
         return m + math.log(float(np.exp(a - m).sum()))
-    m = a.max(axis=axis, keepdims=True)
+    try:
+        m = a.max(axis=axis, keepdims=True)
+    except np.exceptions.AxisError:
+        raise ValidationError(f"log_sum_exp: axis {axis} is out of range for an array of shape {a.shape}") from None
     m_safe = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
         out = np.log(np.exp(a - m_safe).sum(axis=axis)) + np.squeeze(m_safe, axis=axis)
@@ -316,14 +323,22 @@ def normalize_rows(a) -> tuple[np.ndarray, np.ndarray]:
     which come back uniform.  The shift is ``max + log1p(rest)``, the first
     maximal entry split out of the rest.  A row whose shift is within 4 eps
     of zero comes back unchanged, so this is an exact fixed point on its own
-    output; when no row moves, ``a`` itself comes back.
+    output; when no row moves, ``a`` itself comes back.  An input that is
+    not an array of numbers, or is 0-d or of width 0, raises
+    :class:`ValidationError`.
     """
+    try:
+        a = np.asarray(a, dtype=float)
+    except (ValueError, TypeError):
+        raise ValidationError("normalize_rows expects an array of numbers") from None
+    if a.ndim == 0 or a.shape[-1] == 0:
+        raise ValidationError(f"normalize_rows expects a (..., k) array with k >= 1, got shape {a.shape}")
     rows, dead, _ = _normalized_rows(a)
     return rows, dead
 
 
 def _normalized_rows(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`normalize_rows`, and the log of each row's sum (the shift; ``-inf`` on a dead row)."""
+    """:func:`normalize_rows` on a checked array, and the log of each row's sum (the shift; ``-inf`` on a dead row)."""
     a = np.asarray(a, dtype=float)
     flat = a.reshape(-1, a.shape[-1])
     first = flat.argmax(axis=1) + np.arange(0, flat.size, flat.shape[1])  # flat indices

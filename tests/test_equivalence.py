@@ -15,6 +15,7 @@ from chainequiv.crf import (
     default_alphabets,
     random_crf_model,
 )
+from chainequiv import equivalence
 from chainequiv.equivalence import (
     build_beta,
     build_phi,
@@ -30,7 +31,7 @@ from chainequiv.oracle import (
     enumerate_crf_posterior,
     enumerate_hmc_posterior,
 )
-from chainequiv.tables import LOG_ZERO, Table1, Table2, ValidationError, log_sum_exp
+from chainequiv.tables import LOG_ZERO, Table1, Table2, ValidationError, log_sum_exp, normalize_rows
 
 from conftest import (
     brute_crf_posterior,
@@ -291,16 +292,76 @@ class TestExactConstruction:
         assert log_ratio_bound(m, hmc) <= 1e-10
 
     def test_hmc_model_moves_no_constructed_row(self):
-        """Building the HMC again from copies of its rows keeps every row bit for bit."""
-        moved = 0
-        for seed in range(300):
-            hmc, _ = crf_to_hmc(random_crf_model(6, 4, 3, seed=seed))
-            again = HmcModel(hmc.hidden, hmc.obs, Table1(hmc.init.log_values),
-                             np.array(hmc.transitions.log_values), np.array(hmc.emissions.log_values))
-            for name in ("init", "transitions", "emissions"):
-                a, b = getattr(hmc, name).log_values, getattr(again, name).log_values
-                moved += int((a != b).reshape(-1, a.shape[-1]).any(axis=1).sum())
-        assert moved == 0
+        """Building the HMC again from copies of its rows keeps every row bit for bit, in both modes."""
+        checked = 0
+        for mode in (STRICT, GENERALIZED):
+            for seed in range(300):
+                try:
+                    hmc, _ = crf_to_hmc(random_crf_model(6, 4, 3, seed=seed, mode=mode))
+                except DegenerateModel:
+                    continue
+                assert_same_tables(hmc, rebuilt(hmc))
+                checked += 1
+        assert checked >= 550
+
+    @pytest.mark.parametrize("mode", [STRICT, GENERALIZED])
+    @pytest.mark.parametrize("n, k, l, scale", [(2000, 16, 8, 5), (2000, 16, 8, 50), (200, 4, 3, 500),
+                                                (200, 4, 3, 1e4)])
+    def test_hand_off_equals_the_constructor_on_long_and_wide_models(self, n, k, l, scale, mode):
+        hmc, _ = crf_to_hmc(random_crf_model(n, k, l, seed=0, mode=mode, low=-scale, high=scale))
+        assert_same_tables(hmc, rebuilt(hmc))
+
+    @pytest.mark.parametrize("bad", ["nan", "+inf", "off by 1e-6"])
+    @pytest.mark.parametrize("call, field", [(0, "init"), (1, r"transitions\[0\] row 0"),
+                                             (2, r"emissions\[0\] row 0")],
+                             ids=["init", "transitions", "emissions"])
+    def test_hand_off_checks_every_row(self, monkeypatch, call, field, bad):
+        """A NaN, a +inf or a row sum off by 1e-6 in any row normalize_rows hands over raises ValidationError."""
+        calls = []
+
+        def spoiled(a):
+            rows, dead = normalize_rows(a)
+            if len(calls) == call:
+                rows = np.array(rows)
+                first = rows.reshape(-1, rows.shape[-1])[0]
+                if bad == "off by 1e-6":
+                    first += math.log1p(1e-6)
+                else:
+                    first[0] = float(bad)
+            calls.append(a)
+            return rows, dead
+
+        monkeypatch.setattr(equivalence, "normalize_rows", spoiled)
+        for mode in (STRICT, GENERALIZED):
+            with pytest.raises(ValidationError, match=f"^{field} sums to"):
+                crf_to_hmc(random_crf_model(4, 3, 2, seed=5, mode=mode))
+            calls.clear()
+
+    def test_hand_off_keeps_read_only_rows_and_the_constructor_copies(self):
+        hmc, _ = crf_to_hmc(random_crf_model(5, 3, 2, seed=3))
+        handed = [getattr(hmc, name).log_values for name in ("init", "transitions", "emissions")]
+        assert not any(a.flags.writeable for a in handed)
+        init, trans, emit = (np.array(a) for a in handed)
+        again = HmcModel(hmc.hidden, hmc.obs, Table1(init), trans, emit)
+        for name, given in zip(("transitions", "emissions"), (trans, emit)):
+            kept = getattr(again, name).log_values
+            assert not np.shares_memory(kept, given) and not kept.flags.writeable
+            given[0, 0, 0] = 0.5  # the caller's array changes, the model does not
+            assert kept[0, 0, 0] != 0.5
+        assert_same_tables(hmc, again)
+
+
+def rebuilt(hmc: HmcModel) -> HmcModel:
+    """The HMC built again by the public constructor from copies of its tables."""
+    return HmcModel(hmc.hidden, hmc.obs, Table1(hmc.init.log_values),
+                    np.array(hmc.transitions.log_values), np.array(hmc.emissions.log_values))
+
+
+def assert_same_tables(a: HmcModel, b: HmcModel):
+    """The init, transition and emission tables of two HMCs are equal bit for bit."""
+    for name in ("init", "transitions", "emissions"):
+        x, y = (np.ascontiguousarray(getattr(m, name).log_values) for m in (a, b))
+        assert x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
 
 
 class TestGeneralizedMode:

@@ -149,6 +149,18 @@ def test_block_text_of_a_document_array(shape):
     assert modelfile._block_text(np.asfortranarray(a)) == want  # copied to C order before orjson reads it
 
 
+@pytest.mark.parametrize("where", [[0], [-1], [0, -1], [0, 1, 2, 5, 6, -2, -1], "all"],
+                         ids=["first", "last", "both-ends", "runs", "all"])
+@pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 2, 3)])
+def test_block_text_tokens_at_the_ends_and_in_runs(shape, where):
+    """``-inf`` as a block's first or last cell, or in runs, gives the bytes of ``bytes.replace``."""
+    a = np.linspace(-2, 3e-5, math.prod(shape))
+    a[slice(None) if where == "all" else where] = -math.inf
+    a = a.reshape(shape)
+    text = orjson.dumps([a], option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2)
+    assert modelfile._block_text(a) == text.replace(b"null", b'"-inf"')[5:-6].decode()
+
+
 CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e-4, 1e-4),
                   st.just(-math.inf))
 

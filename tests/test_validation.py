@@ -17,7 +17,7 @@ from chainequiv.crf import (
     crf_posterior_marginals_batch,
     random_crf_model,
 )
-from chainequiv.equivalence import crf_to_hmc
+from chainequiv.equivalence import build_phi, build_psi, crf_to_hmc
 from chainequiv.hmc import (
     hmc_log_evidence,
     hmc_log_joint,
@@ -33,7 +33,14 @@ from chainequiv.oracle import (
     posterior_matrix_marginals,
     ShapeMismatch,
 )
-from chainequiv.tables import LengthMismatch, PosteriorMarginals, ValidationError
+from chainequiv.tables import (
+    LengthMismatch,
+    PosteriorMarginals,
+    Table2,
+    ValidationError,
+    log_sum_exp,
+    normalize_rows,
+)
 
 # Length 3, three labels, three observation symbols: index 3 is out of range
 # for both alphabets.
@@ -138,3 +145,29 @@ def test_posterior_matrix_marginals_rejects_wrong_row_widths(shape):
 def test_posterior_matrix_marginals_sums_rows_as_given():
     """An unnormalized row gives unnormalized "marginals": 8 ones at size 2 and length 3 give 4s."""
     np.testing.assert_array_equal(posterior_matrix_marginals(np.ones((1, 8)), 2, 3), np.full((1, 3, 2), 4.0))
+
+
+# The numeric helpers on malformed arrays: (call, the input its message names).
+MALFORMED_ARRAYS = {
+    "normalize_rows-0d": (lambda: normalize_rows(np.float64(0.0)), "normalize_rows"),
+    "normalize_rows-zero-width": (lambda: normalize_rows(np.zeros((2, 0))), "normalize_rows"),
+    "normalize_rows-strings": (lambda: normalize_rows([["a", "b"]]), "normalize_rows"),
+    "log_sum_exp-axis": (lambda: log_sum_exp(np.zeros((2, 3)), axis=2), "log_sum_exp"),
+    "log_sum_exp-negative-axis": (lambda: log_sum_exp(np.zeros((2, 3)), axis=-3), "log_sum_exp"),
+    "log_sum_exp-strings": (lambda: log_sum_exp(["a", "b"]), "log_sum_exp"),
+    "log_sum_exp-strings-axis": (lambda: log_sum_exp([["a", "b"]], axis=1), "log_sum_exp"),
+    "build_phi-psi-rows": (lambda: build_phi(CRF, Table2(np.zeros((2, 3)))), "psi"),
+    "build_phi-psi-width": (lambda: build_phi(CRF, Table2(np.zeros((3, 1)))), "psi"),  # it would broadcast
+    "build_phi-psi-transposed": (lambda: build_phi(random_crf_model(3, 2, 2, seed=0),
+                                                   Table2(np.zeros((2, 3)))), "psi"),
+}
+
+
+@pytest.mark.parametrize("call, what", MALFORMED_ARRAYS.values(), ids=MALFORMED_ARRAYS.keys())
+def test_numeric_helpers_raise_typed_errors(call, what):
+    with pytest.raises(ValidationError, match=f"^{what}"):
+        call()
+
+
+def test_build_phi_accepts_the_psi_of_its_model():
+    assert build_phi(CRF, build_psi(CRF)).shape == (2, 3, 3)
