@@ -20,12 +20,14 @@ with potentials of 0 and -700, and on its HMCs, it runs ``decode --tile
 --marginals`` on 300 lines of 2-6 symbols (:func:`wide_decode_runs`), which
 reach the kernel's exact recompute of underflowed entries.  On copies of the
 generalized 130-position CRF whose first hidden symbol has an escaped
-character or is spelled ``-inf``, which the reader must check cell by cell
-(:func:`checked_reader_runs`), it runs ``convert --trace`` and ``decode
---marginals``; the unchanged CRF is read by the plain path, so both reader
-paths are compared.  On a copy of that CRF with ``V[:, 0, 0]`` and ``V[:, -1,
--1]`` set to ``-inf`` it runs ``convert --trace`` (:func:`token_edge_runs`), so
-every writer block of the trace's phi starts and ends on a ``"-inf"`` token.
+character or is spelled ``-inf``, and of the strict 2-position CRF whose
+first hidden symbol has an escaped character, which the reader must check
+cell by cell (:func:`checked_reader_runs`), it runs ``convert --trace`` and
+``decode --marginals``; the unchanged CRFs are read by the plain path, so
+both reader paths are compared on a long and on a small model.  On a copy of
+the generalized 130-position CRF with ``V[:, 0, 0]`` and ``V[:, -1, -1]`` set
+to ``-inf`` it runs ``convert --trace`` (:func:`token_edge_runs`), so every
+writer block of the trace's phi starts and ends on a ``"-inf"`` token.
 Then it runs each
 command's failures (:func:`failures`): bad options, files of the wrong kind,
 shape or syntax, a CRF of zero weight, two inputs from stdin's one pipe or
@@ -156,20 +158,23 @@ def wide_decode_runs():
 
 
 def checked_reader_runs():
-    """``convert --trace`` and ``decode --marginals`` of the long generalized CRF, first hidden symbol respelled.
+    """``convert --trace`` and ``decode --marginals`` of CRFs whose first hidden symbol is respelled.
 
     A backslash anywhere in the text, or a symbol spelled ``-inf``, keeps the
     model-file reader from proving its cells plain, so these files take the
-    type checks of every cell.
+    checks of every cell: the long generalized CRF with an escaped quote or
+    ``-inf``, and the strict 2-position CRF with an escaped quote.
     """
     lines("long-seqs.txt", [130] * 4, 8, seed=131)
-    for name, symbol in (("escaped", 'h"0'), ("neg-inf", "-inf")):
-        if os.path.exists("generalized-long-crf.json"):
-            doc = json.loads(Path("generalized-long-crf.json").read_text())
+    for name, source, symbol, seqs in (("escaped", "generalized-long-crf.json", 'h"0', "long-seqs.txt"),
+                                       ("neg-inf", "generalized-long-crf.json", "-inf", "long-seqs.txt"),
+                                       ("small-escaped", "strict-n2-crf.json", 'h"0', "seqs.txt")):
+        if os.path.exists(source):
+            doc = json.loads(Path(source).read_text())
             doc["hidden_symbols"][0] = symbol
             Path(f"{name}-crf.json").write_text(json.dumps(doc, indent=2))
         run(f"{name}-convert", "convert", f"{name}-crf.json", "-o", f"{name}-hmc.json", "--trace", f"{name}-trace.json")
-        run(f"{name}-decode", "decode", f"{name}-crf.json", "long-seqs.txt", "--marginals")
+        run(f"{name}-decode", "decode", f"{name}-crf.json", seqs, "--marginals")
 
 
 def token_edge_runs():

@@ -43,7 +43,7 @@ import numpy as np
 from .crf import GENERALIZED, STRICT, CrfModel, DegenerateModel
 from .hmc import HmcModel
 from .hmc import _factors as _hmc_factors
-from .tables import Table2, Table3, ValidationError, log_sum_exp, normalize_rows
+from .tables import Table2, Table3, ValidationError, _normalized_rows, log_sum_exp
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,12 +144,12 @@ def crf_to_hmc(model: CrfModel) -> tuple[HmcModel, ConstructionTrace]:
         start, why = psi.log_values[0], "every state has zero emission weight"
     else:
         start, why = rows[0], "no labeling carries positive weight"
-    init, degenerate = normalize_rows(start)
+    init, degenerate, _ = _normalized_rows(start)
     if degenerate:
         raise DegenerateModel(why)
 
-    transitions, dead_trans = normalize_rows(phi.log_values + rows[1:, None, :])
-    emissions, unreachable = normalize_rows(model.emit_potentials.log_values)
+    transitions, dead_trans, _ = _normalized_rows(phi.log_values + rows[1:, None, :])
+    emissions, unreachable, _ = _normalized_rows(model.emit_potentials.log_values)
     unreachable[:-1] |= dead_trans
 
     hmc = HmcModel._from_normalized(model.hidden, model.obs, init, transitions, emissions)

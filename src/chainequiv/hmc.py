@@ -122,7 +122,7 @@ class HmcModel:
     @classmethod
     def _from_normalized(cls, hidden: Alphabet, obs: Alphabet, init: np.ndarray, transitions: np.ndarray,
                          emissions: np.ndarray) -> "HmcModel":
-        """The HMC over rows that ``tables.normalize_rows`` returned, kept as they are: ``crf_to_hmc``'s hand-off.
+        """The HMC over rows that ``tables._normalized_rows`` returned, kept as they are: ``crf_to_hmc``'s hand-off.
 
         The arrays are made read-only and kept without a copy, and the
         constructor's normalizer, a no-op on its own output, does not run.

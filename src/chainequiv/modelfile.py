@@ -161,57 +161,36 @@ def _write_json(path: str, doc: dict):
 # ---------------------------------------------------------------------------
 
 
-def _parse_number(value, path: str) -> float:
+def _parse_number(value, path: str, nonnegative: bool = False) -> float:
     if value == NEG_INF_TOKEN:
-        return float("-inf")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        v = -math.inf
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f'{path}: expected a number or "{NEG_INF_TOKEN}", got {value!r}')
-    try:
-        v = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        v = math.inf
-    if math.isnan(v) or math.isinf(v):
-        raise ParseError(f'{path}: non-finite values must be written as "{NEG_INF_TOKEN}"')
+    else:
+        try:
+            v = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            v = math.inf
+        if math.isnan(v) or math.isinf(v):
+            raise ParseError(f'{path}: non-finite values must be written as "{NEG_INF_TOKEN}"')
+    if nonnegative and v < 0:
+        raise ParseError(f"{path}: probabilities must be nonnegative")
     return v
 
 
-def _plain_array(value, shape: tuple[int, ...], nonnegative: bool, plain: bool = False) -> np.ndarray | None:
-    """``value`` as a float array if it is a valid nested list of ``shape``, else None.
+def _plain_array(value, shape: tuple[int, ...], nonnegative: bool) -> np.ndarray | None:
+    """``value``, parsed from a plain text (:func:`_walk`), as a float array if it is valid and of ``shape``, else None.
 
-    Checks every cell without a call per cell: one conversion of the whole
-    list, a set of the cell types, and vectorized finite and sign checks;
-    only a list holding strings is searched for them.  Cells may be ints,
-    floats and ``"-inf"`` tokens; a non-finite number (``1e999`` parses to
-    inf) or a bool, any other string (numpy reads ``"1.5"`` as a number) or
-    a negative cell under ``nonnegative`` makes the result None.
-
-    With ``plain``, orjson read ``value`` from a text that holds no bool,
-    null, infinite number or string but headers and ``"-inf"`` tokens
-    (:meth:`ModelFile._from_document`), so the type census is skipped.
+    Such a text holds no bool, null or string but headers and ``"-inf"``
+    tokens, which numpy reads as ``-inf``, so one conversion and vectorized
+    shape, finite and sign checks vouch for every cell.
     """
     try:
-        a = np.array(value, dtype=float)  # numpy reads the "-inf" token as -inf
+        a = np.array(value, dtype=float)
     except (ValueError, TypeError, OverflowError):
         return None
-    if a.shape != shape:
-        return None
-    if plain:
-        return a if (a < math.inf).all() and not (nonnegative and (a < 0).any()) else None
-    cells = value
-    for _ in shape[1:]:
-        cells = list(itertools.chain.from_iterable(cells))
-    types = set(map(type, cells))
-    if not types <= {int, float, str}:
-        return None
-    tokens = 0
-    if str in types:
-        strings = list(filter(str.__instancecheck__, cells))
-        tokens = strings.count(NEG_INF_TOKEN)
-        if tokens != len(strings):
-            return None
-    if np.isfinite(a).sum() + tokens != a.size or (nonnegative and (a < 0).any()):
-        return None
-    return a
+    valid = a.shape == shape and (a < math.inf).all() and not (nonnegative and (a < 0).any())
+    return a if valid else None
 
 
 def _parse_array(value, shape: tuple[int, ...], path: str, nonnegative: bool = False,
@@ -220,10 +199,11 @@ def _parse_array(value, shape: tuple[int, ...], path: str, nonnegative: bool = F
 
     Each level must be a list of exactly ``shape[0]`` items; cells are parsed
     by :func:`_parse_number` and, with ``nonnegative``, must not be negative.
-    Valid input takes :func:`_plain_array`; otherwise the checks below run
-    level by level and cell by cell, and the first failing one names its spot.
+    With ``plain``, from a text :func:`_walk` proved plain, :func:`_plain_array`
+    reads valid input whole; any other input is checked level by level and
+    cell by cell, and the first failing check names its spot.
     """
-    a = _plain_array(value, shape, nonnegative, plain)
+    a = _plain_array(value, shape, nonnegative) if plain else None
     if a is not None:
         return a
     if not isinstance(value, list) or len(value) != shape[0]:
@@ -233,13 +213,7 @@ def _parse_array(value, shape: tuple[int, ...], path: str, nonnegative: bool = F
         items = [_parse_array(v, shape[1:], f"{path}[{i}]", nonnegative)
                  for i, v in enumerate(value)]
         return np.array(items).reshape(shape)  # keeps the shape of an empty list
-    out = []
-    for j, cell in enumerate(value):
-        v = _parse_number(cell, f"{path}[{j}]")
-        if nonnegative and v < 0:
-            raise ParseError(f"{path}[{j}]: probabilities must be nonnegative")
-        out.append(v)
-    return np.array(out)
+    return np.array([_parse_number(cell, f"{path}[{j}]", nonnegative) for j, cell in enumerate(value)])
 
 
 def _symbols(value, path: str) -> tuple[str, ...]:
@@ -274,7 +248,9 @@ def _json_object(text: str) -> dict:
 # on the C stack without a limit and crashes the process some 10^4-10^6
 # levels down.  A text that may nest deeper is left to json.
 ORJSON_DEPTH = 1024
-_NOT_MARK = bytes(sorted(set(range(256)) - set(b'[]{}"abcdfghijklmnopqrstuvwxyzABCDFGHIJKLMNOPQRSTUVWXYZ')))
+_LETTERS = b"abcdfghijklmnopqrstuvwxyzABCDFGHIJKLMNOPQRSTUVWXYZ"  # all but e and E, which numbers hold
+_NOT_MARK = bytes(sorted(set(range(256)) - set(b'[]{}"' + _LETTERS)))
+_STEP = bytes.maketrans(b"[]{}", b"\x01\xff\x01\xff")  # as int8: +1 opens a level, -1 closes one
 
 
 def _walk(raw: bytes, limit: int) -> tuple[bool, int | None]:
@@ -285,34 +261,28 @@ def _walk(raw: bytes, limit: int) -> tuple[bool, int | None]:
     quotes left open and close strings; the depth is the running count of
     the brackets outside them.  Up to the text's first error this is the
     parser's own count, and past it a count can only raise the maximum.
-    No step runs per byte in Python, and a text of at most ``limit`` marks
-    is answered by their number, with no count (None).
+    No step runs per byte in Python.
 
     The count, of the strings other than exact ``"-inf"`` tokens, is made
     for a plain text: no backslash, and no letter outside strings but
-    ``e`` and ``E``, so no ``true``, ``false``, ``null`` or ``NaN``.  The
-    tokens are counted in ``raw`` only if the marks hold ``"inf"``.
+    ``e`` and ``E``, so no ``true``, ``false``, ``null`` or ``NaN``; any
+    other text counts None.  Every ``"inf"``, a token's marks, is cut out
+    before the marks are split at their quotes: with its two quotes, each
+    other mark stays inside or outside a string as it was, and a CRF's
+    tens of thousands of tokens make no pieces.
     """
     plain = b"\\" not in raw
     if not plain:
         raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
     kept = raw.translate(None, _NOT_MARK)
-    if len(kept) <= limit:
-        return False, None
-    marks = np.frombuffer(kept, np.uint8)
-    quotes = marks == ord('"')
-    outside = marks[~quotes & (np.cumsum(quotes) % 2 == 0)]
-    brackets = outside[(outside | 0x20) > ord("z")]  # letters fold to a-z, and [ ] to { }
-    deeper = bool(np.cumsum((brackets & 2).astype(np.intp) - 1).max(initial=0) > limit)  # [{ have bit 1, ]} not
-    if not plain or len(brackets) != len(outside):
+    pieces = kept.replace(b'"inf"', b"").split(b'"')  # outside strings at even indices
+    outside = b"".join(pieces[::2])
+    steps = np.frombuffer(outside.translate(_STEP, _LETTERS), np.int8)
+    deeper = bool(np.cumsum(steps, dtype=np.intp).max(initial=0) > limit)
+    if not plain or len(steps) != len(outside):
         return deeper, None
     tokens = raw.count(_NEG_INF_JSON) if b'"inf"' in kept else 0
-    return deeper, int(quotes.sum()) // 2 - tokens
-
-
-def _nests_deeper(raw: bytes, limit: int) -> bool:
-    """Whether a JSON parser may nest more than ``limit`` levels deep in the UTF-8 text ``raw``; see :func:`_walk`."""
-    return _walk(raw, limit)[0]
+    return deeper, kept.count(b'"') // 2 - tokens
 
 
 def _orjson_object(data: str | bytes) -> tuple[dict | None, int | None]:

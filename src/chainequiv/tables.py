@@ -304,7 +304,7 @@ def log_sum_exp(values, axis: int | None = None):
             return LOG_ZERO
         return m + math.log(float(np.exp(a - m).sum()))
     try:
-        m = a.max(axis=axis, keepdims=True)
+        m = a.max(axis=axis, keepdims=True, initial=LOG_ZERO)
     except np.exceptions.AxisError:
         raise ValidationError(f"log_sum_exp: axis {axis} is out of range for an array of shape {a.shape}") from None
     m_safe = np.where(np.isfinite(m), m, 0.0)
@@ -324,8 +324,8 @@ def normalize_rows(a) -> tuple[np.ndarray, np.ndarray]:
     maximal entry split out of the rest.  A row whose shift is within 4 eps
     of zero comes back unchanged, so this is an exact fixed point on its own
     output; when no row moves, ``a`` itself comes back.  An input that is
-    not an array of numbers, or is 0-d or of width 0, raises
-    :class:`ValidationError`.
+    not an array of numbers, is 0-d or of width 0, or holds NaN or ``+inf``
+    raises :class:`ValidationError`.
     """
     try:
         a = np.asarray(a, dtype=float)
@@ -333,13 +333,14 @@ def normalize_rows(a) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("normalize_rows expects an array of numbers") from None
     if a.ndim == 0 or a.shape[-1] == 0:
         raise ValidationError(f"normalize_rows expects a (..., k) array with k >= 1, got shape {a.shape}")
+    if not (a < math.inf).all():
+        raise ValidationError("normalize_rows expects finite or -inf entries, got NaN or +inf")
     rows, dead, _ = _normalized_rows(a)
     return rows, dead
 
 
 def _normalized_rows(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`normalize_rows` on a checked array, and the log of each row's sum (the shift; ``-inf`` on a dead row)."""
-    a = np.asarray(a, dtype=float)
+    """:func:`normalize_rows` on a checked float array, and each row's log sum (the shift; ``-inf`` on a dead row)."""
     flat = a.reshape(-1, a.shape[-1])
     first = flat.argmax(axis=1) + np.arange(0, flat.size, flat.shape[1])  # flat indices
     top = flat.take(first)

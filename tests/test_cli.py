@@ -163,11 +163,9 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("cell", [True, False, "inf", "nan", "1.5", "2", "-Infinity", " -inf", "-INF"])
     @pytest.mark.parametrize("with_token", [False, True])
-    def test_plain_array_refuses_every_cell_it_cannot_vouch_for(self, cell, with_token):
-        # The one-pass census hands such lists to the cell-by-cell checks,
-        # with or without a "-inf" token elsewhere in the list.
+    def test_cell_checks_refuse_every_cell_they_cannot_vouch_for(self, cell, with_token):
+        # With or without a "-inf" token elsewhere in the list.
         rows = [[0.5, cell], ["-inf" if with_token else 1.0, 2]]
-        assert modelfile._plain_array(rows, (2, 2), nonnegative=False) is None
         with pytest.raises(ParseError):
             modelfile._parse_array(rows, (2, 2), "V")
 
@@ -358,17 +356,19 @@ class TestReaderMatchesJson:
 
         for text in (json.dumps(value), json.dumps(value, ensure_ascii=False)):
             for limit in range(depth(value) + 2):
-                assert modelfile._nests_deeper(text.encode(), limit) == (depth(value) > limit)
+                assert modelfile._walk(text.encode(), limit)[0] == (depth(value) > limit)
 
     @pytest.mark.parametrize("text", ['"]]]]"' + "[" * 2000, '"\\\\"' + "[" * 2000, "[" * 2000 + '"\\"]]]]'],
                              ids=["closers-in-a-string", "escaped-backslash", "escaped-quote"])
     def test_depth_counts_only_brackets_outside_strings(self, text):
-        assert modelfile._nests_deeper(text.encode(), 1999) and not modelfile._nests_deeper(text.encode(), 2000)
+        assert modelfile._walk(text.encode(), 1999)[0] and not modelfile._walk(text.encode(), 2000)[0]
 
 
 def long_crf_doc(mode: str = "generalized") -> dict:
-    """A CRF document of 120 positions, 2 labels and 1 symbol: more than ORJSON_DEPTH marks, so the reader's walk
-    counts its strings.  In generalized mode V[3][0][1] and U[7][1][0] are ``"-inf"`` tokens."""
+    """A CRF document of 120 positions, 2 labels and 1 symbol.
+
+    In generalized mode V[3][0][1] and U[7][1][0] are ``"-inf"`` tokens.
+    """
     rng = np.random.default_rng(5)
     doc = {"kind": "crf", "hidden_symbols": ["a", "b"], "obs_symbols": ["x"], "n": 120, "mode": mode,
            "V": rng.uniform(-5, 5, (119, 2, 2)).tolist(), "U": rng.uniform(-5, 5, (120, 2, 1)).tolist()}
@@ -384,7 +384,7 @@ def long_hmc_doc() -> dict:
 
 
 class TestPlainReader:
-    """A model file whose walk proves it plain skips the type census; any other takes it.
+    """A model file whose walk proves it plain reads each array whole; any other is checked cell by cell.
 
     Every case is checked through ``TestReaderMatchesJson.check``, so the
     outcome is json's whichever path reads the arrays.
@@ -394,13 +394,14 @@ class TestPlainReader:
     check = staticmethod(TestReaderMatchesJson.check)
 
     @staticmethod
-    def plain_flags(text) -> set:
-        """The ``plain`` flags of the array reads of ``text`` by ``ModelFile.from_json``."""
-        flags, real = set(), modelfile._plain_array
+    def plain_reads(text) -> list:
+        """For each plain read (call of ``_plain_array``) in ``ModelFile.from_json(text)``, whether it gave an array."""
+        reads, real = [], modelfile._plain_array
 
-        def spy(value, shape, nonnegative, plain=False):
-            flags.add(plain)
-            return real(value, shape, nonnegative, plain)
+        def spy(value, shape, nonnegative):
+            got = real(value, shape, nonnegative)
+            reads.append(got is not None)
+            return got
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(modelfile, "_plain_array", spy)
@@ -408,38 +409,47 @@ class TestPlainReader:
                 ModelFile.from_json(text)
             except ParseError:
                 pass
-        return flags
+        return reads
 
     @pytest.mark.parametrize("doc", [long_crf_doc("strict"), LONG, long_hmc_doc()],
                              ids=["strict", "generalized", "hmc"])
     def test_long_files_are_read_plain(self, doc):
         text = json.dumps(doc)
         assert self.check(text)[0] == "model"
-        assert self.plain_flags(text) == {True}
+        assert self.plain_reads(text) == [True] * (3 if doc["kind"] == "hmc" else 2)
 
-    def test_short_files_take_the_census(self):
-        text = symmetric_crf_json()
-        assert self.check(text)[0] == "model"
-        assert self.plain_flags(text) == {False}
+    @pytest.mark.parametrize("n, k, l, mode", [(20, 8, 6, "strict"), (3, 3, 2, "generalized"),
+                                               (6, 2, 2, "generalized"), (4, 4, 3, "generalized")])
+    def test_short_files_are_read_plain(self, n, k, l, mode):
+        """Files of the sizes of perfbench's decode-stream and convert-verify models hold at most ORJSON_DEPTH
+        marks, and their arrays are read plain: the CRF, its HMC, and the two-position test CRF."""
+        crf = random_crf_model(n, k, l, seed=n, mode=mode)
+        texts = (ModelFile.from_crf(crf).to_json(), ModelFile.from_hmc(crf_to_hmc(crf)[0]).to_json(),
+                 symmetric_crf_json())
+        for text in texts:
+            assert len(text.encode().translate(None, modelfile._NOT_MARK)) <= modelfile.ORJSON_DEPTH
+            assert self.check(text)[0] == "model"
+            assert self.plain_reads(text) == [True] * (3 if '"kind": "hmc"' in text else 2)
 
     @pytest.mark.parametrize("literal", [literal for literal, _ in BAD_CELLS.values()]
                              + ['"-inf "', '"-Inf"', '"-INF"', '"\u00a0-inf"', "null"],
                              ids=[*BAD_CELLS.keys(), "token-space", "-Inf", "-INF", "nbsp-token", "null"])
-    def test_bad_cells_take_the_census(self, literal):
+    def test_bad_cells_are_checked_cell_by_cell(self, literal):
         text = set_text(self.LONG, "cell", literal)
         assert self.check(text)[0] == "error"
-        assert True not in self.plain_flags(text)
+        assert self.plain_reads(text) == []
 
     @pytest.mark.parametrize("doc, key, outcome", [
         (long_crf_doc("strict"), "U", "error"), (LONG, "U", "model"), (long_hmc_doc(), "trans", "error"),
     ], ids=["strict", "generalized", "hmc"])
     def test_token_cell(self, doc, key, outcome):
-        """A ``"-inf"`` cell is read plain: strict mode and a probability table reject it afterwards."""
+        """A ``"-inf"`` cell is read plain: strict mode rejects it afterwards, and a probability table's plain
+        read refuses it (the HMC's init was read before), so the cell checks name it."""
         doc = json.loads(json.dumps(doc))
         doc[key][1][0][0] = "-inf"
         text = json.dumps(doc)
         assert self.check(text)[0] == outcome
-        assert True in self.plain_flags(text)
+        assert self.plain_reads(text) == ([True, False] if key == "trans" else [True, True])
 
     @pytest.mark.parametrize("where", ["symbol", "key", "escaped-backslash"])
     @pytest.mark.parametrize("cell, outcome", [(None, "model"), ('"1.5"', "error"), ('"2"', "error")],
@@ -454,21 +464,21 @@ class TestPlainReader:
             doc["-inf"] = 1
         text = json.dumps(doc) if cell is None else set_text(doc, "cell", cell)
         assert self.check(text)[0] == outcome
-        assert True not in self.plain_flags(text)
+        assert self.plain_reads(text) == []
 
     @pytest.mark.parametrize("symbol", ['a\\"b', "a\\u00e9", "\u00e9"], ids=["escaped-quote", "escape", "raw-utf8"])
     def test_symbols(self, symbol):
-        """A backslash anywhere takes the census; a raw UTF-8 symbol does not."""
+        """A backslash anywhere takes the cell checks; a raw UTF-8 symbol does not."""
         text = set_text(self.LONG, "symbol", f'"{symbol}"')
         assert self.check(text)[0] == "model"
-        assert self.plain_flags(text) == ({False} if "\\" in symbol else {True})
+        assert self.plain_reads(text) == ([] if "\\" in symbol else [True, True])
 
-    @pytest.mark.parametrize("extra, flags", [(["x", "y"], {False}), (["-inf"], {True}), ([1, 2], {True})],
+    @pytest.mark.parametrize("extra, plain", [(["x", "y"], False), (["-inf"], True), ([1, 2], True)],
                              ids=["strings", "tokens", "numbers"])
-    def test_extra_key(self, extra, flags):
+    def test_extra_key(self, extra, plain):
         text = json.dumps(self.LONG | {"extra": extra})
         assert self.check(text)[0] == "model"
-        assert self.plain_flags(text) == flags
+        assert self.plain_reads(text) == ([True, True] if plain else [])
 
     def test_one_position(self):
         """At n = 1, V is empty: its plain read misses numpy's shape, and the level-by-level checks build it."""
@@ -478,7 +488,7 @@ class TestPlainReader:
         text = json.dumps(doc)
         outcome, detail = self.check(text)
         assert outcome == "model" and detail["V"][1] == (0, k, k)
-        assert self.plain_flags(text) == {True}
+        assert self.plain_reads(text) == [False, True]
 
     odd_cells = st.sampled_from([None, True, False, "-inf", " -inf", "-inf ", "-Inf", "\u00a0-inf", "1.5", "2", "x",
                                  [], {}, [1.0], 1e308, -0.0])
@@ -486,8 +496,8 @@ class TestPlainReader:
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_plain_reads_equal_the_census(self, data):
-        """On generated model documents, an array the plain path accepts is the census path's, bit for bit."""
+    def test_plain_reads_equal_the_cell_checks(self, data):
+        """On generated model documents, an array a plain read accepts is the cell checks' array, bit for bit."""
         kind = data.draw(st.sampled_from(["crf", "hmc"]))
         mode = data.draw(st.sampled_from(["strict", "generalized"]))
         n = data.draw(st.integers(1, 3))
@@ -515,23 +525,23 @@ class TestPlainReader:
             row[data.draw(st.integers(0, len(row) - 1))] = data.draw(self.odd_cells)
         extra = data.draw(st.sampled_from([{}, {}, {"x": 1}, {"x": "-inf"}, {"x": ["-inf"]}, {"x": "y"},
                                            {"x": ["y"]}, {"-inf": 1}, {"y\\z": 1}]))
-        doc = extra | doc | {"pad": [[]] * 520}  # 1040 brackets: the walk counts the strings
+        doc = extra | doc
         text = json.dumps(doc, ensure_ascii=data.draw(st.integers(0, 3)) == 3)  # ensure_ascii writes \u00e9 with a backslash
 
         accepted, real = [], modelfile._plain_array
 
-        def spy(value, shape, nonnegative, plain=False):
-            got = real(value, shape, nonnegative, plain)
-            if plain and got is not None:
-                census = real(value, shape, nonnegative)
-                assert census is not None and census.shape == got.shape and census.tobytes() == got.tobytes()
+        def spy(value, shape, nonnegative):
+            got = real(value, shape, nonnegative)
+            if got is not None:
+                checked = modelfile._parse_array(value, shape, "cells", nonnegative)
+                assert checked.shape == got.shape and checked.tobytes() == got.tobytes()
                 accepted.append(shape)
             return got
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(modelfile, "_plain_array", spy)
             self.check(text)
-        event("plain read" if accepted else "census only")
+        event("plain read" if accepted else "cell checks only")
 
 
 def text_reader_error(path: str) -> str:

@@ -31,7 +31,7 @@ from chainequiv.oracle import (
     enumerate_crf_posterior,
     enumerate_hmc_posterior,
 )
-from chainequiv.tables import LOG_ZERO, Table1, Table2, ValidationError, log_sum_exp, normalize_rows
+from chainequiv.tables import LOG_ZERO, Table1, Table2, ValidationError, _normalized_rows, log_sum_exp
 
 from conftest import (
     brute_crf_posterior,
@@ -316,11 +316,11 @@ class TestExactConstruction:
                                              (2, r"emissions\[0\] row 0")],
                              ids=["init", "transitions", "emissions"])
     def test_hand_off_checks_every_row(self, monkeypatch, call, field, bad):
-        """A NaN, a +inf or a row sum off by 1e-6 in any row normalize_rows hands over raises ValidationError."""
+        """A NaN, a +inf or a row sum off by 1e-6 in any row _normalized_rows hands over raises ValidationError."""
         calls = []
 
         def spoiled(a):
-            rows, dead = normalize_rows(a)
+            rows, dead, log_sums = _normalized_rows(a)
             if len(calls) == call:
                 rows = np.array(rows)
                 first = rows.reshape(-1, rows.shape[-1])[0]
@@ -329,9 +329,9 @@ class TestExactConstruction:
                 else:
                     first[0] = float(bad)
             calls.append(a)
-            return rows, dead
+            return rows, dead, log_sums
 
-        monkeypatch.setattr(equivalence, "normalize_rows", spoiled)
+        monkeypatch.setattr(equivalence, "_normalized_rows", spoiled)
         for mode in (STRICT, GENERALIZED):
             with pytest.raises(ValidationError, match=f"^{field} sums to"):
                 crf_to_hmc(random_crf_model(4, 3, 2, seed=5, mode=mode))

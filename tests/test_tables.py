@@ -35,6 +35,8 @@ class TestLogSumExp:
 
     def test_empty_sum_is_log_zero(self):
         assert log_sum_exp([]) == LOG_ZERO
+        np.testing.assert_array_equal(log_sum_exp(np.zeros((2, 0)), axis=1), [LOG_ZERO, LOG_ZERO])
+        assert log_sum_exp(np.zeros((0, 3)), axis=0).tolist() == [LOG_ZERO] * 3
 
     def test_all_neg_inf(self):
         assert log_sum_exp([LOG_ZERO, LOG_ZERO]) == LOG_ZERO

@@ -152,6 +152,8 @@ MALFORMED_ARRAYS = {
     "normalize_rows-0d": (lambda: normalize_rows(np.float64(0.0)), "normalize_rows"),
     "normalize_rows-zero-width": (lambda: normalize_rows(np.zeros((2, 0))), "normalize_rows"),
     "normalize_rows-strings": (lambda: normalize_rows([["a", "b"]]), "normalize_rows"),
+    "normalize_rows-nan": (lambda: normalize_rows([[math.nan, 0.0]]), "normalize_rows"),
+    "normalize_rows-inf": (lambda: normalize_rows([[math.inf, 0.0]]), "normalize_rows"),
     "log_sum_exp-axis": (lambda: log_sum_exp(np.zeros((2, 3)), axis=2), "log_sum_exp"),
     "log_sum_exp-negative-axis": (lambda: log_sum_exp(np.zeros((2, 3)), axis=-3), "log_sum_exp"),
     "log_sum_exp-strings": (lambda: log_sum_exp(["a", "b"]), "log_sum_exp"),
