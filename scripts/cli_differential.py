@@ -28,11 +28,15 @@ both reader paths are compared on a long and on a small model.  On a copy of
 the generalized 130-position CRF with ``V[:, 0, 0]`` and ``V[:, -1, -1]`` set
 to ``-inf`` it runs ``convert --trace`` (:func:`token_edge_runs`), so every
 writer block of the trace's phi starts and ends on a ``"-inf"`` token.
-Then it runs each
-command's failures (:func:`failures`): bad options, files of the wrong kind,
-shape or syntax, a CRF of zero weight, two inputs from stdin's one pipe or
-from one FIFO, a model or sequence file on stdin that is not UTF-8, outputs
-that cannot be written, and the budget and tolerance verdicts.
+Beside the CLI, :func:`kernel_runs` writes the raw bytes of the chain
+kernel's totals and log marginals, 72 ``kernel-*.bin`` files: batch, ragged
+and single-sequence calls on strict, +-500 and generalized CRFs of 8 and 129
+labels and on their converted HMCs, whose last bits the CLI's 6-decimal text
+hides.  Then it runs each command's failures (:func:`failures`): bad
+options, files of the wrong kind, shape or syntax, a CRF of zero weight, two
+inputs from stdin's one pipe or from one FIFO, a model or sequence file on
+stdin that is not UTF-8, outputs that cannot be written, and the budget and
+tolerance verdicts.
 OUTDIR keeps every file written, and each command's stdout, stderr and exit
 code as ``NAME.out``, ``.err``, ``.code``.  A run still going after
 ``TIMEOUT`` seconds is killed by SIGALRM, and its code is recorded as -14.
@@ -49,6 +53,7 @@ Usage:
 """
 
 import argparse
+import itertools
 import json
 import os
 import signal
@@ -61,7 +66,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from chainequiv import cli
+from chainequiv import cli, crf, hmc
+from chainequiv.equivalence import crf_to_hmc
 
 TIMEOUT = 10
 SEQUENCES = "o0\no1 o0\n\no0 o1 o1\no1 o1 o0 o0\no2 o0\no0 o0 o1 o1 o0\no1\n"
@@ -190,6 +196,43 @@ def token_edge_runs():
             table[0][0] = table[-1][-1] = "-inf"
         Path("edge-inf-crf.json").write_text(json.dumps(doc, indent=2))
     run("edge-inf-convert", "convert", "edge-inf-crf.json", "-o", "edge-inf-hmc.json", "--trace", "edge-inf-trace.json")
+
+
+def kernel_runs():
+    """Raw bytes of chain totals and log marginals, ``kernel-*-totals.bin`` and ``-marginals.bin``.
+
+    Each model is a strict CRF, one at potentials of +-500 and a generalized
+    one, of 12 positions and 8 labels (150 sequences, several product blocks
+    and a padded tail) or of 5 positions and 129 labels, above
+    ``PRODUCT_MAX_STATES`` (40 sequences); the HMC of each is its
+    conversion.  On each it writes the batch call, the same call with
+    unsorted ``lengths``, and the single-sequence calls (log normalizer or
+    evidence, and posterior marginals) on the first sequence of positive
+    weight.  A call that raises writes ``NAME.err`` instead.
+    """
+    calls = {"crf": (crf.crf_posterior_marginals_batch, crf.crf_log_normalizer, crf.crf_posterior_marginals),
+             "hmc": (hmc.hmc_posterior_marginals_batch, hmc.hmc_log_evidence, hmc.hmc_posterior_marginals)}
+    for (n, k, count), (mode, bound) in itertools.product(((12, 8, 150), (5, 129, 40)),
+                                                          (("strict", 5.0), ("strict", 500.0), ("generalized", 5.0))):
+        model = crf.random_crf_model(n, k, 4, seed=k, mode=mode, low=-bound, high=bound)
+        rng = np.random.default_rng(k)
+        ys, lengths = rng.integers(0, 4, (count, n)), rng.integers(1, n + 1, count)
+        for side, (batch, total, marginals) in calls.items():
+            if side == "hmc":
+                model = crf_to_hmc(model)[0]
+            name = f"kernel-{mode}-{bound:g}-k{k}-{side}"
+            y = ys[np.argmax(np.isfinite(batch(model, ys)[0]))]
+            for call, run_call in (("batch", lambda: batch(model, ys)),
+                                   ("ragged", lambda: batch(model, ys, lengths)),
+                                   ("single", lambda: (np.array([total(model, y)]),
+                                                       marginals(model, y).rows.log_values))):
+                try:
+                    totals, log_marginals = run_call()
+                except Exception as e:
+                    Path(f"{name}-{call}.err").write_text(f"{type(e).__name__}: {e}\n")
+                    continue
+                Path(f"{name}-{call}-totals.bin").write_bytes(np.ascontiguousarray(totals).tobytes())
+                Path(f"{name}-{call}-marginals.bin").write_bytes(np.ascontiguousarray(log_marginals).tobytes())
 
 
 def failures():
@@ -339,6 +382,7 @@ def main() -> int:
     wide_decode_runs()
     checked_reader_runs()
     token_edge_runs()
+    kernel_runs()
     failures()
     return 0
 

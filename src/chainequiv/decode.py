@@ -250,7 +250,8 @@ def decode_lines(model, lines, tile: bool, marginals: bool) -> tuple[int, int]:
                     run, run_rows = run[possible], run_rows[possible]
                 labels = map(" ".join, symbols[run.argmax(axis=2)].tolist())  # lowest index wins ties
                 if marginals:
-                    tails = _marginal_columns(np.exp(run).reshape(len(run), length * k), k)
+                    probs = np.exp(run, out=np.empty(run.shape))  # line-major, so the reshape is a view
+                    tails = _marginal_columns(probs.reshape(len(run), length * k), k)
                     texts[run_rows] = list(map("{}{}\n".format, labels, tails))
                 else:
                     texts[run_rows] = list(map("{}\n".format, labels))

@@ -96,13 +96,17 @@ def build_beta(phi) -> tuple[np.ndarray, np.ndarray]:
     log sum_{x'} exp(phi[n][x, x'] + beta[n+1][x'])``.  ``phi`` is a Table3
     or a (length - 1, k, k) array-like of its tables; a length-1 model's is
     empty, of shape (0, k, k), and gives the single zero row.  Any other
-    shape raises :class:`ValidationError`.  Each step runs the arithmetic
+    shape, or an array-like holding NaN or ``+inf``, raises
+    :class:`ValidationError`.  Each step runs the arithmetic
     of ``log_sum_exp(a, axis=1)`` inline, bit for bit, with one ``errstate``
     for the whole loop, in four step buffers allocated once.
     """
+    checked = isinstance(phi, Table3)  # a Table3 holds no NaN or +inf
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 3 or phi.shape[1] != phi.shape[2]:
         raise ValidationError(f"phi must be a (length - 1, k, k) stack of tables, got shape {phi.shape}")
+    if not checked and not (phi < math.inf).all():
+        raise ValidationError("phi rejects NaN and +inf entries (only finite values and -inf are valid)")
     k = phi.shape[1]
     rows = np.zeros((len(phi) + 1, k))
     shifts = np.zeros(len(phi) + 1)

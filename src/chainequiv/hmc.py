@@ -16,6 +16,7 @@ import numpy as np
 
 from .tables import (
     LOG_ZERO,
+    ROW_SUM_TOL,
     Alphabet,
     LabelSeq,
     PosteriorMarginals,
@@ -37,7 +38,6 @@ from .tables import (
 # Not called in this module: perfbench/tracing.py counts calls under this name.
 from .tables import log_sum_exp  # noqa: F401
 
-ROW_SUM_TOL = 1e-9
 _ROWS = ("init", "transitions", "emissions")
 ZERO_EVIDENCE = "observation sequence has probability zero under the model"
 

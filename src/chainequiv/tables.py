@@ -15,6 +15,7 @@ from typing import ClassVar
 import numpy as np
 
 LOG_ZERO = float("-inf")
+ROW_SUM_TOL = 1e-9
 
 
 class ValidationError(ValueError):
@@ -290,23 +291,22 @@ def log_sum_exp(values, axis: int | None = None):
     The empty sum (and a sum of only ``-inf`` terms) is ``-inf``.  With
     ``axis`` given, reduces a numpy array along that axis and returns an
     array; otherwise flattens and returns a float.  Values that are not
-    numbers, or an ``axis`` out of range, raise :class:`ValidationError`.
+    numbers, a NaN or ``+inf`` value, or an ``axis`` out of range, raise
+    :class:`ValidationError`.
     """
     try:
         a = np.asarray(values, dtype=float)
     except (ValueError, TypeError):
         raise ValidationError("log_sum_exp expects an array of numbers") from None
-    if axis is None:
-        if a.size == 0:
-            return LOG_ZERO
-        m = float(a.max())
-        if m == LOG_ZERO:
-            return LOG_ZERO
-        return m + math.log(float(np.exp(a - m).sum()))
     try:
-        m = a.max(axis=axis, keepdims=True, initial=LOG_ZERO)
+        m = a.max(axis=axis, keepdims=axis is not None, initial=LOG_ZERO)
     except np.exceptions.AxisError:
         raise ValidationError(f"log_sum_exp: axis {axis} is out of range for an array of shape {a.shape}") from None
+    if not (m < math.inf).all():  # a NaN anywhere makes its max NaN
+        raise ValidationError("log_sum_exp expects finite or -inf values, got NaN or +inf")
+    if axis is None:
+        m = float(m)
+        return LOG_ZERO if m == LOG_ZERO else m + math.log(float(np.exp(a - m).sum()))
     m_safe = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
         out = np.log(np.exp(a - m_safe).sum(axis=axis)) + np.squeeze(m_safe, axis=axis)
@@ -383,6 +383,8 @@ class PosteriorMarginals:
     """Per-position posterior label distributions, one normalized log row each.
 
     ``rows`` is a (length, num_labels) Table2, given as any Table2 input.
+    A row whose probabilities do not sum to one within ``ROW_SUM_TOL``
+    raises :class:`ValidationError`.
     """
 
     rows: Table2
@@ -390,6 +392,10 @@ class PosteriorMarginals:
     def __post_init__(self):
         if not isinstance(self.rows, Table2):
             object.__setattr__(self, "rows", Table2(self.rows))
+        off = np.abs(self.probabilities().sum(axis=1) - 1.0)
+        if not (off <= ROW_SUM_TOL).all():
+            raise ValidationError(f"PosteriorMarginals rows must sum to 1 within {ROW_SUM_TOL}, "
+                                  f"one is off by {off.max():.3g}")
 
     @property
     def length(self) -> int:
@@ -427,7 +433,11 @@ class PosteriorMarginals:
 # batch row equals the single-column call bit for bit.  Each message row is
 # shifted to a maximum of 0 before it is used and the forward pass adds the
 # shifts up apart, so messages stay well-scaled on long chains and large
-# potentials.
+# potentials.  The forward pass stores its messages position-major, as an
+# (n, count, k) stack, so that each step's rows, the backward pass's add into
+# them and the normalization of a position are contiguous blocks; the
+# marginals are that stack normalized in place, returned as a (count, n, k)
+# view.
 #
 # A step is the scaled product of Rabiner (1989, sec. V.A) on a matrix
 # multiply.  With the message row at a maximum of 0 and each table column
@@ -458,16 +468,19 @@ class PosteriorMarginals:
 # message row or its table column is all ``-inf``: then it is exactly
 # ``-inf``.
 #
-# The backward pass normalizes each position as soon as it is final, on a
-# state-major (k, count) copy: max, shift, exp and sum run along the states,
-# and the sum adds them in order whatever the count (see
-# :func:`_normalize_position`).
+# The backward pass normalizes the positions it has finished a slab of
+# consecutive positions at a time, each slab one (rows, k) block of at most
+# FACTOR_BLOCK_CELLS cells (or one position), on a state-major (k, rows)
+# copy: max, shift, exp and sum run along the states, and the sum adds them
+# in order whatever the row count (see :func:`_normalize_position`), so the
+# slabs' sizes move no bit.
 #
-# FACTOR_BLOCK_CELLS bounds both the prepared tables and the recompute gather.
-# Each pass prepares the exponentiated tables a block of at most that many
-# pair cells at a time; a tiled stack (stride 0 along the steps) has one table
-# to prepare.  The exact recompute gathers the k terms of at most
-# max(1, FACTOR_BLOCK_CELLS // k) entries at a time, each entry its own row.
+# FACTOR_BLOCK_CELLS bounds the prepared tables, the recompute gather and
+# the normalized slabs.  Each pass prepares the exponentiated tables a block
+# of at most that many pair cells at a time; a tiled stack (stride 0 along
+# the steps) has one table to prepare.  The exact recompute gathers the k
+# terms of at most max(1, FACTOR_BLOCK_CELLS // k) entries at a time, each
+# entry its own row.
 # ---------------------------------------------------------------------------
 
 SCALED_FLOOR = 1e-280
@@ -620,7 +633,7 @@ def _active_rows(lengths: np.ndarray | None, count: int, steps: int) -> list[int
 
 
 def _forward_messages(first, pairs, unary, lengths=None):
-    """Row-major forward messages, (count, n, k), and the per-column log totals.
+    """Position-major forward messages, (n, count, k), and the per-column log totals.
 
     Each stored row has a maximum of 0; the shifts are accumulated apart.
     With ``lengths``, sorted longest first, row ``i`` stops at position
@@ -630,20 +643,20 @@ def _forward_messages(first, pairs, unary, lengths=None):
     msg = np.ascontiguousarray(np.asarray(first, dtype=float).T)
     count, k = msg.shape
     active = _active_rows(lengths, count, len(pairs))
-    shape = (count, len(pairs) + 1, k)
+    shape = (len(pairs) + 1, count, k)
     fwd = np.empty(shape) if lengths is None else np.full(shape, np.nan)
     total_shift = np.zeros(count)
     with np.errstate(divide="ignore"):
         for a, (t, factor) in zip(active, _step_factors(pairs[:len(active)])):
             live = len(msg)
-            rows, row_max, shift = _shifted_rows(msg, out=fwd[:live, t])
+            rows, row_max, shift = _shifted_rows(msg, out=fwd[t, :live])
             total_shift[:live] += shift
             msg = _log_product(rows[:a], row_max[:a], factor)
             msg += unary[t].T[:a]
     live = len(msg)
-    _, _, shift = _shifted_rows(msg, out=fwd[:live, len(active)])
+    _, _, shift = _shifted_rows(msg, out=fwd[len(active), :live])
     total_shift[:live] += shift
-    ends = fwd[:, -1] if lengths is None else fwd[np.arange(count), lengths - 1]
+    ends = fwd[-1] if lengths is None else fwd[lengths - 1, np.arange(count)]
     return fwd, total_shift + log_sum_exp(ends, axis=1)
 
 
@@ -666,9 +679,12 @@ def chain_log_marginals(first: np.ndarray, pairs: np.ndarray, unary: np.ndarray,
     Takes the ``(first, pairs, unary)`` input of :func:`chain_log_totals`.
     Returns ``(totals, log_marginals)`` with shapes (num_columns,) and
     (num_columns, n, num_states): ``log_marginals[c, k]`` is the normalized
-    log marginal of column ``c`` at position ``k``.  Columns with zero total
-    weight get a ``-inf`` total and NaN rows; callers decide how to surface
-    that (the per-sequence operations raise).
+    log marginal of column ``c`` at position ``k``.  ``log_marginals`` is a
+    writable view of the position-major (n, num_columns, num_states) stack
+    the passes work in, or a copy of it in input order when ``lengths`` is
+    not sorted longest first.  Columns with zero total weight get a ``-inf``
+    total and NaN rows; callers decide how to surface that (the
+    per-sequence operations raise).
 
     ``lengths``, one integer in [1, n] per column, makes the columns ragged
     prefixes: column ``c`` takes only its first ``lengths[c]`` positions, so
@@ -693,10 +709,12 @@ def chain_log_marginals(first: np.ndarray, pairs: np.ndarray, unary: np.ndarray,
 def _chain_marginals(first, pairs, unary, lengths):
     """:func:`chain_log_marginals` on checked ``lengths``, None or sorted longest first."""
     out, totals = _forward_messages(first, pairs, unary, lengths)
-    count, n, k = out.shape
+    n, count, k = out.shape
     active = _active_rows(lengths, count, len(pairs))
-    for t in range(len(active), n):  # no backward step reaches these positions
-        _normalize_position(out[:, t])
+    slab = max(1, FACTOR_BLOCK_CELLS // max(1, count * k))  # positions normalized in one call
+    for t in range(len(active), n, slab):  # no backward step reaches these positions
+        _normalize_position(out[t:t + slab].reshape(-1, k))
+    done = len(active)  # positions from here on are normalized
     bwd = np.zeros((active[0] if active else 0, k))  # a row stays 0 until its last step
     with np.errstate(divide="ignore"):
         for t, factor in _step_factors(pairs[:len(active)], backward=True):
@@ -704,13 +722,15 @@ def _chain_marginals(first, pairs, unary, lengths):
             bwd[:a] += unary[t].T[:a]
             rows, row_max, _ = _shifted_rows(bwd[:a], out=bwd[:a])
             bwd[:a] = _log_product(rows, row_max, factor)
-            out[:a, t] += bwd[:a]
-            _normalize_position(out[:, t])
-    return totals, out
+            out[t, :a] += bwd[:a]
+            if done - t == slab or t == 0:
+                _normalize_position(out[t:done].reshape(-1, k))
+                done = t
+    return totals, out.transpose(1, 0, 2)
 
 
 def _normalize_position(rows: np.ndarray):
-    """Normalize in place each row of ``rows``, one position's (count, k) log weights.
+    """Normalize in place each row of ``rows``, a (rows, k) block of log weights.
 
     A row is shifted to a maximum of 0 (an all ``-inf`` row turns NaN here),
     then the log of its sum is subtracted.  The clamp keeps exp off

@@ -456,3 +456,46 @@ def test_ragged_rows_with_one_entry_per_gather(side, monkeypatch, lse_rows):
     assert len(gathers) > 2 and set(gathers) == {1}
     assert np.array_equal(totals, want_totals)
     assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("side", ["crf", "hmc"])
+def test_one_sequence_is_normalized_a_slab_at_a_time(side, monkeypatch):
+    """A one-sequence call normalizes its finished positions in blocks of up to
+    FACTOR_BLOCK_CELLS cells: at n = 20, k = 8, the last position, then the
+    other 19 in one call.  One position a call gives the same bits."""
+    model = random_crf_model(20, 8, 4, seed=3, low=-500.0, high=500.0)
+    if side == "hmc":
+        model = to_hmc(model)
+    single = crf_posterior_marginals if side == "crf" else hmc_posterior_marginals
+    y = np.random.default_rng(3).integers(0, 4, 20)
+    calls = []
+    original = tables._normalize_position
+    monkeypatch.setattr(tables, "_normalize_position", lambda rows: calls.append(len(rows)) or original(rows))
+    want = single(model, y).rows.log_values
+    assert calls == [1, 19]
+    calls.clear()
+    monkeypatch.setattr(tables, "FACTOR_BLOCK_CELLS", 8)
+    got = single(model, y).rows.log_values
+    assert calls == [1] * 20
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", ["full", "unsorted", "sorted"])
+@pytest.mark.parametrize("side", ["crf", "hmc"])
+def test_batch_marginals_are_writable_arrays_of_their_own(side, order):
+    """The batch marginals, a (count, n, k) view of the position-major stack when no
+    reorder is needed, are writable and share memory with neither the model's tables
+    nor another call's result: writing into one leaves a second call's bits unchanged."""
+    model, _, batch, ys, lengths = ragged_case(side, STRICT, seed=15)
+    lengths = {"full": None, "unsorted": lengths, "sorted": np.sort(lengths)[::-1]}[order]
+    _, first = batch(model, ys, lengths)
+    _, second = batch(model, ys, lengths)
+    want = second.copy()
+    assert first.shape == (len(ys), model.length, K)
+    assert first.flags.writeable and second.flags.writeable
+    held = [t.log_values for t in vars(model).values() if hasattr(t, "log_values")]
+    assert held and not any(np.shares_memory(first, a) for a in [second, *held])
+    first[...] = 0.0
+    _, third = batch(model, ys, lengths)
+    assert np.array_equal(second, want, equal_nan=True)
+    assert np.array_equal(third, want, equal_nan=True)

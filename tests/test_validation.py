@@ -17,7 +17,7 @@ from chainequiv.crf import (
     crf_posterior_marginals_batch,
     random_crf_model,
 )
-from chainequiv.equivalence import build_phi, build_psi, crf_to_hmc
+from chainequiv.equivalence import build_beta, build_phi, build_psi, crf_to_hmc
 from chainequiv.hmc import (
     hmc_log_evidence,
     hmc_log_joint,
@@ -158,10 +158,18 @@ MALFORMED_ARRAYS = {
     "log_sum_exp-negative-axis": (lambda: log_sum_exp(np.zeros((2, 3)), axis=-3), "log_sum_exp"),
     "log_sum_exp-strings": (lambda: log_sum_exp(["a", "b"]), "log_sum_exp"),
     "log_sum_exp-strings-axis": (lambda: log_sum_exp([["a", "b"]], axis=1), "log_sum_exp"),
+    "log_sum_exp-inf": (lambda: log_sum_exp([math.inf, 0.0]), "log_sum_exp"),
+    "log_sum_exp-inf-axis": (lambda: log_sum_exp(np.array([[0.0, math.inf]]), axis=1), "log_sum_exp"),
+    "log_sum_exp-nan": (lambda: log_sum_exp([math.nan, 0.0]), "log_sum_exp"),
+    "log_sum_exp-nan-axis": (lambda: log_sum_exp(np.array([[0.0], [math.nan]]), axis=0), "log_sum_exp"),
     "build_phi-psi-rows": (lambda: build_phi(CRF, Table2(np.zeros((2, 3)))), "psi"),
     "build_phi-psi-width": (lambda: build_phi(CRF, Table2(np.zeros((3, 1)))), "psi"),  # it would broadcast
     "build_phi-psi-transposed": (lambda: build_phi(random_crf_model(3, 2, 2, seed=0),
                                                    Table2(np.zeros((2, 3)))), "psi"),
+    "build_beta-nan": (lambda: build_beta([[[math.nan, 0.0], [0.0, 0.0]]]), "phi"),
+    "build_beta-inf": (lambda: build_beta(np.full((2, 2, 2), math.inf)), "phi"),
+    "PosteriorMarginals-row-sum": (lambda: PosteriorMarginals([[0.0, 0.0]]), "PosteriorMarginals"),
+    "PosteriorMarginals-dead-row": (lambda: PosteriorMarginals([[0.0], [-math.inf]]), "PosteriorMarginals"),
 }
 
 
