@@ -29,14 +29,15 @@ the generalized 130-position CRF with ``V[:, 0, 0]`` and ``V[:, -1, -1]`` set
 to ``-inf`` it runs ``convert --trace`` (:func:`token_edge_runs`), so every
 writer block of the trace's phi starts and ends on a ``"-inf"`` token.
 Beside the CLI, :func:`kernel_runs` writes the raw bytes of the chain
-kernel's totals and log marginals, 72 ``kernel-*.bin`` files: batch, ragged
-and single-sequence calls on strict, +-500 and generalized CRFs of 8 and 129
-labels and on their converted HMCs, whose last bits the CLI's 6-decimal text
-hides.  Then it runs each command's failures (:func:`failures`): bad
-options, files of the wrong kind, shape or syntax, a CRF of zero weight, two
-inputs from stdin's one pipe or from one FIFO, a model or sequence file on
-stdin that is not UTF-8, outputs that cannot be written, and the budget and
-tolerance verdicts.
+kernel's totals and log marginals, 192 ``kernel-*.bin`` files: batch, ragged,
+full-``lengths`` and single-sequence calls on strict, +-500 and generalized
+CRFs of 8 and 129 labels, on their converted HMCs and on stride-0 tiled
+copies of both, whose last bits the CLI's 6-decimal text hides.  Then it
+runs each command's failures (:func:`failures`): bad options, files of the
+wrong kind, shape or syntax, a CRF of zero weight, two inputs from stdin's
+one pipe or from one FIFO, a model or sequence file on stdin that is not
+UTF-8, outputs that cannot be written, and the budget and tolerance
+verdicts.
 OUTDIR keeps every file written, and each command's stdout, stderr and exit
 code as ``NAME.out``, ``.err``, ``.code``.  A run still going after
 ``TIMEOUT`` seconds is killed by SIGALRM, and its code is recorded as -14.
@@ -205,25 +206,35 @@ def kernel_runs():
     one, of 12 positions and 8 labels (150 sequences, several product blocks
     and a padded tail) or of 5 positions and 129 labels, above
     ``PRODUCT_MAX_STATES`` (40 sequences); the HMC of each is its
-    conversion.  On each it writes the batch call, the same call with
-    unsorted ``lengths``, and the single-sequence calls (log normalizer or
-    evidence, and posterior marginals) on the first sequence of positive
-    weight.  A call that raises writes ``NAME.err`` instead.
+    conversion.  Beside each, a stride-0 tiled CRF of its first tables, and
+    a tiled HMC of its HMC's init, first transition and second emission
+    table.  On each it writes the batch call, the same call with unsorted
+    ``lengths`` and with every length given, and the single-sequence calls
+    (log normalizer or evidence, and posterior marginals) on the first
+    sequence of positive weight.  A call that raises writes ``NAME.err``
+    instead.
     """
     calls = {"crf": (crf.crf_posterior_marginals_batch, crf.crf_log_normalizer, crf.crf_posterior_marginals),
              "hmc": (hmc.hmc_posterior_marginals_batch, hmc.hmc_log_evidence, hmc.hmc_posterior_marginals)}
     for (n, k, count), (mode, bound) in itertools.product(((12, 8, 150), (5, 129, 40)),
                                                           (("strict", 5.0), ("strict", 500.0), ("generalized", 5.0))):
-        model = crf.random_crf_model(n, k, 4, seed=k, mode=mode, low=-bound, high=bound)
+        crf_model = crf.random_crf_model(n, k, 4, seed=k, mode=mode, low=-bound, high=bound)
+        hmc_model = crf_to_hmc(crf_model)[0]
+        models = {"crf": crf_model, "hmc": hmc_model,
+                  "crf-tiled": crf.CrfModel.homogeneous(crf_model.hidden, crf_model.obs, n,
+                                                        crf_model.pair_potentials[0], crf_model.emit_potentials[0],
+                                                        mode=mode),
+                  "hmc-tiled": hmc.HmcModel.homogeneous(hmc_model.hidden, hmc_model.obs, n, hmc_model.init,
+                                                        hmc_model.transitions[0], hmc_model.emissions[1])}
         rng = np.random.default_rng(k)
         ys, lengths = rng.integers(0, 4, (count, n)), rng.integers(1, n + 1, count)
-        for side, (batch, total, marginals) in calls.items():
-            if side == "hmc":
-                model = crf_to_hmc(model)[0]
+        for side, model in models.items():
+            batch, total, marginals = calls[side[:3]]
             name = f"kernel-{mode}-{bound:g}-k{k}-{side}"
             y = ys[np.argmax(np.isfinite(batch(model, ys)[0]))]
             for call, run_call in (("batch", lambda: batch(model, ys)),
                                    ("ragged", lambda: batch(model, ys, lengths)),
+                                   ("full", lambda: batch(model, ys, np.full(count, n))),
                                    ("single", lambda: (np.array([total(model, y)]),
                                                        marginals(model, y).rows.log_values))):
                 try:

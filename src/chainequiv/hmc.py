@@ -93,12 +93,12 @@ class HmcModel:
     emissions : Table3
         ``length`` stacked row-stochastic tables over (hidden x obs).
 
-    The constructor takes each stack as a Table3, an array-like or a
-    sequence of Table2.  Rows must sum to one within ``1e-9`` (probability
-    domain) and are then normalized by ``tables.normalize_rows``, which
-    keeps a row it has normalized before bit for bit: a model built from
-    another model's tables, as ``homogeneous`` builds one from a model's
-    first tables, has the same rows.
+    The constructor takes ``init`` as a Table1 or an array-like, and each
+    stack as a Table3, an array-like or a sequence of Table2.  Rows must sum
+    to one within ``1e-9`` (probability domain) and are then normalized by
+    ``tables.normalize_rows``, which keeps a row it has normalized before bit
+    for bit: a model built from another model's tables, as ``homogeneous``
+    builds one from a model's first tables, has the same rows.
     """
 
     hidden: Alphabet
@@ -108,6 +108,8 @@ class HmcModel:
     emissions: Table3
 
     def __post_init__(self):
+        if not isinstance(self.init, Table1):
+            object.__setattr__(self, "init", Table1(self.init))
         for name, table in zip(_ROWS, self._checked_shapes()):
             object.__setattr__(self, name, _renormalized(table, name))
 

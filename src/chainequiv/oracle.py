@@ -22,7 +22,7 @@ from .crf import CrfModel, DegenerateModel
 from .crf import _factors as _crf_factors
 from .hmc import HmcModel
 from .hmc import _factors as _hmc_factors
-from .tables import LabelSeq, index_rows
+from .tables import LabelSeq, ValidationError, index_rows
 
 DEFAULT_BUDGET = 10**6
 # Labeling cells scored at once by ``verify``: 2**16 float64 cells are
@@ -59,6 +59,8 @@ class EnumeratedPosterior:
     same data as a mapping from label tuples to probability, omitting
     zero-mass sequences.  ``log_total_weight`` is the log of the unnormalized
     mass that was summed (the CRF normalizer, or the HMC evidence).
+    ``probabilities`` must be a vector of ``hidden_size ** length`` entries,
+    else ShapeMismatch, all finite and nonnegative, else ValidationError.
     """
 
     hidden_size: int
@@ -68,6 +70,11 @@ class EnumeratedPosterior:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
+        if p.shape != (self.hidden_size**self.length,):
+            raise ShapeMismatch(f"probabilities must hold {self.hidden_size}^{self.length} entries, "
+                                f"got shape {p.shape}")
+        if not (0 <= p.min() and p.max() < np.inf):  # a NaN fails both
+            raise ValidationError("probabilities must be finite and nonnegative")
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
 
@@ -255,10 +262,15 @@ def enumerate_hmc_posterior_batch(model: HmcModel, ys,
 def posterior_matrix_marginals(posteriors: np.ndarray, size: int, length: int) -> np.ndarray:
     """(count, length, size) per-position marginals of row-wise posteriors.
 
-    Each row must hold ``size**length`` entries, else ShapeMismatch.  Rows
+    ``posteriors`` is an array-like of numbers, else ValidationError, and
+    each row must hold ``size**length`` entries, else ShapeMismatch.  Rows
     are summed as given, so a row that is not normalized gives "marginals"
     that are not either: one row of 8 ones at size 2 and length 3 gives 4s.
     """
+    try:
+        posteriors = np.asarray(posteriors, dtype=float)
+    except (ValueError, TypeError):
+        raise ValidationError("posterior_matrix_marginals expects an array of numbers") from None
     if posteriors.shape[-1:] != (size**length,):
         raise ShapeMismatch(f"posterior rows must hold {size}^{length} = {size**length} entries, "
                             f"got shape {posteriors.shape}")

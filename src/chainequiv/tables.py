@@ -95,7 +95,7 @@ class Alphabet:
 
 def _as_log_array(values, ndim: int, what: str) -> np.ndarray:
     try:
-        a = np.array(values, dtype=float)
+        a = np.array(values, dtype=float, order="C")
     except (ValueError, TypeError):
         raise ValidationError(f"{what} expects a {ndim}-dimensional array of numbers") from None
     if a.ndim != ndim:
@@ -477,8 +477,7 @@ class PosteriorMarginals:
 #
 # FACTOR_BLOCK_CELLS bounds the prepared tables, the recompute gather and
 # the normalized slabs.  Each pass prepares the exponentiated tables a block
-# of at most that many pair cells at a time; a tiled stack (stride 0 along
-# the steps) has one table to prepare.  The exact recompute gathers the k
+# of at most that many pair cells at a time.  The exact recompute gathers the k
 # terms of at most max(1, FACTOR_BLOCK_CELLS // k) entries at a time, each
 # entry its own row.
 # ---------------------------------------------------------------------------
@@ -546,16 +545,15 @@ def _step_factors(pairs, backward: bool = False):
     table, transposed with ``backward``, which also yields the steps last to
     first; its column maxima; the same with 0 for an all ``-inf`` column;
     and ``_LIFT * exp(max(table - shifts, -_CLAMP))``.  The tables are
-    prepared a block of steps at a time, a slice of ``pairs`` of at most
-    FACTOR_BLOCK_CELLS pair cells (one step when a table is larger); a tiled
-    ``pairs`` has its one table prepared once per block.
+    prepared a block of steps at a time, a C-contiguous copy of a slice of
+    ``pairs`` of at most FACTOR_BLOCK_CELLS pair cells (one step when a
+    table is larger).
     """
     n = len(pairs)
-    tiled = pairs.strides[0] == 0
     block = max(1, FACTOR_BLOCK_CELLS // math.prod(pairs.shape[1:]))
     for start in range(0, n, block):
         lo, hi = (max(0, n - start - block), n - start) if backward else (start, min(n, start + block))
-        lifted = np.array(pairs[lo:lo + 1] if tiled else pairs[lo:hi], dtype=float)
+        lifted = np.array(pairs[lo:hi], dtype=float, order="C")
         if backward:
             lifted = lifted.transpose(0, 2, 1)
         maxima = lifted.max(axis=1)
@@ -565,8 +563,7 @@ def _step_factors(pairs, backward: bool = False):
         np.exp(lifted, out=lifted)
         lifted *= _LIFT
         for k in (range(hi - 1, lo - 1, -1) if backward else range(lo, hi)):
-            i = 0 if tiled else k - lo
-            yield k, (pairs[k].T if backward else pairs[k], maxima[i], shifts[i], lifted[i])
+            yield k, (pairs[k].T if backward else pairs[k], maxima[k - lo], shifts[k - lo], lifted[k - lo])
 
 
 def _log_product(rows, row_max, factor):
@@ -605,10 +602,10 @@ def _log_product(rows, row_max, factor):
     return out
 
 
-def _row_lengths(lengths, count: int, n: int) -> np.ndarray | None:
-    """Checked per-row chain lengths as an intp array, or None when every row has all ``n`` positions."""
+def _row_lengths(lengths, count: int, n: int) -> np.ndarray:
+    """Checked per-row chain lengths as an intp array; None stands for every row at all ``n`` positions."""
     if lengths is None:
-        return None
+        return np.full(count, n, dtype=np.intp)
     a = np.asarray(lengths)
     if a.dtype.kind not in "iu":
         raise ValidationError(f"lengths must be integers, got {a.dtype} entries")
@@ -617,47 +614,44 @@ def _row_lengths(lengths, count: int, n: int) -> np.ndarray | None:
     if a.size and (a.min() < 1 or a.max() > n):
         bad = a[(a < 1) | (a > n)][0]
         raise ValidationError(f"length {bad} out of range [1, {n}]")
-    return None if (a == n).all() else a.astype(np.intp, copy=False)
+    return a.astype(np.intp, copy=False)
 
 
-def _active_rows(lengths: np.ndarray | None, count: int, steps: int) -> list[int]:
-    """Per step ``t``, how many leading rows take it.
+def _active_rows(lengths: np.ndarray) -> list[int]:
+    """Per step ``t``, how many leading rows take it, with ``lengths`` sorted longest first.
 
-    That is all ``count`` rows, or with ``lengths``, sorted longest first,
-    the rows longer than ``t + 1``: a step is taken by a prefix of the rows,
-    and there is no step past the longest row.
+    Those are the rows longer than ``t + 1``: a step is taken by a prefix of
+    the rows, and there is no step past the longest row.
     """
-    if lengths is None:
-        return [count] * steps
-    return np.searchsorted(-lengths, -np.arange(2, lengths[0] + 1), side="right").tolist()
+    return np.searchsorted(-lengths, -np.arange(2, lengths.max(initial=1) + 1), side="right").tolist()
 
 
-def _forward_messages(first, pairs, unary, lengths=None):
+def _forward_messages(first, pairs, unary, lengths, active):
     """Position-major forward messages, (n, count, k), and the per-column log totals.
 
     Each stored row has a maximum of 0; the shifts are accumulated apart.
-    With ``lengths``, sorted longest first, row ``i`` stops at position
-    ``lengths[i] - 1``: its total is taken there, and its messages past it
-    are NaN.
+    ``lengths`` is sorted longest first and ``active`` is its
+    :func:`_active_rows`: row ``i`` stops at position ``lengths[i] - 1``,
+    its total is taken there, and its messages past it are NaN.
     """
     msg = np.ascontiguousarray(np.asarray(first, dtype=float).T)
     count, k = msg.shape
-    active = _active_rows(lengths, count, len(pairs))
-    shape = (len(pairs) + 1, count, k)
-    fwd = np.empty(shape) if lengths is None else np.full(shape, np.nan)
+    fwd = np.empty((len(pairs) + 1, count, k))
+    fwd[len(active) + 1:] = np.nan  # the positions past the longest row
     total_shift = np.zeros(count)
     with np.errstate(divide="ignore"):
         for a, (t, factor) in zip(active, _step_factors(pairs[:len(active)])):
             live = len(msg)
             rows, row_max, shift = _shifted_rows(msg, out=fwd[t, :live])
+            fwd[t, live:] = np.nan
             total_shift[:live] += shift
             msg = _log_product(rows[:a], row_max[:a], factor)
             msg += unary[t].T[:a]
     live = len(msg)
     _, _, shift = _shifted_rows(msg, out=fwd[len(active), :live])
+    fwd[len(active), live:] = np.nan
     total_shift[:live] += shift
-    ends = fwd[-1] if lengths is None else fwd[lengths - 1, np.arange(count)]
-    return fwd, total_shift + log_sum_exp(ends, axis=1)
+    return fwd, total_shift + log_sum_exp(fwd[lengths - 1, np.arange(count)], axis=1)
 
 
 def chain_log_totals(first: np.ndarray, pairs: np.ndarray, unary: np.ndarray) -> np.ndarray:
@@ -669,7 +663,8 @@ def chain_log_totals(first: np.ndarray, pairs: np.ndarray, unary: np.ndarray) ->
     of each step's destination state.  Columns whose every path has zero
     weight come back as ``-inf``.
     """
-    return _forward_messages(first, pairs, unary)[1]
+    lengths = _row_lengths(None, np.shape(first)[1], len(pairs) + 1)
+    return _forward_messages(first, pairs, unary, lengths, _active_rows(lengths))[1]
 
 
 def chain_log_marginals(first: np.ndarray, pairs: np.ndarray, unary: np.ndarray,
@@ -695,7 +690,7 @@ def chain_log_marginals(first: np.ndarray, pairs: np.ndarray, unary: np.ndarray,
     back in input order.
     """
     lengths = _row_lengths(lengths, np.shape(first)[1], len(pairs) + 1)
-    if lengths is not None and (lengths[:-1] < lengths[1:]).any():
+    if (lengths[:-1] < lengths[1:]).any():
         order = np.argsort(-lengths, kind="stable")
         back = np.empty_like(order)
         back[order] = np.arange(len(order))
@@ -707,15 +702,15 @@ def chain_log_marginals(first: np.ndarray, pairs: np.ndarray, unary: np.ndarray,
 
 
 def _chain_marginals(first, pairs, unary, lengths):
-    """:func:`chain_log_marginals` on checked ``lengths``, None or sorted longest first."""
-    out, totals = _forward_messages(first, pairs, unary, lengths)
+    """:func:`chain_log_marginals` on checked ``lengths``, sorted longest first."""
+    active = _active_rows(lengths)
+    out, totals = _forward_messages(first, pairs, unary, lengths, active)
     n, count, k = out.shape
-    active = _active_rows(lengths, count, len(pairs))
     slab = max(1, FACTOR_BLOCK_CELLS // max(1, count * k))  # positions normalized in one call
     for t in range(len(active), n, slab):  # no backward step reaches these positions
         _normalize_position(out[t:t + slab].reshape(-1, k))
     done = len(active)  # positions from here on are normalized
-    bwd = np.zeros((active[0] if active else 0, k))  # a row stays 0 until its last step
+    bwd = np.zeros((count, k))  # a row stays 0 until its last step
     with np.errstate(divide="ignore"):
         for t, factor in _step_factors(pairs[:len(active)], backward=True):
             a = active[t]

@@ -10,7 +10,8 @@ Ragged batches (``lengths``) must equal, row by row and bit for bit, single
 calls on the chain cut to each row's length.  The step product runs as GEMMs of
 ``tables.PRODUCT_BLOCK_ROWS`` rows up to ``tables.PRODUCT_MAX_STATES`` states,
 and a row's bits must not depend on where in its block it sits, on the BLAS
-thread count, or on the padded tail.
+thread count, or on the padded tail.  A model built from arrays in another
+memory layout, or tiled, must give the bits of its C-contiguous copy.
 """
 
 import itertools
@@ -41,7 +42,7 @@ from chainequiv.hmc import (
     hmc_posterior_marginals,
     hmc_posterior_marginals_batch,
 )
-from chainequiv.tables import LOG_ZERO, Table2, ValidationError
+from chainequiv.tables import LOG_ZERO, Table1, Table2, ValidationError
 
 from conftest import brute_crf_posterior, brute_hmc_posterior, marginals_of
 
@@ -151,13 +152,19 @@ def test_factor_blocks_do_not_change_results(cells, monkeypatch):
 
 
 
-@pytest.mark.parametrize("cells", [1, 2 * K * K, tables.FACTOR_BLOCK_CELLS])
-def test_tiled_models_match_their_materialized_copies(cells, monkeypatch):
-    """A tiled stack (stride 0) has its one table prepared per block; the result
-    must equal the same tables stored one per position, bit for bit."""
-    base = random_crf_model(2, K, L, seed=3, low=-1000.0, high=1000.0)
+# Per label count: symbols, seed and potential bound of the tiled model, its length and rows.
+TILED_CASES = {K: (L, 3, 1000.0, N + 3, 16), 129: (3, 129, 5.0, 25, 50)}
+TILED_CELLS = [1, 2 * K * K, tables.FACTOR_BLOCK_CELLS]
+
+
+@pytest.mark.parametrize("cells, labels", [(c, k) for k in TILED_CASES for c in TILED_CELLS],
+                         ids=[f"{c}" if k == K else f"{c}-{k}" for k in TILED_CASES for c in TILED_CELLS])
+def test_tiled_models_match_their_materialized_copies(cells, labels, monkeypatch):
+    """A tiled stack (stride 0) is prepared like any other stack; the result must
+    equal the same tables stored one per position, bit for bit."""
+    symbols, seed, bound, n, count = TILED_CASES[labels]
+    base = random_crf_model(2, labels, symbols, seed=seed, low=-bound, high=bound)
     hmc = to_hmc(base)
-    n = N + 3
     crf = CrfModel.homogeneous(base.hidden, base.obs, n, base.pair_potentials[0],
                                base.emit_potentials[0])
     hmc = HmcModel.homogeneous(hmc.hidden, hmc.obs, n, hmc.init, hmc.transitions[0],
@@ -168,7 +175,7 @@ def test_tiled_models_match_their_materialized_copies(cells, monkeypatch):
                        np.array(hmc.emissions.log_values)))
     assert crf.pair_potentials.log_values.strides[0] == hmc.transitions.log_values.strides[0] == 0
     monkeypatch.setattr(tables, "FACTOR_BLOCK_CELLS", cells)
-    ys = np.random.default_rng(1).integers(0, L, (16, n))
+    ys = np.random.default_rng(1).integers(0, symbols, (count, n))
     for batch, tiled, copy in ((crf_posterior_marginals_batch, crf, copies[0]),
                                (hmc_posterior_marginals_batch, hmc, copies[1])):
         assert copy.length == n and tiled.length == n
@@ -176,6 +183,43 @@ def test_tiled_models_match_their_materialized_copies(cells, monkeypatch):
         totals, got = batch(tiled, ys)
         assert np.array_equal(totals, want_totals)
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def relaid(a: np.ndarray) -> list[np.ndarray]:
+    """``a`` in two other memory layouts: Fortran order and a view with the last two
+    axes' strides swapped, or for a vector, a strided and a reversed view."""
+    if a.ndim == 1:
+        return [np.repeat(a, 2)[::2], a[::-1].copy()[::-1]]
+    return [np.asfortranarray(a), np.swapaxes(np.swapaxes(a, -1, -2).copy(), -1, -2)]
+
+
+@pytest.mark.parametrize("k", [8, 32, 129])
+def test_results_do_not_depend_on_the_layout_of_the_tables(k):
+    """Tables are stored C-contiguous, so a model built from arrays in another layout
+    gives the C model's bits: batch marginals, normalizer and conversion.  A full
+    batch also equals the same call with every length given."""
+    n, l, count = 12, 12, 40
+    model = random_crf_model(n, k, l, seed=k)
+    hmc, trace = crf_to_hmc(model)
+    ys = np.random.default_rng(k).integers(0, l, (count, n))
+    want_crf, want_hmc = crf_posterior_marginals_batch(model, ys), hmc_posterior_marginals_batch(hmc, ys)
+    for got, want in ((crf_posterior_marginals_batch(model, ys, np.full(count, n)), want_crf),
+                      (hmc_posterior_marginals_batch(hmc, ys, np.full(count, n)), want_hmc)):
+        assert all(map(np.array_equal, got, want))
+
+    for pairs, emits, init, trans, emissions in zip(
+            *(relaid(t.log_values) for t in (model.pair_potentials, model.emit_potentials,
+                                              hmc.init, hmc.transitions, hmc.emissions))):
+        copy = CrfModel(model.hidden, model.obs, pairs, emits)
+        assert all(map(np.array_equal, crf_posterior_marginals_batch(copy, ys), want_crf))
+        assert crf_log_normalizer(copy, ys[0]) == crf_log_normalizer(model, ys[0])
+        got_hmc, got_trace = crf_to_hmc(copy)
+        for name in ("init", "transitions", "emissions"):
+            assert np.array_equal(getattr(got_hmc, name).log_values, getattr(hmc, name).log_values)
+        for name in ("psi", "phi", "beta"):
+            assert np.array_equal(getattr(got_trace, name).log_values, getattr(trace, name).log_values)
+        hmc_copy = HmcModel(hmc.hidden, hmc.obs, Table1(init), trans, emissions)
+        assert all(map(np.array_equal, hmc_posterior_marginals_batch(hmc_copy, ys), want_hmc))
 
 
 def prefix_call(factors, y, length: int):

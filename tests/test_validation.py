@@ -19,6 +19,7 @@ from chainequiv.crf import (
 )
 from chainequiv.equivalence import build_beta, build_phi, build_psi, crf_to_hmc
 from chainequiv.hmc import (
+    HmcModel,
     hmc_log_evidence,
     hmc_log_joint,
     hmc_posterior_marginals,
@@ -145,6 +146,44 @@ def test_posterior_matrix_marginals_rejects_wrong_row_widths(shape):
 def test_posterior_matrix_marginals_sums_rows_as_given():
     """An unnormalized row gives unnormalized "marginals": 8 ones at size 2 and length 3 give 4s."""
     np.testing.assert_array_equal(posterior_matrix_marginals(np.ones((1, 8)), 2, 3), np.full((1, 3, 2), 4.0))
+
+
+def test_posterior_matrix_marginals_takes_array_likes():
+    np.testing.assert_array_equal(posterior_matrix_marginals([[0.5, 0.5]], 2, 1), [[[0.5, 0.5]]])
+    with pytest.raises(ValidationError, match="^posterior_matrix_marginals expects an array of numbers"):
+        posterior_matrix_marginals([["a", "b"]], 2, 1)
+    with pytest.raises(ShapeMismatch, match="2\\^1 = 2 entries"):
+        posterior_matrix_marginals([[0.5, 0.25, 0.25]], 2, 1)
+
+
+def test_hmc_model_takes_an_array_like_init():
+    model = HmcModel(HMC.hidden, HMC.obs, HMC.init.log_values.tolist(), HMC.transitions, HMC.emissions)
+    assert np.array_equal(model.init.log_values, HMC.init.log_values)
+
+
+@pytest.mark.parametrize("init", [[[0.0, 0.0, 0.0]], [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], ["a", "b", "c"]],
+                         ids=["2-d", "nan", "inf", "strings"])
+def test_hmc_model_rejects_a_malformed_init(init):
+    with pytest.raises(ValidationError):
+        HmcModel(HMC.hidden, HMC.obs, init, HMC.transitions, HMC.emissions)
+
+
+@pytest.mark.parametrize("probabilities, error", [
+    ([0.5, 0.5, 0.0], ShapeMismatch),
+    ([[0.25] * 4], ShapeMismatch),
+    ([math.nan, 0.0, 0.0, 1.0], ValidationError),
+    ([2.0, -1.0, 0.0, 0.0], ValidationError),
+    ([math.inf, 0.0, 0.0, 0.0], ValidationError),
+], ids=["short", "2-d", "nan", "negative", "inf"])
+def test_enumerated_posterior_rejects_malformed_probabilities(probabilities, error):
+    with pytest.raises(error):
+        EnumeratedPosterior(2, 2, probabilities, 0.0)
+
+
+def test_enumerated_posterior_keeps_a_valid_vector():
+    posterior = EnumeratedPosterior(2, 2, [0.25, 0.25, 0.5, 0.0], 0.0)
+    assert posterior.total == 1.0
+    assert posterior.entries == {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.5}
 
 
 # The numeric helpers on malformed arrays: (call, the input its message names).
